@@ -35,6 +35,7 @@ from .charsums import (
     switchsum_exhaustive,
 )
 from .criteria import (
+    BELYI_PAIR_BOUND,
     belyi_search,
     binomial_search,
     default_max_r,
@@ -79,11 +80,7 @@ def _fraction_arg(text: str) -> QzClass:
 def cmd_v(args) -> int:
     t0 = time.monotonic()
     x = args.fraction
-    try:
-        v = kubert_v(args.p, x)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    v = kubert_v(args.p, x)
     _report(
         "vp",
         {"p": args.p, "x": str(x)},
@@ -96,18 +93,14 @@ def cmd_v(args) -> int:
 
 def cmd_w(args) -> int:
     t0 = time.monotonic()
-    try:
-        w = w_value(args.p, (args.d, args.e), args.x, args.y)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    w = w_value(args.p, (args.d, args.e), args.x, args.y)
     _report(
         "w",
         {"p": args.p, "d": args.d, "e": args.e, "x": str(args.x), "y": str(args.y)},
         {
             "w": str(w),
             "decimal": float(w),
-            "verdict": "violation" if w * 2 < 3 else "pass",
+            "verdict": "violation" if w < BELYI_PAIR_BOUND else "pass",
         },
         t0,
         args.pretty,
@@ -118,16 +111,12 @@ def cmd_w(args) -> int:
 def _search_command(args, which: str) -> int:
     t0 = time.monotonic()
     searcher = belyi_search if which == "belyi" else binomial_search
-    try:
-        res = searcher(
-            args.p,
-            (args.d, args.e),
-            max_r=args.max_r,
-            stop_early=not args.no_early_stop,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    res = searcher(
+        args.p,
+        (args.d, args.e),
+        max_r=args.max_r,
+        stop_early=not args.no_early_stop,
+    )
     _report(
         which,
         {"p": args.p, "d": args.d, "e": args.e, "max_r": res.max_r,
@@ -163,12 +152,7 @@ def cmd_verify_witnesses(args) -> int:
 def cmd_catalog(args) -> int:
     t0 = time.monotonic()
     count = 0
-    try:
-        fids = family_ids(args.theorem, args.p)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for fid in fids:
+    for fid in family_ids(args.theorem, args.p):
         for pair in enumerate_family(fid, args.p, args.max):
             _emit(
                 {
@@ -408,9 +392,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "p", None) is None and args.command == "dump-catalog":
         args.p = [2, 3, 5, 7]
-    if hasattr(args, "which"):
-        return args.func(args, args.which)
-    return args.func(args)
+    try:
+        if hasattr(args, "which"):
+            return args.func(args, args.which)
+        return args.func(args)
+    except (ValueError, OSError) as exc:  # bad input or unwritable path: a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

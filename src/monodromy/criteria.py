@@ -11,10 +11,16 @@ The binomial analogue bounds V(x) + V(y) + V(-dx-ey) below by 1/2 for (x, y)
 not both zero.  Point evaluations are exact rationals; the searches run on
 per-level digit-sum tables (a class with denominator dividing p^r - 1 has
 V = digitsum/(r(p-1)) directly on its numerator), so every comparison is an
-integer comparison and the reported first witness is deterministic:
-r ascending, then x numerator, then y numerator, with the one-variable check
-preceding the y scan at each x.  Classes already covered at a divisor level
-s | r are not re-tested.
+integer comparison.  One level scan serves every search and skips rows by
+two exact reductions: V(px) = V(x), so only the least x of each orbit
+under x -> px is scanned, and V(a) + V(b) >= V(a+b), so every criterion is
+at least V(x) and rows with V(x) >= 1/2 cannot violate.  The reported first
+witness is unchanged and deterministic: r ascending, then x numerator, then
+y numerator, with the one-variable check preceding the y scan at each x.
+A full sweep weights each row's count by its orbit size, so
+violations_total still counts every (x, y).  Classes already covered at a
+divisor level s | r are not re-tested, and a reported witness is always
+rechecked exactly.
 
 A violation certifies non-integrality; a bounded pass is evidence only, never
 a proof of finiteness.
@@ -26,10 +32,11 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .qz import QzClass, _as_prime_int, kubert_v, mult_order
+from .qz import QzClass, _as_prime_int, kubert_v
 
 __all__ = [
     "BELYI_PAIR_BOUND",
@@ -202,32 +209,101 @@ def default_max_r(p: int, grid_limit: int | None = None) -> int:
     return r
 
 
-@lru_cache(maxsize=32)
-def _level_tables(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digit sums and first-appearance levels of numerators mod p^r - 1.
+class _Level(NamedTuple):
+    """Search tables for the classes with denominator dividing m = p^r - 1."""
 
-    Returns (D, lev) with D[i] = digitsum_p(i) and lev[i] the smallest s
-    such that the class i/(p^r - 1) has denominator dividing p^s - 1;
-    behaves as a read-through cache of pure data.
+    r: int
+    m: int
+    D: np.ndarray  # D[i] = digitsum_p(i)
+    DD: np.ndarray  # D twice: DD[m-c : 2m-c][j] = D[(j - c) % m]
+    EE: np.ndarray  # E[i] = D[-i] twice, sliced the same way
+    lev: np.ndarray  # first-appearance level of i/m, which is i's orbit size
+    orbits: np.ndarray  # the least element of each orbit of i -> p*i on 1..m-1
+    rows: np.ndarray  # the orbit minima with 2*D[i] < r(p-1): V(i/m) < 1/2
+    pair_mask: dict  # v -> (lcm(lev, v) == r) for each level v < r in lev
+
+
+@lru_cache(maxsize=32)
+def _level_tables(p: int, r: int) -> _Level:
+    """Digit sums, first-appearance levels and Frobenius orbits mod p^r - 1.
+
+    Digit sums are int16 while 10*r*(p-1) fits: it bounds twice the five
+    digit sums of W, so it bounds every sum a search forms from them.  Pure
+    data behind a bounded read-through cache.
     """
     m = p**r - 1
     idx = np.arange(m, dtype=np.int64)
-    D = np.zeros(m, dtype=np.int16)
-    t = idx.copy()
-    while t.any():
-        D += (t % p).astype(np.int16)
-        t //= p
-    dens = m // np.gcd(idx, m)
-    dens[0] = 1
-    uniq, inverse = np.unique(dens, return_inverse=True)
-    orders = np.array([mult_order(p, int(den)) for den in uniq], dtype=np.int16)
-    lev = orders[inverse]
-    return D, lev
+    dtype = np.int16 if 10 * r * (p - 1) <= np.iinfo(np.int16).max else np.int64
+    D = np.zeros(1, dtype=dtype)
+    for _ in range(r):  # digitsum(k*p + a) = digitsum(k) + a
+        D = (D[:, None] + np.arange(p, dtype=dtype)).ravel()
+    D = D[:m]
+    least, t, lev = idx.copy(), idx, np.full(m, r, dtype=np.int16)
+    for k in range(1, r):
+        t = t * p % m
+        np.minimum(least, t, out=least)
+        lev[(t == idx) & (lev == r)] = k
+    orbits = np.flatnonzero(least == idx)[1:]
+    rows = orbits[2 * D[orbits] < r * (p - 1)]
+    E = np.roll(D[::-1], 1)
+    pair_mask = {int(v): np.lcm(lev, v) == r for v in np.unique(lev) if v != r}
+    return _Level(r, m, D, np.concatenate((D, D)), np.concatenate((E, E)), lev,
+                  orbits, rows, pair_mask)
 
 
-def _first_true(mask: np.ndarray) -> int | None:
-    j = int(np.argmax(mask))
-    return j if mask[j] else None
+def _scan(p: int, max_r: int | None, level_rows, stop_early=True, zero_row=False):
+    """The one level scan behind every inequality search.
+
+    Visits the rows i of ``level.rows`` ascending at r = 1..max_r (and i = 0
+    first when zero_row); max_r defaults per the cost guard.  The row
+    function ``level_rows(level)`` yields (kind, None) for a one-variable
+    hit and (kind, y-candidates) for a scan.  Returns max_r, (level, i, kind,
+    j) of the first hit or None, and the hit count: the first row's with
+    stop_early, else each row's times its orbit size.
+    """
+    if max_r is None:
+        max_r = default_max_r(p)
+    if max_r < 1:
+        raise ValueError("max_r must be >= 1")
+    first, total = None, 0
+    for r in range(1, max_r + 1):
+        level = _level_tables(p, r)
+        row_hits = level_rows(level)
+        for i in ([0] if zero_row else []) + level.rows.tolist():
+            for kind, viol in row_hits(i):
+                count, j = 1, None
+                if viol is not None:
+                    mask = level.pair_mask.get(int(level.lev[i]))
+                    if mask is not None:
+                        viol &= mask
+                    count = int(np.count_nonzero(viol))
+                    if not count:
+                        continue
+                    j = int(viol.argmax())
+                if first is None:
+                    first = (level, i, kind, j)
+                if stop_early:
+                    return max_r, first, count
+                total += count * int(level.lev[i])
+    return max_r, first, total
+
+
+def _search_result(p, pair, criterion, max_r, first, total) -> SearchResult:
+    """The result of a scan, with its first hit rechecked exactly in Fraction."""
+    witness = None
+    if first is not None:
+        level, i, kind, j = first
+        x, y = QzClass(i, level.m), None if j is None else QzClass(j, level.m)
+        if kind == "belyi-monomial":
+            value, bound = belyi_monomial_side(p, pair, x), MONOMIAL_BOUND
+        elif kind == "belyi-pair":
+            value, bound = w_value(p, pair, x, y), BELYI_PAIR_BOUND
+        else:
+            value, bound = binomial_check(p, pair, x, y), BINOMIAL_BOUND
+        witness = WitnessReport(p, pair, kind, x, y, value, bound)
+        if witness.verdict != "violation":
+            raise RuntimeError(f"the scan reported {witness.as_dict()}, not a violation")
+    return SearchResult(p, pair, criterion, max_r, witness, total)
 
 
 def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True) -> SearchResult:
@@ -244,64 +320,27 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     d, e = pair.d, pair.e
     if d % p == 0 and e % p == 0:
         raise ValueError(f"d={d} and e={e} are both multiples of p={p}")
-    if max_r is None:
-        max_r = default_max_r(p)
-    if max_r < 1:
-        raise ValueError("max_r must be >= 1")
-
     K = d + e
-    first: WitnessReport | None = None
-    total = 0
 
-    for r in range(1, max_r + 1):
-        m = p**r - 1
-        if m <= 1:
-            continue
-        D, lev = _level_tables(p, r)
-        idx = np.arange(m, dtype=np.int64)
-        new_class = lev == np.int16(r)
-        if not new_class.any():
-            continue
-        one_sum = D + D[(-K * idx) % m]
-        one_viol = (2 * one_sum < r * (p - 1)) & new_class
-        one_viol[0] = False
+    def level_rows(level: _Level):
+        r, m, D, DD, EE = level.r, level.m, level.D, level.DD, level.EE
+        half = r * (p - 1)  # a V-sum is < 1/2 iff twice its digit sums are < r(p-1)
 
-        E = D[(-idx) % m]
-        pair_level_mask = {
-            int(v): (np.lcm(lev, np.int16(v)) == r) for v in np.unique(lev)
-        }
-        threshold = 3 * r * (p - 1)
-
-        for i in range(1, m):
-            if one_viol[i]:
-                x = QzClass(i, m)
-                rep = WitnessReport(
-                    p, pair, "belyi-monomial", x, None,
-                    belyi_monomial_side(p, pair, x), MONOMIAL_BOUND,
-                )
-                total += 1
-                if first is None:
-                    first = rep
-                if stop_early:
-                    return SearchResult(p, pair, "belyi", max_r, first, total)
-            jmask = pair_level_mask[int(lev[i])]
-            t3 = np.roll(D, (K * i) % m)      # D[(j - (d+e)i) % m]
-            t4 = np.roll(E, (e * i) % m)      # D[((e*i - j)) % m]
-            const = int(D[i]) + int(D[(-e * i) % m])
-            s = D + t3 + t4
-            viol = (2 * (s + const) < threshold) & jmask
+        def row_hits(i):
+            if level.lev[i] == r and 2 * int(D[i] + D[-K * i % m]) < half:
+                yield "belyi-monomial", None
+            # W < 3/2 iff D[j] + D[j - Ki] + D[ei - j] < (3*half - 2*const)/2
+            const = int(D[i] + D[-e * i % m])
+            c3, c4 = m - K * i % m, m - e * i % m
+            s = D + DD[c3:c3 + m]
+            s += EE[c4:c4 + m]
+            viol = s < (3 * half - 2 * const + 1) // 2
             viol[0] = False
-            if viol.any():
-                j = _first_true(viol)
-                x, y = QzClass(i, m), QzClass(j, m)
-                w = w_value(p, pair, x, y)
-                rep = WitnessReport(p, pair, "belyi-pair", x, y, w, BELYI_PAIR_BOUND)
-                total += int(viol.sum())
-                if first is None:
-                    first = rep
-                if stop_early:
-                    return SearchResult(p, pair, "belyi", max_r, first, total)
-    return SearchResult(p, pair, "belyi", max_r, first, total)
+            yield "belyi-pair", viol
+
+        return row_hits
+
+    return _search_result(p, pair, "belyi", *_scan(p, max_r, level_rows, stop_early))
 
 
 def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = True) -> SearchResult:
@@ -309,44 +348,21 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
     p = _as_prime_int(p)
     pair = _as_pair(pair)
     d, e = pair.d, pair.e
-    if max_r is None:
-        max_r = default_max_r(p)
-    if max_r < 1:
-        raise ValueError("max_r must be >= 1")
 
-    first: WitnessReport | None = None
-    total = 0
+    def level_rows(level: _Level):
+        m, D, DD = level.m, level.D, level.DD
+        half = level.r * (p - 1)
+        neg_e = -e * np.arange(m) % m
 
-    for r in range(1, max_r + 1):
-        m = p**r - 1
-        if m <= 1:
-            continue
-        D, lev = _level_tables(p, r)
-        idx = np.arange(m, dtype=np.int64)
-        neg_e_idx = (-e * idx) % m  # index of -e*j, shifted per row below
-        pair_level_mask = {
-            int(v): (np.lcm(lev, np.int16(v)) == r) for v in np.unique(lev)
-        }
-        threshold = r * (p - 1)
+        def row_hits(i):
+            viol = D + DD[neg_e + (m - d * i % m)] < (half + 1) // 2 - int(D[i])
+            viol[0] &= i > 0  # (x, y) = (0, 0) is excluded
+            yield "binomial", viol
 
-        for i in range(0, m):
-            jmask = pair_level_mask[int(lev[i])]
-            t3_idx = (neg_e_idx - (d * i) % m) % m
-            s = D[i] + D + D[t3_idx]
-            viol = (2 * s < threshold) & jmask
-            if i == 0:
-                viol[0] = False
-            if viol.any():
-                j = _first_true(viol)
-                x, y = QzClass(i, m), QzClass(j, m)
-                w = binomial_check(p, pair, x, y)
-                rep = WitnessReport(p, pair, "binomial", x, y, w, BINOMIAL_BOUND)
-                total += int(viol.sum())
-                if first is None:
-                    first = rep
-                if stop_early:
-                    return SearchResult(p, pair, "binomial", max_r, first, total)
-    return SearchResult(p, pair, "binomial", max_r, first, total)
+        return row_hits
+
+    max_r, first, total = _scan(p, max_r, level_rows, stop_early, zero_row=True)
+    return _search_result(p, pair, "binomial", max_r, first, total)
 
 
 # The W values quoted in the classification's case-by-case elimination,

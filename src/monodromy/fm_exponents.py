@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .qz import QzClass, _as_prime_int, digit_sum
+from .criteria import _scan
+from .qz import QzClass, _as_prime_int, kubert_v
 
 __all__ = [
     "FAMILY_ORDER",
@@ -134,21 +135,22 @@ class MonomialCheckResult:
 def numeric_monomial_check(p: int, d: int, max_r: int) -> MonomialCheckResult:
     """Search for x != 0 with V(x) + V(-d*x) < 1/2, denominators dividing p^r - 1.
 
-    Scans r = 1..max_r and numerators in ascending order, returning the first
-    violation found or a bounded-search pass.  A violation certifies that d is
-    not an FM-exponent; a pass is evidence only.
+    Returns the first violation in the order r = 1..max_r, then numerator
+    (the shared level scan of `criteria` visits only the rows that can hold
+    it), or a bounded-search pass.  A violation certifies that d is not an
+    FM-exponent; a pass is evidence only.
     """
     p = _as_prime_int(p)
-    if max_r < 1:
-        raise ValueError("max_r must be >= 1")
-    for r in range(1, max_r + 1):
-        m = p**r - 1
-        threshold = r * (p - 1)  # V-sum < 1/2 iff 2*(digit sums) < r*(p-1)
-        for i in range(1, m):
-            s = digit_sum(i, p) + digit_sum((-d * i) % m, p)
-            if 2 * s < threshold:
-                x = QzClass(i, m)
-                return MonomialCheckResult(
-                    p, d, max_r, x, Fraction(s, r * (p - 1)), r
-                )
-    return MonomialCheckResult(p, d, max_r, None, None, None)
+
+    def level_rows(level):
+        m, D, half = level.m, level.D, level.r * (p - 1)
+        # V(x) + V(-dx) < 1/2 iff twice the two digit sums are < r(p-1)
+        return lambda i: [("monomial", None)] if 2 * int(D[i] + D[-d * i % m]) < half else []
+
+    _, first, _ = _scan(p, max_r, level_rows)
+    if first is None:
+        return MonomialCheckResult(p, d, max_r, None, None, None)
+    level, i, _, _ = first
+    x = QzClass(i, level.m)
+    v_sum = kubert_v(p, x) + kubert_v(p, x.scale(-d))
+    return MonomialCheckResult(p, d, max_r, x, v_sum, level.r)

@@ -183,3 +183,21 @@ class TestDumpCatalog:
         rows = [json.loads(line) for line in out.read_text().splitlines()]
         assert rows and all(r["p"] == 5 for r in rows)
         assert lines[-1]["result"]["rows"] == len(rows)
+
+
+class TestErrorBoundary:
+    """Bad input and unwritable paths are usage errors: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--p", "4", "--d", "1", "--e", "2"],
+            ["crosscheck", "--p", "4", "--max", "10"],
+            ["dump-catalog", "--out", "/nonexistent/x", "--max", "10", "--p", "7"],
+        ],
+    )
+    def test_exits_2_with_message(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1

@@ -6,6 +6,9 @@ import pytest
 
 from monodromy.criteria import (
     WITNESS_TABLE,
+    ExponentPair,
+    _level_tables,
+    _search_result,
     belyi_monomial_side,
     belyi_search,
     binomial_check,
@@ -14,7 +17,7 @@ from monodromy.criteria import (
     verify_witness_table,
     w_value,
 )
-from monodromy.qz import QzClass, kubert_v
+from monodromy.qz import QzClass, kubert_v, mult_order
 
 
 class TestWValue:
@@ -94,6 +97,74 @@ class TestBinomialCheck:
     def test_rejects_both_zero(self):
         with pytest.raises(ValueError):
             binomial_check(2, (5, 3), "0", "0")
+
+
+def brute_violation_count(p, pair, max_r, criterion):
+    """Fraction count of every violation a full sweep meets: each x (and
+    for the binomial x = 0) against every y, at the level where the pair
+    first appears; the Belyi one-variable check counts once per new x."""
+    from math import lcm
+
+    total = 0
+    for r in range(1, max_r + 1):
+        m = p**r - 1
+        for i in range(0 if criterion == "binomial" else 1, m):
+            x = QzClass(i, m)
+            lx = mult_order(p, x.den)
+            if criterion == "belyi" and lx == r:
+                total += belyi_monomial_side(p, pair, x) < Fraction(1, 2)
+            for j in range(0 if i and criterion == "binomial" else 1, m):
+                y = QzClass(j, m)
+                if lcm(lx, mult_order(p, y.den)) != r:
+                    continue
+                if criterion == "belyi":
+                    total += w_value(p, pair, x, y) < Fraction(3, 2)
+                else:
+                    total += binomial_check(p, pair, x, y) < Fraction(1, 2)
+    return total
+
+
+class TestLevelScan:
+    @pytest.mark.parametrize("p,r", [(2, 1), (2, 4), (2, 6), (3, 3), (5, 2), (7, 2)])
+    def test_orbit_table(self, p, r):
+        level = _level_tables(p, r)
+        m = p**r - 1
+        orbits = level.orbits.tolist()
+        orbit = {i: {i * p**k % m for k in range(r)} for i in orbits}
+        assert all(i == min(orbit[i]) and len(orbit[i]) == level.lev[i] for i in orbits)
+        assert sum(int(level.lev[i]) for i in orbits) == p**r - 2
+        assert set().union(*orbit.values()) == set(range(1, m))
+        assert level.rows.tolist() == [
+            i for i in orbits if kubert_v(p, QzClass(i, m)) < Fraction(1, 2)
+        ]
+
+    @pytest.mark.parametrize(
+        "p,pair,max_r",
+        [(2, (3, 10), 5), (2, (6, 1), 4), (3, (5, 2), 3), (5, (3, 4), 2), (7, (2, 2), 2)],
+    )
+    def test_belyi_total_matches_fraction_count(self, p, pair, max_r):
+        res = belyi_search(p, pair, max_r=max_r, stop_early=False)
+        assert res.violations_total == brute_violation_count(p, pair, max_r, "belyi") > 0
+
+    @pytest.mark.parametrize(
+        "p,pair,max_r", [(2, (7, 3), 5), (3, (2, 8), 3), (5, (2, 4), 2), (7, (2, 3), 2)]
+    )
+    def test_binomial_total_matches_fraction_count(self, p, pair, max_r):
+        res = binomial_search(p, pair, max_r=max_r, stop_early=False)
+        assert res.violations_total == brute_violation_count(p, pair, max_r, "binomial") > 0
+
+    @pytest.mark.parametrize("p", [9001, 16411])
+    def test_large_prime_digit_sums_do_not_overflow(self, p):
+        # int16 sums wrapped into false violations at p = 9001; at p = 16411
+        # even two level-1 digit sums can pass 32767
+        assert not binomial_search(p, (1, 1)).found
+        assert not belyi_search(p, (1, 1)).found
+
+    def test_witness_failing_exact_recheck_raises(self):
+        # W_2(1,1; 1/3, 1/3) >= 3/2, so a scan must never report it
+        first = (_level_tables(2, 2), 1, "belyi-pair", 1)
+        with pytest.raises(RuntimeError):
+            _search_result(2, ExponentPair(1, 1), "belyi", 2, first, 1)
 
 
 def brute_belyi_first_violation(p, pair, max_r):

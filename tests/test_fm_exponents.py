@@ -1,5 +1,7 @@
 """Tests for the FM-exponent classifier and its numeric cross-check."""
 
+from fractions import Fraction
+
 import pytest
 
 from monodromy.fm_exponents import (
@@ -13,6 +15,7 @@ from monodromy.fm_exponents import (
     numeric_monomial_check,
     prime_to_p_part,
 )
+from monodromy.qz import QzClass, kubert_v
 
 
 class TestPrimeToPPart:
@@ -108,3 +111,20 @@ class TestNumericCheck:
                 assert not res.found, (p, d, res)
             else:
                 assert res.found, (p, d)
+
+    @pytest.mark.parametrize("d", range(1, 41, 2))
+    def test_matches_fraction_scan(self, d):
+        """Same first violation as scanning every numerator in Fraction."""
+        want = (None, None, None)
+        for r in range(1, 9):
+            m = 2**r - 1
+            hits = [
+                (x, v, r)
+                for x in (QzClass(i, m) for i in range(1, m))
+                if (v := kubert_v(2, x) + kubert_v(2, x.scale(-d))) < Fraction(1, 2)
+            ]
+            if hits:
+                want = hits[0]
+                break
+        res = numeric_monomial_check(2, d, 8)
+        assert (res.violation, res.v_sum, res.r_found) == want
