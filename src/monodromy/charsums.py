@@ -11,6 +11,15 @@ Elements are integer-encoded coefficient vectors in the power basis of the
 modulus, the constant coefficient being the least significant base-p digit.
 Fields are immutable once built and all sums are pure functions of them.
 
+The exp table is filled by doubling: multiplication by the generator is an
+r x r matrix over F_p acting on digit rows, and rows [n, 2n) are rows [0, n)
+times its n-th power, so about log2(q) numpy matmuls build it.  ``log`` is
+one scatter of it, and ``trace`` the digit rows times the traces of the basis
+monomials.  The tables are stored as tuples of Python ints.  Caches are
+bounded: ``build_field`` keeps the 32 most recent fields, and the tables
+derived from a field (character values, Artin-Schreier roots) are cached on
+the field itself, so they are freed with it.
+
 Sign conventions: ``gauss_sum`` returns -sum_{t != 0} chi(t) psi(t) (so the
 trivial character gives exactly 1), while the classical factorizations of
 Jacobi sums hold for the unsigned sum, available as ``gauss_sum_raw``.
@@ -19,7 +28,7 @@ Jacobi sums hold for the unsigned sum, available as ``gauss_sum_raw``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -201,10 +210,12 @@ class FieldPresentation:
         return range(1, self.q)
 
     # -- characters ----------------------------------------------------------
+    # Derived tables are cached on the instance: they are freed with the
+    # field, and a lookup never hashes the field's O(q) tables.
     def psi(self, t: int) -> complex:
-        return self._psi_table()[t]
+        return self._psi_table[t]
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _psi_table(self) -> np.ndarray:
         if self.p == 2:  # exactly +-1 in characteristic 2
             roots = np.array([1.0 + 0j, -1.0 + 0j])
@@ -212,17 +223,17 @@ class FieldPresentation:
             roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
         return roots[np.array(self.trace)]
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _unit_roots(self) -> np.ndarray:
         m = self.q - 1
         return np.exp(2j * np.pi * np.arange(m) / m)
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _psi_by_log(self) -> np.ndarray:
         """psi(generator^k) indexed by k."""
-        return self._psi_table()[np.array(self.exp)]
+        return self._psi_table[np.array(self.exp)]
 
-    @lru_cache(maxsize=None)
+    @cached_property
     def _log_one_minus(self) -> np.ndarray:
         """log(1 - generator^k) indexed by k; -1 at k = log(1) = 0."""
         out = np.full(self.q - 1, -1, dtype=np.int64)
@@ -231,6 +242,14 @@ class FieldPresentation:
             if v:
                 out[k] = self.log[v]
         return out
+
+    @cached_property
+    def _switchsum_roots(self) -> dict[int, list[int]]:
+        """The roots of x^2 + x = z, keyed by z."""
+        roots: dict[int, list[int]] = {}
+        for x in self.elements:
+            roots.setdefault(self.add(self.mul(x, x), x), []).append(x)
+        return roots
 
     def as_json_dict(self) -> dict:
         return {
@@ -241,7 +260,7 @@ class FieldPresentation:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def build_field(p: int, r: int) -> FieldPresentation:
     """Deterministic presentation of F_{p^r} (guarded at p^r <= 2^20).
 
@@ -297,16 +316,26 @@ def build_field(p: int, r: int) -> FieldPresentation:
             break
     assert generator is not None
 
-    exp = [0] * m
-    exp[0] = 1
-    acc = [1]
+    # Row i of ``step`` holds the digits of x^i * generator, so row k of
+    # ``digits`` (generator^k) times step^n is row k + n.  Matmul entries
+    # stay below r*(p-1)^2: int64 suffices for every q <= FIELD_SIZE_GUARD,
+    # and int32 (always when r >= 2) halves the m x r digit matrix.
+    dtype = np.int32 if r * (p - 1) ** 2 < 2**31 else np.int64
     gp = poly_of(generator)
-    for k in range(1, m):
-        acc = raw_mul(acc, gp)
-        exp[k] = encode(acc)
-    log = [-1] * q
-    for k, t in enumerate(exp):
-        log[t] = k
+    step = np.array([(raw_mul([0] * i + [1], gp) + [0] * r)[:r] for i in range(r)],
+                    dtype=dtype)
+    digits = np.zeros((m, r), dtype=dtype)
+    digits[0, 0] = 1
+    n = 1
+    while n < m:
+        k = min(n, m - n)
+        np.matmul(digits[:k], step, out=digits[n:n + k])
+        digits[n:n + k] %= p
+        step = step @ step % p
+        n += k
+    exp = digits @ p ** np.arange(r, dtype=dtype)
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(m)
 
     # trace of the basis monomials; the absolute trace is F_p-linear, so
     # Tr(t) for arbitrary t is a digit dot-product against these
@@ -324,18 +353,17 @@ def build_field(p: int, r: int) -> FieldPresentation:
         assert len(total) <= 1, "trace must land in the prime field"
         tr_basis.append(total[0] if total else 0)
 
-    trace = []
-    for t in range(q):
-        c = _decode_int(t, p, r)
-        trace.append(sum(ci * tri for ci, tri in zip(c, tr_basis)) % p)
+    trace = np.zeros(q, dtype=np.int64)
+    trace[exp] = digits @ np.array(tr_basis, dtype=dtype) % p
+    del digits  # the largest array here; drop it before the tuples are made
 
     return FieldPresentation(
         p=p, r=r, q=q,
         modulus=tuple(modulus),
         generator=generator,
-        exp=tuple(exp),
-        log=tuple(log),
-        trace=tuple(trace),
+        exp=tuple(exp.tolist()),
+        log=tuple(log.tolist()),
+        trace=tuple(trace.tolist()),
     )
 
 
@@ -352,13 +380,13 @@ def mult_char(F: FieldPresentation, a: int, t: int) -> complex:
     if t == 0:
         raise ValueError("multiplicative characters are defined on units; t=0 rejected")
     a %= F.q - 1
-    return complex(F._unit_roots()[(a * F.log[t]) % (F.q - 1)])
+    return complex(F._unit_roots[(a * F.log[t]) % (F.q - 1)])
 
 
 def _chi_vector(F: FieldPresentation, a: int) -> np.ndarray:
     """chi_a(generator^k) for k = 0..q-2."""
     m = F.q - 1
-    return F._unit_roots()[(a % m) * np.arange(m) % m]
+    return F._unit_roots[(a % m) * np.arange(m) % m]
 
 
 def gauss_sum(F: FieldPresentation, a: int) -> complex:
@@ -373,7 +401,7 @@ def gauss_sum(F: FieldPresentation, a: int) -> complex:
 def gauss_sum_raw(F: FieldPresentation, a: int) -> complex:
     """sum over units of chi_a(t) psi(t) (the sign under which the classical
     Gauss/Jacobi factorizations hold verbatim)."""
-    return complex(np.dot(_chi_vector(F, a), F._psi_by_log()))
+    return complex(np.dot(_chi_vector(F, a), F._psi_by_log))
 
 
 def gauss_sums_all(F: FieldPresentation) -> np.ndarray:
@@ -384,7 +412,7 @@ def gauss_sums_all(F: FieldPresentation) -> np.ndarray:
     just batched.
     """
     m = F.q - 1
-    return -(m * np.fft.ifft(F._psi_by_log()))
+    return -(m * np.fft.ifft(F._psi_by_log))
 
 
 def jacobi_sum(F: FieldPresentation, a1: int, a2: int) -> complex:
@@ -395,10 +423,10 @@ def jacobi_sum(F: FieldPresentation, a1: int, a2: int) -> complex:
     """
     m = F.q - 1
     chi1 = _chi_vector(F, a1)
-    logs2 = F._log_one_minus()
+    logs2 = F._log_one_minus
     valid = logs2 >= 0
     chi2 = np.zeros(m, dtype=complex)
-    chi2[valid] = F._unit_roots()[(a2 % m) * logs2[valid] % m]
+    chi2[valid] = F._unit_roots[(a2 % m) * logs2[valid] % m]
     return complex(np.dot(chi1, chi2))
 
 
@@ -427,7 +455,7 @@ def _linear_sums(F: FieldPresentation, a: int) -> np.ndarray:
     """T_a(v) = sum over units s of chi_a(s) psi(s*v), for every v in F."""
     m = F.q - 1
     chi = _chi_vector(F, a)
-    psi_by_log = F._psi_by_log()
+    psi_by_log = F._psi_by_log
     T = np.zeros(F.q, dtype=complex)
     T[0] = m if a % m == 0 else 0.0
     for v in range(1, F.q):
@@ -485,7 +513,7 @@ def mellin_closed_form(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> tu
     if a_chi == 0:
         return F.q * gauss_sum_raw(F, a_eta), "trivial-eta"
     neg_one_log = F.log[F.neg(1)]
-    chibar_neg1_e = complex(F._unit_roots()[(-a_chi * neg_one_log * e) % m])
+    chibar_neg1_e = complex(F._unit_roots[(-a_chi * neg_one_log * e) % m])
     if a_eta == 0:
         J = jacobi_sum(F, (-d * a_chi) % m, (-e * a_chi) % m)
         return -gauss_sum_raw(F, a_chi) * chibar_neg1_e * J, "chi-trivial-eta"
@@ -522,11 +550,11 @@ def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
     """
     d, e = pair
     m = F.q - 1
-    roots = F._unit_roots()
+    roots = F._unit_roots
     ks = np.arange(m)
     R = roots[np.outer(ks, ks) % m]  # chi_a(g^k) as matrix [a, k]
     psi_prod = np.zeros((m, F.q), dtype=complex)  # psi(g^k * v) as [k, v]
-    psi_by_log = F._psi_by_log()
+    psi_by_log = F._psi_by_log
     psi_prod[:, 0] = F.psi(0)
     for v in range(1, F.q):
         psi_prod[:, v] = np.roll(psi_by_log, -F.log[v])
@@ -545,35 +573,22 @@ def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
 # switchsum (p = 2): sum over roots of x^2+x=y of psi(tx) switches with
 # the sum over roots of u^2+u=t^2 of psi(uy); both sides exact integers.
 
-def _artin_schreier_roots(F: FieldPresentation) -> dict[int, list[int]]:
-    roots: dict[int, list[int]] = {}
-    for x in F.elements:
-        z = F.add(F.mul(x, x), x)
-        roots.setdefault(z, []).append(x)
-    return roots
-
-
 def switchsum_check(F: FieldPresentation, t: int, y: int) -> bool:
     """Exact-integer equality of the two root sums; p = 2 only."""
     if F.p != 2:
         raise ValueError("switchsum is a characteristic-2 identity")
-    roots = _switchsum_roots(F)
+    roots = F._switchsum_roots
     lhs = sum(1 - 2 * F.trace[F.mul(t, x)] for x in roots.get(y, ()))
     t2 = F.mul(t, t)
     rhs = sum(1 - 2 * F.trace[F.mul(u, y)] for u in roots.get(t2, ()))
     return lhs == rhs
 
 
-@lru_cache(maxsize=None)
-def _switchsum_roots(F: FieldPresentation) -> dict[int, list[int]]:
-    return _artin_schreier_roots(F)
-
-
 def switchsum_exhaustive(r: int) -> tuple[int, int]:
     """Check the identity on all (t, y) pairs over F_{2^r}; returns
     (pairs checked, pairs equal)."""
     F = build_field(2, r)
-    roots = _switchsum_roots(F)
+    roots = F._switchsum_roots
     psi_int = [1 - 2 * tr for tr in F.trace]
     checked = equal = 0
     for t in F.elements:

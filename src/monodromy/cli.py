@@ -28,6 +28,7 @@ from .catalog import (
     write_catalog,
 )
 from .charsums import (
+    FIELD_SIZE_GUARD,
     MELLIN_Q_GUARD,
     build_field,
     gauss_sums_all,
@@ -248,6 +249,8 @@ def _prime_powers_upto(limit: int) -> list[tuple[int, int]]:
 
 
 def cmd_charsums(args) -> int:
+    if args.max_q > FIELD_SIZE_GUARD:
+        raise ValueError(f"--max-q {args.max_q} exceeds the field size guard {FIELD_SIZE_GUARD}")
     t0 = time.monotonic()
     failures = 0
     for p, r in _prime_powers_upto(args.max_q):

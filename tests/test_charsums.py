@@ -1,13 +1,19 @@
 """Tests for the finite-field layer and the character-sum identities."""
 
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from monodromy.charsums import (
     FIELD_SIZE_GUARD,
+    _decode_int,
+    _is_irreducible,
+    _poly_mulmod,
+    _poly_trim,
     additive_char,
     belyi_values,
     build_field,
@@ -24,6 +30,7 @@ from monodromy.charsums import (
     switchsum_check,
     switchsum_exhaustive,
 )
+from monodromy.qz import is_prime
 
 ABS_TOL = 1e-9
 ORTHO_TOL = 1e-12
@@ -31,6 +38,40 @@ ORTHO_TOL = 1e-12
 
 def small_fields():
     return [build_field(p, r) for p, r in ((2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1))]
+
+
+def oracle_field(p, r):
+    """(modulus, generator, exp, log, trace) built one element at a time.
+
+    The modulus is the first irreducible in encoding order; the generator is
+    the first unit whose powers, walked with ``_poly_mulmod``, reach q-1
+    elements before returning to 1; Tr(t) sums the constant coefficients
+    (encodings mod p) of the r Frobenius conjugates t^(p^i), since the trace
+    lies in F_p.
+    """
+    q, m = p**r, p**r - 1
+    modulus = next(c for c in (_decode_int(k, p, r) + [1] for k in range(q))
+                   if _is_irreducible(c, p))
+
+    def powers(g):
+        gp, acc, out = _poly_trim(_decode_int(g, p, r)), [1], [[1]]
+        while True:
+            acc = _poly_mulmod(acc, gp, modulus, p)
+            if acc == [1]:
+                return out
+            out.append(acc)
+
+    for generator in range(1, q):
+        walk = powers(generator)
+        if len(walk) == m:
+            break
+    exp = [sum(c * p**i for i, c in enumerate(a)) for a in walk]
+    log = [-1] * q
+    for k, t in enumerate(exp):
+        log[t] = k
+    frob = [p**i for i in range(r)]
+    trace = [0] + [sum(exp[log[t] * f % m] for f in frob) % p for t in range(1, q)]
+    return tuple(modulus), generator, tuple(exp), tuple(log), tuple(trace)
 
 
 class TestBuildField:
@@ -82,6 +123,32 @@ class TestBuildField:
         F = build_field(2, 3)
         d = F.as_json_dict()
         assert d == {"p": 2, "r": 3, "modulus": [1, 1, 0, 1], "generator": [0, 1, 0]}
+
+    def test_tables_match_per_element_oracle(self):
+        fields = [(p, r) for p in range(2, 2049) if is_prime(p)
+                  for r in range(1, 12) if p**r <= 2048]
+        for p, r in fields + [(2, 16), (1021, 1)]:
+            F = build_field(p, r)
+            got = (F.modulus, F.generator, F.exp, F.log, F.trace)
+            assert got == oracle_field(p, r), (p, r)
+            assert all(type(x) is int for x in F.exp + F.log + F.trace)
+
+    def test_cache_is_bounded_and_releases_fields(self):
+        build_field.cache_clear()
+        first = build_field(2, 3)
+        gauss_sums_all(first)
+        jacobi_sum(first, 1, 2)
+        switchsum_check(first, 1, 1)
+        evicted = weakref.ref(first)
+        del first
+        for p in filter(is_prime, range(3, 180)):  # 40 more fields
+            F = build_field(p, 1)
+            gauss_sums_all(F)
+            jacobi_sum(F, 1, 2)
+        del F
+        gc.collect()
+        assert build_field.cache_info().currsize <= 32
+        assert evicted() is None
 
     def test_trace_additive_and_surjective(self):
         for F in small_fields():

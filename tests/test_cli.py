@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from monodromy.charsums import FIELD_SIZE_GUARD
 from monodromy.cli import main
 
 
@@ -194,6 +195,7 @@ class TestErrorBoundary:
             ["classify", "--p", "4", "--d", "1", "--e", "2"],
             ["crosscheck", "--p", "4", "--max", "10"],
             ["dump-catalog", "--out", "/nonexistent/x", "--max", "10", "--p", "7"],
+            ["charsums", "--max-q", str(FIELD_SIZE_GUARD + 1)],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):
