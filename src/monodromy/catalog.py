@@ -12,11 +12,14 @@ Three theorem-shaped lists are encoded as data, each entry keeping its
 * ``binomial`` - the 9 cases of the binomial classification, matched on
   prime-to-p parts.
 
-Membership checks always test both orientations of a pair; enumeration
-emits the orientation as printed in the source lists.  ``fm_pair_scan`` is
-the brute-force counterpart of the candidate list, and
-``quotient_lemma_oracle`` brute-forces the exponential-quotient equations
-used throughout the case analysis.
+Every family is a generator of (A, B, params) triples, and one helper,
+``_rows``, turns it into a {pair: params} map that keeps the params that
+first produce each pair.  Enumeration, membership and the JSON rows of
+``catalog_rows`` all read that map.  Membership checks always test both
+orientations of a pair; enumeration emits the orientation as printed in the
+source lists.  ``fm_pair_scan`` is the brute-force counterpart of the
+candidate list, and ``quotient_lemma_oracle`` brute-forces the
+exponential-quotient equations used throughout the case analysis.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "Membership",
     "PairClassification",
     "THEOREMS",
+    "catalog_rows",
     "classify_binomial",
     "classify_pair",
     "crosscheck",
@@ -191,10 +195,6 @@ class _Family:
     gen: Callable[[int, int], Iterable[tuple[int, int, tuple]]]
 
 
-def _fam(index, constraint, p_ok, gen) -> _Family:
-    return _Family(index, constraint, p_ok, gen)
-
-
 _ANY = ("p>=2", lambda p: True)
 _GE3 = ("p>=3", lambda p: p >= 3)
 
@@ -204,84 +204,79 @@ def _eq(q: int):
 
 
 _CANDIDATE_FAMILIES: tuple[_Family, ...] = (
-    _fam(1, *_ANY, _gen_cand_1),
-    _fam(2, *_ANY, _gen_cand_2),
-    _fam(3, *_GE3, _single_param(lambda p, a: ((p**a + 1) // 2,) * 2)),
-    _fam(4, *_eq(2), _sporadic(SPORADIC_CANDIDATES_P2)),
-    _fam(5, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a + 1), start=1)),
-    _fam(6, *_eq(2), _gen_cand_6),
-    _fam(7, *_eq(2), _single_param(lambda p, a: (1, 2**a + 1), start=1)),
-    _fam(8, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a), start=1)),
-    _fam(9, *_eq(2), _single_param(lambda p, a: (3, 2**a + 1), start=1)),
-    _fam(10, *_eq(2), _single_param(lambda p, a: (2**a + 1, 3 * 2**a), start=1)),
-    _fam(11, *_eq(2), _single_param(
+    _Family(1, *_ANY, _gen_cand_1),
+    _Family(2, *_ANY, _gen_cand_2),
+    _Family(3, *_GE3, _single_param(lambda p, a: ((p**a + 1) // 2,) * 2)),
+    _Family(4, *_eq(2), _sporadic(SPORADIC_CANDIDATES_P2)),
+    _Family(5, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a + 1), start=1)),
+    _Family(6, *_eq(2), _gen_cand_6),
+    _Family(7, *_eq(2), _single_param(lambda p, a: (1, 2**a + 1), start=1)),
+    _Family(8, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a), start=1)),
+    _Family(9, *_eq(2), _single_param(lambda p, a: (3, 2**a + 1), start=1)),
+    _Family(10, *_eq(2), _single_param(lambda p, a: (2**a + 1, 3 * 2**a), start=1)),
+    _Family(11, *_eq(2), _single_param(
         lambda p, a: (2**a + 1, (2 ** (3 * a) + 1) // (2**a + 1)), start=1)),
-    _fam(12, *_eq(2), _single_param(
+    _Family(12, *_eq(2), _single_param(
         lambda p, a: ((2 ** (3 * a) + 1) // (2**a + 1), 2**a * (2**a + 1)), start=1)),
-    _fam(13, *_eq(2), _single_param(
+    _Family(13, *_eq(2), _single_param(
         lambda p, a: (2**a + 1, (2**a + 1) // 3), start=1, step=2)),
-    _fam(14, *_eq(2), _single_param(
+    _Family(14, *_eq(2), _single_param(
         lambda p, a: (1, (2**a + 1) // 3), start=1, step=2)),
-    _fam(15, *_eq(2), _single_param(
+    _Family(15, *_eq(2), _single_param(
         lambda p, a: ((2**a + 1) // 3, 2**a), start=1, step=2)),
-    _fam(16, *_eq(2), _single_param(
+    _Family(16, *_eq(2), _single_param(
         lambda p, a: (3, (2 ** (2 * a) + 1) // 5), start=1, step=2)),
-    _fam(17, *_eq(2), _single_param(
+    _Family(17, *_eq(2), _single_param(
         lambda p, a: ((2 ** (2 * a) + 1) // 5, 3 * 2 ** (2 * a)), start=1, step=2)),
-    _fam(18, *_eq(2), _single_param(
+    _Family(18, *_eq(2), _single_param(
         lambda p, a: (5, (2**a + 1) // 3), start=1, step=2)),
-    _fam(19, *_eq(2), _single_param(
+    _Family(19, *_eq(2), _single_param(
         lambda p, a: ((2**a + 1) // 3, 5 * 2**a), start=1, step=2)),
-    _fam(20, *_eq(2), _single_param(
+    _Family(20, *_eq(2), _single_param(
         lambda p, a: ((2 ** (3 * a) + 1) // 9, (2 ** (3 * a) + 1) // 3), start=1, step=2)),
-    _fam(21, *_eq(2), _single_param(
+    _Family(21, *_eq(2), _single_param(
         lambda p, a: ((2 ** (3 * a) + 1) // 9, 2 * (2 ** (3 * a) + 1) // 9), start=1, step=2)),
-    _fam(22, *_eq(3), _sporadic(SPORADIC_CANDIDATES_P3)),
-    _fam(23, *_eq(3), _single_param(lambda p, a: (2, 3**a + 1))),
-    _fam(24, *_eq(3), _single_param(lambda p, a: (3**a + 1, 2 * 3**a))),
-    _fam(25, *_eq(3), _single_param(lambda p, a: (3**a + 1, (3**a + 1) // 2))),
-    _fam(26, *_eq(3), _single_param(lambda p, a: (1, (3**a + 1) // 2))),
-    _fam(27, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 3**a))),
-    _fam(28, *_eq(3), _single_param(lambda p, a: (4, (3**a + 1) // 2))),
-    _fam(29, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 4 * 3**a))),
-    _fam(30, *_eq(3), _single_param(
+    _Family(22, *_eq(3), _sporadic(SPORADIC_CANDIDATES_P3)),
+    _Family(23, *_eq(3), _single_param(lambda p, a: (2, 3**a + 1))),
+    _Family(24, *_eq(3), _single_param(lambda p, a: (3**a + 1, 2 * 3**a))),
+    _Family(25, *_eq(3), _single_param(lambda p, a: (3**a + 1, (3**a + 1) // 2))),
+    _Family(26, *_eq(3), _single_param(lambda p, a: (1, (3**a + 1) // 2))),
+    _Family(27, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 3**a))),
+    _Family(28, *_eq(3), _single_param(lambda p, a: (4, (3**a + 1) // 2))),
+    _Family(29, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 4 * 3**a))),
+    _Family(30, *_eq(3), _single_param(
         lambda p, a: ((3**a + 1) // 2, (3**a + 1) // 4), start=1, step=2)),
-    _fam(31, *_eq(3), _single_param(
+    _Family(31, *_eq(3), _single_param(
         lambda p, a: ((3**a + 1) // 4, (3**a + 1) // 4), start=1, step=2)),
-    _fam(32, *_eq(3), _single_param(
+    _Family(32, *_eq(3), _single_param(
         lambda p, a: (2, (3**a + 1) // 4), start=1, step=2)),
-    _fam(33, *_eq(3), _single_param(
+    _Family(33, *_eq(3), _single_param(
         lambda p, a: ((3**a + 1) // 4, 2 * 3**a), start=1, step=2)),
-    _fam(34, *_eq(5), _sporadic(SPORADIC_CANDIDATES_P5)),
-    _fam(35, *_eq(5), _single_param(lambda p, a: (2, (5**a + 1) // 2))),
-    _fam(36, *_eq(5), _single_param(lambda p, a: ((5**a + 1) // 2, 2 * 5**a))),
-    _fam(37, *_eq(7), _sporadic(((2, 2),))),
+    _Family(34, *_eq(5), _sporadic(SPORADIC_CANDIDATES_P5)),
+    _Family(35, *_eq(5), _single_param(lambda p, a: (2, (5**a + 1) // 2))),
+    _Family(36, *_eq(5), _single_param(lambda p, a: ((5**a + 1) // 2, 2 * 5**a))),
+    _Family(37, *_eq(7), _sporadic(((2, 2),))),
 )
 
 
-def _gen_final_4(p: int, bound: int):
-    # ((2^a+1)/(2^b+1), same), b >= 1, a an odd multiple of b
-    yield from _gen_cand_6(p, bound)
-
-
 _FINAL_FAMILIES: tuple[_Family, ...] = (
-    _fam(1, *_ANY, _single_param(lambda p, a: (1, p**a))),
-    _fam(2, *_eq(2), _sporadic(((1, 12),))),
-    _fam(3, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a + 1), start=1)),
-    _fam(4, *_eq(2), _gen_final_4),
-    _fam(5, *_eq(2), _single_param(lambda p, a: (1, 2**a + 1), start=1)),
-    _fam(6, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a), start=1)),
-    _fam(7, *_eq(2), _single_param(
+    _Family(1, *_ANY, _single_param(lambda p, a: (1, p**a))),
+    _Family(2, *_eq(2), _sporadic(((1, 12),))),
+    _Family(3, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a + 1), start=1)),
+    _Family(4, *_eq(2), _gen_cand_6),
+    _Family(5, *_eq(2), _single_param(lambda p, a: (1, 2**a + 1), start=1)),
+    _Family(6, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a), start=1)),
+    _Family(7, *_eq(2), _single_param(
         lambda p, a: (2**a + 1, (2**a + 1) // 3), start=1, step=2)),
-    _fam(8, *_eq(2), _single_param(
+    _Family(8, *_eq(2), _single_param(
         lambda p, a: (1, (2**a + 1) // 3), start=1, step=2)),
-    _fam(9, *_eq(2), _single_param(
+    _Family(9, *_eq(2), _single_param(
         lambda p, a: ((2**a + 1) // 3, 2**a), start=1, step=2)),
-    _fam(10, *_eq(3), _sporadic(((1, 4), (1, 6), (2, 2), (4, 3)))),
-    _fam(11, *_eq(3), _single_param(lambda p, a: (3**a + 1, (3**a + 1) // 2))),
-    _fam(12, *_eq(3), _single_param(lambda p, a: (1, (3**a + 1) // 2))),
-    _fam(13, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 3**a))),
-    _fam(14, *_eq(5), _sporadic(((2, 1),))),
+    _Family(10, *_eq(3), _sporadic(((1, 4), (1, 6), (2, 2), (4, 3)))),
+    _Family(11, *_eq(3), _single_param(lambda p, a: (3**a + 1, (3**a + 1) // 2))),
+    _Family(12, *_eq(3), _single_param(lambda p, a: (1, (3**a + 1) // 2))),
+    _Family(13, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 3**a))),
+    _Family(14, *_eq(5), _sporadic(((2, 1),))),
 )
 
 
@@ -361,15 +356,15 @@ def _gen_bin_6(p: int, bound: int):
 
 
 _BINOMIAL_FAMILIES: tuple[_Family, ...] = (
-    _fam(1, *_ANY, _gen_bin_1),
-    _fam(2, *_ANY, _gen_bin_2),
-    _fam(3, *_ANY, _gen_bin_3),
-    _fam(4, *_ANY, _gen_bin_4),
-    _fam(5, *_ANY, _gen_bin_5),
-    _fam(6, *_GE3, _gen_bin_6),
-    _fam(7, *_eq(2), _sporadic(((13, 3),))),
-    _fam(8, *_eq(3), _sporadic(((7, 4), (7, 2), (5, 4), (5, 2)))),
-    _fam(9, *_eq(5), _sporadic(((3, 2), (7, 7)))),
+    _Family(1, *_ANY, _gen_bin_1),
+    _Family(2, *_ANY, _gen_bin_2),
+    _Family(3, *_ANY, _gen_bin_3),
+    _Family(4, *_ANY, _gen_bin_4),
+    _Family(5, *_ANY, _gen_bin_5),
+    _Family(6, *_GE3, _gen_bin_6),
+    _Family(7, *_eq(2), _sporadic(((13, 3),))),
+    _Family(8, *_eq(3), _sporadic(((7, 4), (7, 2), (5, 4), (5, 2)))),
+    _Family(9, *_eq(5), _sporadic(((3, 2), (7, 7)))),
 )
 
 _REGISTRY: dict[str, tuple[_Family, ...]] = {
@@ -379,24 +374,25 @@ _REGISTRY: dict[str, tuple[_Family, ...]] = {
 }
 
 
-def _lookup(theorem: str, index: int) -> _Family:
+def _families(theorem: str) -> tuple[_Family, ...]:
     if theorem not in _REGISTRY:
         raise ValueError(f"unknown theorem selector {theorem!r}; expected one of {THEOREMS}")
-    fams = _REGISTRY[theorem]
-    if not 1 <= index <= len(fams):
-        raise ValueError(f"{theorem} has items 1..{len(fams)}, not {index}")
-    return fams[index - 1]
+    return _REGISTRY[theorem]
 
 
 def family_ids(theorem: str, p: int | None = None) -> list[FamilyId]:
     """All items of a theorem's list, optionally restricted to those for p."""
-    if theorem not in _REGISTRY:
-        raise ValueError(f"unknown theorem selector {theorem!r}; expected one of {THEOREMS}")
-    out = []
-    for fam in _REGISTRY[theorem]:
-        if p is None or fam.p_ok(_as_prime_int(p)):
-            out.append(FamilyId(theorem, fam.index, fam.constraint))
-    return out
+    return [FamilyId(theorem, fam.index, fam.constraint) for fam in _families(theorem)
+            if p is None or fam.p_ok(_as_prime_int(p))]
+
+
+def _rows(fam: _Family, p: int, bound: int) -> dict[tuple[int, int], tuple]:
+    """{(A, B): params} of one family, keeping the params that first produce
+    each pair in generator order."""
+    rows: dict[tuple[int, int], tuple] = {}
+    for A, B, params in fam.gen(p, bound):
+        rows.setdefault((A, B), params)
+    return rows
 
 
 def enumerate_family(family: FamilyId | tuple[str, int], p: int, bound: int) -> list[ExponentPair]:
@@ -408,11 +404,27 @@ def enumerate_family(family: FamilyId | tuple[str, int], p: int, bound: int) -> 
     p = _as_prime_int(p)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    fam = _lookup(theorem, index)
+    fams = _families(theorem)
+    if not 1 <= index <= len(fams):
+        raise ValueError(f"{theorem} has items 1..{len(fams)}, not {index}")
+    fam = fams[index - 1]
     if not fam.p_ok(p):
         raise ValueError(f"{theorem} item {index} applies to {fam.constraint}, not p={p}")
-    pairs = {ExponentPair(A, B) for A, B, _ in fam.gen(p, bound)}
-    return sorted(pairs, key=lambda q: (q.d, q.e))
+    return [ExponentPair(A, B) for A, B in sorted(_rows(fam, p, bound))]
+
+
+def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
+    """The JSON row of every member of the theorem's families for p, with
+    max(A, B) <= bound, by item and then (A, B)."""
+    fams = _families(theorem)
+    p = _as_prime_int(p)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    for fam in fams:
+        if fam.p_ok(p):
+            for (A, B), params in sorted(_rows(fam, p, bound).items()):
+                yield {"theorem": theorem, "item": fam.index, "p": p, "A": A, "B": B,
+                       "params": dict(params), "reversed": False}
 
 
 def _memberships(p: int, A: int, B: int, theorem: str) -> list[Membership]:
@@ -420,17 +432,12 @@ def _memberships(p: int, A: int, B: int, theorem: str) -> list[Membership]:
     for fam in _REGISTRY[theorem]:
         if not fam.p_ok(p):
             continue
-        fid = FamilyId(theorem, fam.index, fam.constraint)
-        direct = reverse = None
-        for a, b, params in fam.gen(p, max(A, B)):
-            if (a, b) == (A, B) and direct is None:
-                direct = params
-            if (a, b) == (B, A) and reverse is None:
-                reverse = params
-        if direct is not None:
-            found.append(Membership(fid, direct, False))
-        elif reverse is not None:
-            found.append(Membership(fid, reverse, True))
+        rows = _rows(fam, p, max(A, B))
+        for pair, reverse in (((A, B), False), ((B, A), True)):
+            if pair in rows:
+                found.append(Membership(FamilyId(theorem, fam.index, fam.constraint),
+                                        rows[pair], reverse))
+                break
     return found
 
 
@@ -491,19 +498,17 @@ def _canonical(pairs: Iterable[ExponentPair]) -> set[tuple[int, int]]:
     return {(min(q.d, q.e), max(q.d, q.e)) for q in pairs}
 
 
+def _union(theorem: str, p: int, bound: int) -> set[tuple[int, int]]:
+    return _canonical(q for fid in family_ids(theorem, p) for q in enumerate_family(fid, p, bound))
+
+
 def candidate_union(p: int, bound: int) -> set[tuple[int, int]]:
     """Union of all candidate families at the bound, as unordered pairs."""
-    out: set[tuple[int, int]] = set()
-    for fid in family_ids(CANDIDATES, p):
-        out |= _canonical(enumerate_family(fid, p, bound))
-    return out
+    return _union(CANDIDATES, p, bound)
 
 
 def final_union(p: int, bound: int) -> set[tuple[int, int]]:
-    out: set[tuple[int, int]] = set()
-    for fid in family_ids(FINAL, p):
-        out |= _canonical(enumerate_family(fid, p, bound))
-    return out
+    return _union(FINAL, p, bound)
 
 
 def quotient_lemma_oracle(p: int, max_exp: int, case: int | None = None):
@@ -658,28 +663,7 @@ def crosscheck(
 
 def write_catalog(path, primes=(2, 3, 5, 7), bound: int = 300) -> int:
     """Serialize every family's members to JSON lines; returns the row count."""
-    rows = []
-    for theorem in THEOREMS:
-        for p in primes:
-            for fid in family_ids(theorem, p):
-                for pair in enumerate_family(fid, p, bound):
-                    fam = _lookup(theorem, fid.index)
-                    params = next(
-                        (dict(pr) for a, b, pr in fam.gen(p, bound)
-                         if (a, b) == (pair.d, pair.e)),
-                        {},
-                    )
-                    rows.append(
-                        {
-                            "theorem": theorem,
-                            "item": fid.index,
-                            "p": p,
-                            "A": pair.d,
-                            "B": pair.e,
-                            "params": params,
-                            "reversed": False,
-                        }
-                    )
+    rows = [row for theorem in THEOREMS for p in primes for row in catalog_rows(theorem, p, bound)]
     rows.sort(key=lambda r: (r["theorem"], r["p"], r["item"], r["A"], r["B"]))
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

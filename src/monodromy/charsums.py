@@ -161,25 +161,12 @@ class FieldPresentation:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        t, digits = 0, []
-        for _ in range(self.r):
-            digits.append((a % self.p + b % self.p) % self.p)
-            a //= self.p
-            b //= self.p
-        for c in reversed(digits):
-            t = t * self.p + c
-        return t
+        return self.encode(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        t, digits = 0, []
-        for _ in range(self.r):
-            digits.append((-(a % self.p)) % self.p)
-            a //= self.p
-        for c in reversed(digits):
-            t = t * self.p + c
-        return t
+        return self.encode(-c for c in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -451,17 +438,17 @@ def belyi_values(F: FieldPresentation, d: int, e: int) -> np.ndarray:
     return out
 
 
-def _linear_sums(F: FieldPresentation, a: int) -> np.ndarray:
-    """T_a(v) = sum over units s of chi_a(s) psi(s*v), for every v in F."""
+def _linear_sums(F: FieldPresentation, chars) -> np.ndarray:
+    """T[i, v] = sum over units s of chi_a(s) psi(s*v) for a = chars[i], for
+    every v in F: the characters' values times the matrix of psi(g^k * v)."""
     m = F.q - 1
-    chi = _chi_vector(F, a)
+    R = np.array([_chi_vector(F, a) for a in chars])  # chi_a(g^k) as [i, k]
     psi_by_log = F._psi_by_log
-    T = np.zeros(F.q, dtype=complex)
-    T[0] = m if a % m == 0 else 0.0
+    psi_prod = np.empty((m, F.q), dtype=complex)  # psi(g^k * v) as [k, v]
+    psi_prod[:, 0] = F.psi(0)
     for v in range(1, F.q):
-        lv = F.log[v]
-        T[v] = np.dot(chi, np.roll(psi_by_log, -lv))
-    return T
+        psi_prod[:, v] = np.roll(psi_by_log, -F.log[v])
+    return R @ psi_prod
 
 
 def mellin_sum(F: FieldPresentation, pair, a_chi: int, a_eta: int,
@@ -475,11 +462,9 @@ def mellin_sum(F: FieldPresentation, pair, a_chi: int, a_eta: int,
     d, e = pair
     if F.q > guard_q:
         raise ValueError(f"q={F.q} exceeds the triple-sum guard {guard_q}")
-    T_chi = _linear_sums(F, a_chi)
-    T_eta = _linear_sums(F, a_eta)
+    T_chi, T_eta = _linear_sums(F, [a_chi, a_eta])
     fvals = belyi_values(F, d, e)
-    xs = np.arange(F.q)
-    return complex(np.sum(T_chi[fvals] * T_eta[xs]))
+    return complex(np.sum(T_chi[fvals] * T_eta))
 
 
 def mellin_sum_naive(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> complex:
@@ -550,15 +535,7 @@ def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
     """
     d, e = pair
     m = F.q - 1
-    roots = F._unit_roots
-    ks = np.arange(m)
-    R = roots[np.outer(ks, ks) % m]  # chi_a(g^k) as matrix [a, k]
-    psi_prod = np.zeros((m, F.q), dtype=complex)  # psi(g^k * v) as [k, v]
-    psi_by_log = F._psi_by_log
-    psi_prod[:, 0] = F.psi(0)
-    for v in range(1, F.q):
-        psi_prod[:, v] = np.roll(psi_by_log, -F.log[v])
-    A = R @ psi_prod  # T_a(v) as [a, v]
+    A = _linear_sums(F, range(m))  # T_a(v) as [a, v]
     fvals = belyi_values(F, d, e)
     S = A[:, fvals] @ A.T  # S[a_chi, a_eta]
     rows = []

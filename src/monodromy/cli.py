@@ -20,11 +20,10 @@ import numpy as np
 from . import __version__
 from .catalog import (
     THEOREMS,
+    catalog_rows,
     classify_binomial,
     classify_pair,
     crosscheck,
-    enumerate_family,
-    family_ids,
     write_catalog,
 )
 from .charsums import (
@@ -153,21 +152,9 @@ def cmd_verify_witnesses(args) -> int:
 def cmd_catalog(args) -> int:
     t0 = time.monotonic()
     count = 0
-    for fid in family_ids(args.theorem, args.p):
-        for pair in enumerate_family(fid, args.p, args.max):
-            _emit(
-                {
-                    "theorem": args.theorem,
-                    "item": fid.index,
-                    "p": args.p,
-                    "A": pair.d,
-                    "B": pair.e,
-                    "params": {},
-                    "reversed": False,
-                },
-                args.pretty,
-            )
-            count += 1
+    for row in catalog_rows(args.theorem, args.p, args.max):
+        _emit(row, args.pretty)
+        count += 1
     _report(
         "catalog",
         {"p": args.p, "max": args.max, "theorem": args.theorem},
@@ -180,11 +167,10 @@ def cmd_catalog(args) -> int:
 
 def cmd_classify(args) -> int:
     t0 = time.monotonic()
-    classify = classify_binomial if args.theorem == "binomial" else classify_pair
     if args.theorem == "binomial":
-        cls = classify(args.p, (args.d, args.e))
+        cls = classify_binomial(args.p, (args.d, args.e))
     else:
-        cls = classify(args.p, (args.d, args.e), args.theorem)
+        cls = classify_pair(args.p, (args.d, args.e), args.theorem)
     _report(
         "classify",
         {"p": args.p, "d": args.d, "e": args.e, "theorem": args.theorem},
@@ -253,7 +239,8 @@ def cmd_charsums(args) -> int:
         raise ValueError(f"--max-q {args.max_q} exceeds the field size guard {FIELD_SIZE_GUARD}")
     t0 = time.monotonic()
     failures = 0
-    for p, r in _prime_powers_upto(args.max_q):
+    fields = _prime_powers_upto(args.max_q)
+    for p, r in fields:
         F = build_field(p, r)
         g = gauss_sums_all(F)
         worst = float(np.max(np.abs(np.abs(g[1:]) - F.q**0.5))) if F.q > 2 else 0.0
@@ -261,15 +248,9 @@ def cmd_charsums(args) -> int:
         failures += not ok
         _emit({"suite": "gauss-modulus", "q": F.q, "worst_abs_dev": worst, "ok": ok},
               args.pretty)
-    for q in MELLIN_QS:
-        if q > args.max_q:
+    for p, r in fields:
+        if p**r not in MELLIN_QS:
             continue
-        p = min(f for f in range(2, q + 1) if q % f == 0)
-        r = 0
-        qq = q
-        while qq > 1:
-            qq //= p
-            r += 1
         F = build_field(p, r)
         for pair in MELLIN_PAIRS:
             rows = mellin_suite(F, pair)
@@ -277,7 +258,7 @@ def cmd_charsums(args) -> int:
             ok = worst <= MELLIN_REL_TOL
             failures += not ok
             _emit(
-                {"suite": "mellin", "q": q, "d": pair[0], "e": pair[1],
+                {"suite": "mellin", "q": F.q, "d": pair[0], "e": pair[1],
                  "rows": len(rows), "worst_rel_err": worst, "ok": ok},
                 args.pretty,
             )
@@ -299,10 +280,11 @@ def cmd_charsums(args) -> int:
 
 def cmd_dump_catalog(args) -> int:
     t0 = time.monotonic()
-    n = write_catalog(args.out, primes=tuple(args.p), bound=args.max)
+    primes = args.p or [2, 3, 5, 7]
+    n = write_catalog(args.out, primes=tuple(primes), bound=args.max)
     _report(
         "dump-catalog",
-        {"out": args.out, "p": list(args.p), "max": args.max},
+        {"out": args.out, "p": primes, "max": args.max},
         {"rows": n},
         t0,
         args.pretty,
@@ -393,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "p", None) is None and args.command == "dump-catalog":
-        args.p = [2, 3, 5, 7]
     try:
         if hasattr(args, "which"):
             return args.func(args, args.which)

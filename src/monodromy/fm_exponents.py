@@ -62,7 +62,7 @@ class FmExponentVerdict:
     prime_to_p_part: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def classify_fm_exponent(p: int, d: int) -> FmExponentVerdict:
     """Decide whether d is an FM-exponent for p, with witnessing family.
 
@@ -112,7 +112,7 @@ def classify_fm_exponent(p: int, d: int) -> FmExponentVerdict:
     return FmExponentVerdict(d, p, False, NOT_FM, None, dp)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def fm_exponent_set(p: int, bound: int) -> frozenset[int]:
     """All FM-exponents n <= bound for p (memoized convenience for scans)."""
     return frozenset(n for n in range(1, bound + 1) if classify_fm_exponent(p, n).is_fm)

@@ -181,7 +181,7 @@ def scale(x: QzClass, k: int) -> QzClass:
     return _as_class(x).scale(k)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def mult_order(p: int, den: int, cap: int = MULT_ORDER_CAP) -> int:
     """Smallest r >= 1 with p^r == 1 (mod den); returns 1 for den == 1.
 

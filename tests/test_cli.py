@@ -1,9 +1,11 @@
 """Tests for the command-line surface: outputs, determinism, exit codes."""
 
 import json
+from importlib import resources
 
 import pytest
 
+from monodromy.catalog import THEOREMS
 from monodromy.charsums import FIELD_SIZE_GUARD
 from monodromy.cli import main
 
@@ -124,6 +126,15 @@ class TestCatalog:
             {k: v for k, v in r.items() if k != "timing_ms"} for r in rows
         ]
         assert strip(a) == strip(b)
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_rows_match_shipped_catalog(self, capsys, theorem, p):
+        code, lines = run(capsys, ["catalog", "--p", str(p), "--max", "300", "--theorem", theorem])
+        assert code == 0
+        shipped = resources.files("monodromy").joinpath("data/catalog.jsonl").read_text()
+        rows = [json.loads(line) for line in shipped.splitlines()]
+        assert lines[:-1] == [r for r in rows if r["theorem"] == theorem and r["p"] == p]
 
 
 class TestClassify:

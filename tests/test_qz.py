@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from importlib import import_module
 
 import pytest
 from hypothesis import given, settings
@@ -247,3 +248,17 @@ class TestVFunctionClosedForms:
         assert x.is_zero()
         assert kubert_v(2, x) == 0
         assert closed_form_1(2, 3, 1, 2) == 1
+
+
+def test_every_lru_cache_is_bounded():
+    """Every lru_cache in the numeric layers, on functions or on classes."""
+    mods = [import_module(f"monodromy.{m}") for m in ("qz", "fm_exponents", "criteria", "charsums")]
+    owners = mods + [v for mod in mods for v in vars(mod).values() if isinstance(v, type)]
+    caches = {
+        f"{owner.__name__}.{name}": fn
+        for owner in owners
+        for name, fn in vars(owner).items()
+        if callable(getattr(fn, "cache_info", None))
+    }
+    assert {"monodromy.qz.mult_order", "monodromy.fm_exponents.classify_fm_exponent"} <= caches.keys()
+    assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
