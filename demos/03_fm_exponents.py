@@ -19,7 +19,7 @@ for p, d in [(2, 3), (2, 9), (3, 14), (2, 11), (5, 7), (2, 12)]:
 
 print("\nNon-FM exponents come with explicit violating classes:")
 for p, d in [(2, 7), (2, 15), (3, 11), (5, 4)]:
-    res = numeric_monomial_check(p, d, max_r=10)
+    res = numeric_monomial_check(p, d, max_r=8)
     assert res.found
     print(
         f"  p={p}, d={d}: V({res.violation}) + V(-{d}*{res.violation}) = {res.v_sum} "

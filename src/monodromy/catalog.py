@@ -100,7 +100,7 @@ def _odd_multiples(b: int) -> Iterator[int]:
         a += 2 * b
 
 
-def _single_param(make, start: int = 0, step: int = 1, names=("a",)):
+def _single_param(make, start: int = 0, step: int = 1):
     """Family from one integer parameter, values monotone in the parameter."""
 
     def gen(p: int, bound: int):
@@ -113,7 +113,7 @@ def _single_param(make, start: int = 0, step: int = 1, names=("a",)):
             A, B = pair
             if max(A, B) > bound:
                 return
-            yield A, B, _pk(**{names[0]: a})
+            yield A, B, _pk(a=a)
             a += step
 
     return gen
@@ -282,17 +282,6 @@ _FINAL_FAMILIES: tuple[_Family, ...] = (
 
 # ---------------------------------------------------------------------------
 # binomial classification (matched on prime-to-p parts)
-
-def _p_power_exponent(p: int, n: int) -> int | None:
-    """a with n == p^a, else None."""
-    if n < 1:
-        return None
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a if n == 1 else None
-
 
 def _coprime_fm_exponents(p: int, bound: int) -> list[int]:
     return [n for n in sorted(fm_exponent_set(p, bound)) if n % p != 0]

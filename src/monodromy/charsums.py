@@ -15,7 +15,8 @@ The exp table is filled by doubling: multiplication by the generator is an
 r x r matrix over F_p acting on digit rows, and rows [n, 2n) are rows [0, n)
 times its n-th power, so about log2(q) numpy matmuls build it.  ``log`` is
 one scatter of it, and ``trace`` the digit rows times the traces of the basis
-monomials.  The tables are stored as tuples of Python ints.  Caches are
+monomials, each the matrix trace of a power of the modulus' companion
+matrix.  The tables are stored as tuples of Python ints.  Caches are
 bounded: ``build_field`` keeps the 32 most recent fields, and the tables
 derived from a field (character values, Artin-Schreier roots) are cached on
 the field itself, so they are freed with it.
@@ -186,10 +187,6 @@ class FieldPresentation:
         return self.exp[(self.log[a] * n) % (self.q - 1)]
 
     @property
-    def one(self) -> int:
-        return 1
-
-    @property
     def elements(self) -> range:
         return range(self.q)
 
@@ -222,13 +219,14 @@ class FieldPresentation:
 
     @cached_property
     def _log_one_minus(self) -> np.ndarray:
-        """log(1 - generator^k) indexed by k; -1 at k = log(1) = 0."""
-        out = np.full(self.q - 1, -1, dtype=np.int64)
-        for k in range(self.q - 1):
-            v = self.sub(1, self.exp[k])
-            if v:
-                out[k] = self.log[v]
-        return out
+        """log(1 - generator^k) indexed by k; -1 at k = log(1) = 0.
+
+        -g^k is g^(k + (q-1)/2) for odd p and g^k for p = 2, and adding 1
+        changes only the constant base-p digit.
+        """
+        p = self.p
+        t = np.roll(np.array(self.exp), -((self.q - 1) // 2 if p > 2 else 0))
+        return np.array(self.log)[t - t % p + (t + 1) % p]
 
     @cached_property
     def _switchsum_roots(self) -> dict[int, list[int]]:
@@ -289,16 +287,10 @@ def build_field(p: int, r: int) -> FieldPresentation:
             n >>= 1
         return out
 
-    def encode(c: list[int]) -> int:
-        t = 0
-        for x in reversed(c):
-            t = t * p + x
-        return t
-
     generator = None
     for g in range(1, q):
         gp = poly_of(g)
-        if all(encode(raw_pow(gp, m // f)) != 1 for f in prime_factors):
+        if all(raw_pow(gp, m // f) != [1] for f in prime_factors):
             generator = g
             break
     assert generator is not None
@@ -324,21 +316,16 @@ def build_field(p: int, r: int) -> FieldPresentation:
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(m)
 
-    # trace of the basis monomials; the absolute trace is F_p-linear, so
-    # Tr(t) for arbitrary t is a digit dot-product against these
-    tr_basis = []
-    for k in range(r):
-        elem = [0] * k + [1]
-        total = [0]
-        frob = elem[:]
-        for _ in range(r):
-            total = _poly_trim(
-                [(x + y) % p for x, y in
-                 zip(total + [0] * (len(frob)), frob + [0] * (len(total)))]
-            )
-            frob = raw_pow(frob, p)
-        assert len(total) <= 1, "trace must land in the prime field"
-        tr_basis.append(total[0] if total else 0)
+    # Tr(x^k) is the matrix trace of multiplication by x^k, the k-th power of
+    # the modulus' companion matrix (entries < p, so int64 sums stay below
+    # r*p^2 <= 2^40 when p^r <= 2^20).  The absolute trace is F_p-linear, so
+    # Tr(t) for arbitrary t is a digit dot-product against these.
+    companion = np.eye(r, k=1, dtype=np.int64)
+    companion[-1] = np.negative(modulus[:r]) % p
+    tr_basis, power = [], np.eye(r, dtype=np.int64)
+    for _ in range(r):
+        tr_basis.append(int(np.trace(power)) % p)
+        power = power @ companion % p
 
     trace = np.zeros(q, dtype=np.int64)
     trace[exp] = digits @ np.array(tr_basis, dtype=dtype) % p
@@ -451,17 +438,16 @@ def _linear_sums(F: FieldPresentation, chars) -> np.ndarray:
     return R @ psi_prod
 
 
-def mellin_sum(F: FieldPresentation, pair, a_chi: int, a_eta: int,
-               guard_q: int = MELLIN_Q_GUARD) -> complex:
+def mellin_sum(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> complex:
     """S(chi, eta) = sum over units s,t of chi(s) eta(t) sum_x psi(s f(x) + t x)
     with f(x) = x^d (x-1)^e.
 
     Evaluated by regrouping the triple sum per x (exact rearrangement of
-    finitely many terms); guarded to q <= guard_q by default.
+    finitely many terms); guarded to q <= MELLIN_Q_GUARD.
     """
     d, e = pair
-    if F.q > guard_q:
-        raise ValueError(f"q={F.q} exceeds the triple-sum guard {guard_q}")
+    if F.q > MELLIN_Q_GUARD:
+        raise ValueError(f"q={F.q} exceeds the triple-sum guard {MELLIN_Q_GUARD}")
     T_chi, T_eta = _linear_sums(F, [a_chi, a_eta])
     fvals = belyi_values(F, d, e)
     return complex(np.sum(T_chi[fvals] * T_eta))

@@ -5,7 +5,7 @@ JSON object per row followed by a summary RunReport.  Output is
 deterministic for fixed flags apart from the timing_ms field.
 
 Exit codes: 0 = completed (a found violation is a result, not an error),
-1 = suite assertion failure, 2 = usage error.
+1 = the result reports failures > 0, 2 = usage error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .criteria import (
     verify_witness_table,
     w_value,
 )
-from .qz import QzClass, kubert_v
+from .qz import QzClass, is_prime, kubert_v
 
 MELLIN_QS = (4, 8, 9, 16, 25, 27, 32, 49, 64)
 MELLIN_PAIRS = ((2, 2), (3, 2), (5, 3), (4, 3))
@@ -57,19 +57,6 @@ def _emit(obj: dict, pretty: bool) -> None:
         print(json.dumps(obj, sort_keys=True))
 
 
-def _report(command: str, inputs: dict, result, t0: float, pretty: bool) -> None:
-    _emit(
-        {
-            "command": command,
-            "inputs": inputs,
-            "result": result,
-            "timing_ms": int((time.monotonic() - t0) * 1000),
-            "version": __version__,
-        },
-        pretty,
-    )
-
-
 def _fraction_arg(text: str) -> QzClass:
     try:
         return QzClass.parse(text)
@@ -77,59 +64,43 @@ def _fraction_arg(text: str) -> QzClass:
         raise argparse.ArgumentTypeError(f"not a fraction: {text!r} ({exc})")
 
 
-def cmd_v(args) -> int:
-    t0 = time.monotonic()
+# Each command returns (inputs, result) for the summary that main() prints;
+# sweep commands stream their rows with _emit as they go.
+
+def cmd_v(args) -> tuple[dict, dict]:
     x = args.fraction
     v = kubert_v(args.p, x)
-    _report(
-        "vp",
-        {"p": args.p, "x": str(x)},
-        {"v": str(v), "decimal": float(v)},
-        t0,
-        args.pretty,
-    )
-    return 0
+    return {"p": args.p, "x": str(x)}, {"v": str(v), "decimal": float(v)}
 
 
-def cmd_w(args) -> int:
-    t0 = time.monotonic()
+def cmd_w(args) -> tuple[dict, dict]:
     w = w_value(args.p, (args.d, args.e), args.x, args.y)
-    _report(
-        "w",
+    return (
         {"p": args.p, "d": args.d, "e": args.e, "x": str(args.x), "y": str(args.y)},
         {
             "w": str(w),
             "decimal": float(w),
             "verdict": "violation" if w < BELYI_PAIR_BOUND else "pass",
         },
-        t0,
-        args.pretty,
     )
-    return 0
 
 
-def _search_command(args, which: str) -> int:
-    t0 = time.monotonic()
-    searcher = belyi_search if which == "belyi" else binomial_search
+def cmd_search(args) -> tuple[dict, dict]:
+    searcher = belyi_search if args.command == "belyi" else binomial_search
     res = searcher(
         args.p,
         (args.d, args.e),
         max_r=args.max_r,
         stop_early=not args.no_early_stop,
     )
-    _report(
-        which,
+    return (
         {"p": args.p, "d": args.d, "e": args.e, "max_r": res.max_r,
          "early_stop": not args.no_early_stop},
         res.as_dict(),
-        t0,
-        args.pretty,
     )
-    return 0
 
 
-def cmd_verify_witnesses(args) -> int:
-    t0 = time.monotonic()
+def cmd_verify_witnesses(args) -> tuple[dict, dict]:
     rows = None
     if args.table:
         with open(args.table, encoding="utf-8") as fh:
@@ -139,40 +110,23 @@ def cmd_verify_witnesses(args) -> int:
     for row in results:
         _emit(row, args.pretty)
     failures = sum(1 for row in results if not row["ok"])
-    _report(
-        "verify-witnesses",
-        {"table": args.table or "builtin"},
-        {"rows": len(results), "failures": failures},
-        t0,
-        args.pretty,
-    )
-    return 1 if failures else 0
+    return {"table": args.table or "builtin"}, {"rows": len(results), "failures": failures}
 
 
-def cmd_catalog(args) -> int:
-    t0 = time.monotonic()
+def cmd_catalog(args) -> tuple[dict, dict]:
     count = 0
     for row in catalog_rows(args.theorem, args.p, args.max):
         _emit(row, args.pretty)
         count += 1
-    _report(
-        "catalog",
-        {"p": args.p, "max": args.max, "theorem": args.theorem},
-        {"rows": count},
-        t0,
-        args.pretty,
-    )
-    return 0
+    return {"p": args.p, "max": args.max, "theorem": args.theorem}, {"rows": count}
 
 
-def cmd_classify(args) -> int:
-    t0 = time.monotonic()
+def cmd_classify(args) -> tuple[dict, dict]:
     if args.theorem == "binomial":
         cls = classify_binomial(args.p, (args.d, args.e))
     else:
         cls = classify_pair(args.p, (args.d, args.e), args.theorem)
-    _report(
-        "classify",
+    return (
         {"p": args.p, "d": args.d, "e": args.e, "theorem": args.theorem},
         {
             "reduced": [cls.reduced_pair.d, cls.reduced_pair.e],
@@ -186,14 +140,10 @@ def cmd_classify(args) -> int:
                 for m in cls.memberships
             ],
         },
-        t0,
-        args.pretty,
     )
-    return 0
 
 
-def cmd_crosscheck(args) -> int:
-    t0 = time.monotonic()
+def cmd_crosscheck(args) -> tuple[dict, dict]:
     report = crosscheck(
         args.p,
         args.max,
@@ -202,8 +152,7 @@ def cmd_crosscheck(args) -> int:
     )
     for row in report.rows:
         _emit(row.as_dict(), args.pretty)
-    _report(
-        "crosscheck",
+    return (
         {"p": args.p, "max": args.max, "max_r": report.max_r},
         {
             "pairs": len(report.rows),
@@ -214,15 +163,10 @@ def cmd_crosscheck(args) -> int:
                 1 for r in report.rows if r.status == "member-violated"
             ),
         },
-        t0,
-        args.pretty,
     )
-    return 0
 
 
 def _prime_powers_upto(limit: int) -> list[tuple[int, int]]:
-    from .qz import is_prime
-
     out = []
     for p in range(2, limit + 1):
         if not is_prime(p):
@@ -234,10 +178,9 @@ def _prime_powers_upto(limit: int) -> list[tuple[int, int]]:
     return sorted(out, key=lambda pr: (pr[0] ** pr[1], pr[0]))
 
 
-def cmd_charsums(args) -> int:
+def cmd_charsums(args) -> tuple[dict, dict]:
     if args.max_q > FIELD_SIZE_GUARD:
         raise ValueError(f"--max-q {args.max_q} exceeds the field size guard {FIELD_SIZE_GUARD}")
-    t0 = time.monotonic()
     failures = 0
     fields = _prime_powers_upto(args.max_q)
     for p, r in fields:
@@ -268,28 +211,13 @@ def cmd_charsums(args) -> int:
         failures += not ok
         _emit({"suite": "switchsum", "r": r, "pairs": checked, "equal": equal, "ok": ok},
               args.pretty)
-    _report(
-        "charsums",
-        {"max_q": args.max_q, "switch_max_r": args.switch_max_r},
-        {"failures": failures},
-        t0,
-        args.pretty,
-    )
-    return 1 if failures else 0
+    return {"max_q": args.max_q, "switch_max_r": args.switch_max_r}, {"failures": failures}
 
 
-def cmd_dump_catalog(args) -> int:
-    t0 = time.monotonic()
+def cmd_dump_catalog(args) -> tuple[dict, dict]:
     primes = args.p or [2, 3, 5, 7]
     n = write_catalog(args.out, primes=tuple(primes), bound=args.max)
-    _report(
-        "dump-catalog",
-        {"out": args.out, "p": primes, "max": args.max},
-        {"rows": n},
-        t0,
-        args.pretty,
-    )
-    return 0
+    return {"out": args.out, "p": primes, "max": args.max}, {"rows": n}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--max-r", type=int, default=None)
         s.add_argument("--no-early-stop", action="store_true")
         common(s)
-        s.set_defaults(func=_search_command, which=name)
+        s.set_defaults(func=cmd_search)
 
     s = sub.add_parser("verify-witnesses", help="re-evaluate the built-in W table")
     s.add_argument("--table", help="JSON file of [p,d,e,x,y,expected] rows")
@@ -374,14 +302,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and print its summary; the only place that reads the
+    clock and picks the exit code."""
     args = build_parser().parse_args(argv)
+    t0 = time.monotonic()
     try:
-        if hasattr(args, "which"):
-            return args.func(args, args.which)
-        return args.func(args)
+        inputs, result = args.func(args)
     except (ValueError, OSError) as exc:  # bad input or unwritable path: a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    _emit(
+        {
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+            "timing_ms": int((time.monotonic() - t0) * 1000),
+            "version": __version__,
+        },
+        args.pretty,
+    )
+    return 1 if result.get("failures") else 0
 
 
 if __name__ == "__main__":

@@ -61,6 +61,7 @@ BINOMIAL_BOUND = Fraction(1, 2)
 
 DEFAULT_GRID_LIMIT = 10**8
 GRID_ENV_VAR = "MONODROMY_MAX_GRID"
+LEVEL_TABLE_GUARD = 2**20  # entries in the deepest level's tables, p^max_r
 
 
 @dataclass(frozen=True)
@@ -255,16 +256,21 @@ def _scan(p: int, max_r: int | None, level_rows, stop_early=True, zero_row=False
     """The one level scan behind every inequality search.
 
     Visits the rows i of ``level.rows`` ascending at r = 1..max_r (and i = 0
-    first when zero_row); max_r defaults per the cost guard.  The row
-    function ``level_rows(level)`` yields (kind, None) for a one-variable
-    hit and (kind, y-candidates) for a scan.  Returns max_r, (level, i, kind,
-    j) of the first hit or None, and the hit count: the first row's with
-    stop_early, else each row's times its orbit size.
+    first when zero_row); max_r defaults per the cost guard, and a depth
+    with p^max_r > LEVEL_TABLE_GUARD is rejected before any table is built.
+    The row function ``level_rows(level)`` yields (kind, None) for a
+    one-variable hit and (kind, y-candidates) for a scan.  Returns max_r,
+    (level, i, kind, j) of the first hit or None, and the hit count: the
+    first row's with stop_early, else each row's times its orbit size.
     """
     if max_r is None:
         max_r = default_max_r(p)
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
+    if p**max_r > LEVEL_TABLE_GUARD:
+        raise ValueError(
+            f"p^max_r = {p}^{max_r} exceeds the level-table guard {LEVEL_TABLE_GUARD}"
+        )
     first, total = None, 0
     for r in range(1, max_r + 1):
         level = _level_tables(p, r)

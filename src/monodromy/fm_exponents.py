@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .criteria import _scan
+from .criteria import MONOMIAL_BOUND, _scan
 from .qz import QzClass, _as_prime_int, kubert_v
 
 __all__ = [
@@ -137,8 +137,9 @@ def numeric_monomial_check(p: int, d: int, max_r: int) -> MonomialCheckResult:
 
     Returns the first violation in the order r = 1..max_r, then numerator
     (the shared level scan of `criteria` visits only the rows that can hold
-    it), or a bounded-search pass.  A violation certifies that d is not an
-    FM-exponent; a pass is evidence only.
+    it), or a bounded-search pass.  The witness is rechecked exactly in
+    Fraction.  A violation certifies that d is not an FM-exponent; a pass is
+    evidence only.
     """
     p = _as_prime_int(p)
 
@@ -153,4 +154,6 @@ def numeric_monomial_check(p: int, d: int, max_r: int) -> MonomialCheckResult:
     level, i, _, _ = first
     x = QzClass(i, level.m)
     v_sum = kubert_v(p, x) + kubert_v(p, x.scale(-d))
+    if v_sum >= MONOMIAL_BOUND:
+        raise RuntimeError(f"the scan reported x = {x} with V-sum {v_sum}, not a violation")
     return MonomialCheckResult(p, d, max_r, x, v_sum, level.r)

@@ -197,6 +197,31 @@ class TestDumpCatalog:
         assert lines[-1]["result"]["rows"] == len(rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vp", "2", "1/7"],
+        ["w", "2", "5", "3", "1/7", "1/7"],
+        ["belyi", "--p", "7", "--d", "2", "--e", "2", "--max-r", "2"],
+        ["binomial", "--p", "2", "--d", "13", "--e", "3", "--max-r", "4"],
+        ["verify-witnesses"],
+        ["catalog", "--p", "5", "--max", "10"],
+        ["classify", "--p", "2", "--d", "9", "--e", "13"],
+        ["crosscheck", "--p", "7", "--max", "5", "--max-r", "3"],
+        ["charsums", "--max-q", "9", "--switch-max-r", "2"],
+        ["dump-catalog", "--out", "cat.jsonl", "--max", "10", "--p", "5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_summary_envelope(capsys, tmp_path, argv):
+    """Every subcommand ends with the same summary object and exits 0."""
+    argv = [str(tmp_path / a) if a == "cat.jsonl" else a for a in argv]
+    code, lines = run(capsys, argv)
+    assert code == 0
+    assert set(lines[-1]) == {"command", "inputs", "result", "timing_ms", "version"}
+    assert lines[-1]["command"] == argv[0]
+
+
 class TestErrorBoundary:
     """Bad input and unwritable paths are usage errors: one line, exit 2."""
 
@@ -207,6 +232,7 @@ class TestErrorBoundary:
             ["crosscheck", "--p", "4", "--max", "10"],
             ["dump-catalog", "--out", "/nonexistent/x", "--max", "10", "--p", "7"],
             ["charsums", "--max-q", str(FIELD_SIZE_GUARD + 1)],
+            ["belyi", "--p", "2", "--d", "1", "--e", "2", "--max-r", "40"],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):

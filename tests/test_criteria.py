@@ -303,3 +303,9 @@ class TestDefaultMaxR:
 
     def test_explicit_limit(self):
         assert default_max_r(2, grid_limit=(2**16 - 1) ** 2) == 16
+
+    @pytest.mark.parametrize("p,max_r", [(2, 40), (7, 8)])
+    def test_explicit_depth_past_level_table_guard_rejected(self, p, max_r):
+        # 2^40 never finished; 7^8 is 5.76M table entries
+        with pytest.raises(ValueError, match="level-table guard"):
+            belyi_search(p, (1, 2), max_r=max_r)

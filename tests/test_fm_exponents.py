@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from monodromy import fm_exponents
+from monodromy.criteria import _level_tables
 from monodromy.fm_exponents import (
     CYCLOTOMIC_QUOTIENT,
     HALF_POWER_PLUS_ONE,
@@ -101,6 +103,13 @@ class TestNumericCheck:
     def test_rejects_bad_max_r(self):
         with pytest.raises(ValueError):
             numeric_monomial_check(2, 3, 0)
+
+    def test_witness_failing_exact_recheck_raises(self, monkeypatch):
+        # V_2(1/3) + V_2(2/3) = 1 >= 1/2, so a scan must never report x = 1/3 for d = 1
+        first = (_level_tables(2, 2), 1, "monomial", None)
+        monkeypatch.setattr(fm_exponents, "_scan", lambda p, max_r, rows: (max_r, first, 1))
+        with pytest.raises(RuntimeError):
+            numeric_monomial_check(2, 1, 2)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_classifier_numeric_consistency(self, p):
