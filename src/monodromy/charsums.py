@@ -17,9 +17,15 @@ times its n-th power, so about log2(q) numpy matmuls build it.  ``log`` is
 one scatter of it, and ``trace`` the digit rows times the traces of the basis
 monomials, each the matrix trace of a power of the modulus' companion
 matrix.  The tables are stored as tuples of Python ints.  Caches are
-bounded: ``build_field`` keeps the 32 most recent fields, and the tables
-derived from a field (character values, Artin-Schreier roots) are cached on
-the field itself, so they are freed with it.
+bounded: ``build_field`` keeps the 32 most recent fields, and the O(q)
+tables derived from a field (character values, psi by discrete log,
+log(1 - g^k)) are cached on the field itself, so they are freed with it.
+
+The Mellin and switch checks build their tables per call and keep none.
+``mellin_suite`` makes one character table R[a, k] = chi_a(g^k), and it
+serves the literal S-matrix, the Gauss vector G and the Jacobi table J that
+the closed forms are assembled from.  The switch
+identity is checked one t at a time, as two integer vectors over every y.
 
 Sign conventions: ``gauss_sum`` returns -sum_{t != 0} chi(t) psi(t) (so the
 trivial character gives exactly 1), while the classical factorizations of
@@ -228,14 +234,6 @@ class FieldPresentation:
         t = np.roll(np.array(self.exp), -((self.q - 1) // 2 if p > 2 else 0))
         return np.array(self.log)[t - t % p + (t + 1) % p]
 
-    @cached_property
-    def _switchsum_roots(self) -> dict[int, list[int]]:
-        """The roots of x^2 + x = z, keyed by z."""
-        roots: dict[int, list[int]] = {}
-        for x in self.elements:
-            roots.setdefault(self.add(self.mul(x, x), x), []).append(x)
-        return roots
-
     def as_json_dict(self) -> dict:
         return {
             "p": self.p,
@@ -425,16 +423,24 @@ def belyi_values(F: FieldPresentation, d: int, e: int) -> np.ndarray:
     return out
 
 
-def _linear_sums(F: FieldPresentation, chars) -> np.ndarray:
-    """T[i, v] = sum over units s of chi_a(s) psi(s*v) for a = chars[i], for
-    every v in F: the characters' values times the matrix of psi(g^k * v)."""
+def _char_table(F: FieldPresentation, chars) -> np.ndarray:
+    """chi_a(g^k) as [i, k] for a = chars[i]; guarded to q <= MELLIN_Q_GUARD,
+    since the Mellin tables built from it are O(q^2) and their products
+    O(q^3)."""
+    if F.q > MELLIN_Q_GUARD:
+        raise ValueError(f"q={F.q} exceeds the Mellin guard {MELLIN_Q_GUARD}")
     m = F.q - 1
-    R = np.array([_chi_vector(F, a) for a in chars])  # chi_a(g^k) as [i, k]
-    psi_by_log = F._psi_by_log
+    return F._unit_roots[np.outer(np.asarray(chars) % m, np.arange(m)) % m]
+
+
+def _linear_sums(F: FieldPresentation, R: np.ndarray) -> np.ndarray:
+    """T[i, v] = sum over units s of chi(s) psi(s*v), for every v in F and
+    the characters whose values chi(g^k) are the rows of R: R times the
+    matrix of psi(g^k * v) = psi(g^(k + log v)), filled by one gather."""
+    m = F.q - 1
     psi_prod = np.empty((m, F.q), dtype=complex)  # psi(g^k * v) as [k, v]
     psi_prod[:, 0] = F.psi(0)
-    for v in range(1, F.q):
-        psi_prod[:, v] = np.roll(psi_by_log, -F.log[v])
+    psi_prod[:, 1:] = F._psi_by_log[(np.arange(m)[:, None] + np.array(F.log[1:])) % m]
     return R @ psi_prod
 
 
@@ -446,9 +452,7 @@ def mellin_sum(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> complex:
     finitely many terms); guarded to q <= MELLIN_Q_GUARD.
     """
     d, e = pair
-    if F.q > MELLIN_Q_GUARD:
-        raise ValueError(f"q={F.q} exceeds the triple-sum guard {MELLIN_Q_GUARD}")
-    T_chi, T_eta = _linear_sums(F, [a_chi, a_eta])
+    T_chi, T_eta = _linear_sums(F, _char_table(F, [a_chi, a_eta]))
     fvals = belyi_values(F, d, e)
     return complex(np.sum(T_chi[fvals] * T_eta))
 
@@ -467,32 +471,45 @@ def mellin_sum_naive(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> comp
     return total
 
 
-def mellin_closed_form(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> tuple[complex, str]:
-    """The predicted value of S(chi, eta) and which case produced it.
+def _closed_forms(F: FieldPresentation, pair, R: np.ndarray) -> np.ndarray:
+    """The predicted S[a_chi, a_eta] for every character pair, from the full
+    character table R[a, k] = chi_a(g^k).
 
+    G = R @ psi(g^k) holds every unsigned Gauss sum, and J = R @ C.T every
+    Jacobi sum, with C[a2, k] = chi_a2(1 - g^k) (0 at k = 0, where 1 - x = 0).
     Cases: trivial/trivial gives q(q-2); chi trivial gives q*G(eta);
     eta trivial gives -G(chi) chibar(-1)^e J(chibar^d, chibar^e); both
     nontrivial give G(chi) G(eta) chibar(-1)^e J(chibar^d etabar, chibar^e).
-    G here is the unsigned Gauss sum.
     """
     d, e = pair
-    m = F.q - 1
-    a_chi %= m
-    a_eta %= m
-    if a_chi == 0 and a_eta == 0:
-        return complex(F.q * (F.q - 2)), "trivial-trivial"
+    q, m = F.q, F.q - 1
+    G = R @ F._psi_by_log
+    C = R[:, F._log_one_minus]
+    C[:, 0] = 0
+    J = R @ C.T  # J(chi_a1, chi_a2) as [a1, a2]
+    a = np.arange(m)[:, None]
+    b = np.arange(m)
+    chibar_neg1_e = F._unit_roots[(-a * F.log[F.neg(1)] * e) % m]
+    G_eta = np.where(b == 0, -1, G)  # eta trivial: -G(chi) in place of G(chi) G(eta)
+    out = G[:, None] * G_eta * chibar_neg1_e * J[(-d * a - b) % m, (-e * a) % m]
+    out[0] = q * G
+    out[0, 0] = q * (q - 2)
+    return out
+
+
+def _case(a_chi: int, a_eta: int) -> str:
     if a_chi == 0:
-        return F.q * gauss_sum_raw(F, a_eta), "trivial-eta"
-    neg_one_log = F.log[F.neg(1)]
-    chibar_neg1_e = complex(F._unit_roots[(-a_chi * neg_one_log * e) % m])
-    if a_eta == 0:
-        J = jacobi_sum(F, (-d * a_chi) % m, (-e * a_chi) % m)
-        return -gauss_sum_raw(F, a_chi) * chibar_neg1_e * J, "chi-trivial-eta"
-    J = jacobi_sum(F, (-d * a_chi - a_eta) % m, (-e * a_chi) % m)
-    return (
-        gauss_sum_raw(F, a_chi) * gauss_sum_raw(F, a_eta) * chibar_neg1_e * J,
-        "nontrivial",
-    )
+        return "trivial-trivial" if a_eta == 0 else "trivial-eta"
+    return "chi-trivial-eta" if a_eta == 0 else "nontrivial"
+
+
+def mellin_closed_form(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> tuple[complex, str]:
+    """The predicted value of S(chi, eta) and which case produced it: one cell
+    of the table ``mellin_suite`` checks against (G is the unsigned Gauss
+    sum); guarded to q <= MELLIN_Q_GUARD."""
+    m = F.q - 1
+    a, b = a_chi % m, a_eta % m
+    return complex(_closed_forms(F, pair, _char_table(F, range(m)))[a, b]), _case(a, b)
 
 
 @dataclass(frozen=True)
@@ -516,50 +533,73 @@ class MellinRow:
 def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
     """S(chi, eta) for every character pair, against the closed forms.
 
-    The full S-matrix is assembled by the same per-x regrouping as
-    ``mellin_sum``, batched over all characters.
+    One character table R[a, k] = chi_a(g^k), built per call, serves both
+    sides: the full S-matrix, by the same per-x regrouping as ``mellin_sum``
+    batched over all characters, and the Gauss vector G and Jacobi table J
+    that the closed forms are assembled from.
     """
     d, e = pair
     m = F.q - 1
-    A = _linear_sums(F, range(m))  # T_a(v) as [a, v]
-    fvals = belyi_values(F, d, e)
-    S = A[:, fvals] @ A.T  # S[a_chi, a_eta]
-    rows = []
-    for a in range(m):
-        for b in range(m):
-            expected, case = mellin_closed_form(F, pair, a, b)
-            rows.append(MellinRow(a, b, case, complex(S[a, b]), expected))
-    return rows
+    R = _char_table(F, range(m))
+    A = _linear_sums(F, R)  # T_a(v) as [a, v]
+    S = (A[:, belyi_values(F, d, e)] @ A.T).tolist()  # S[a_chi][a_eta]
+    expected = _closed_forms(F, pair, R).tolist()
+    return [
+        MellinRow(a, b, _case(a, b), S[a][b], expected[a][b])
+        for a in range(m)
+        for b in range(m)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # switchsum (p = 2): sum over roots of x^2+x=y of psi(tx) switches with
 # the sum over roots of u^2+u=t^2 of psi(uy); both sides exact integers.
 
-def switchsum_check(F: FieldPresentation, t: int, y: int) -> bool:
-    """Exact-integer equality of the two root sums; p = 2 only."""
+def _switchsum_sides(F: FieldPresentation):
+    """A function of t giving both sides of the identity as integer vectors
+    over every y: lhs[y] = sum of psi(t x) over x^2 + x = y, rhs[y] = sum of
+    psi(u y) over u^2 + u = t^2.  Memory is O(q) per t."""
     if F.p != 2:
         raise ValueError("switchsum is a characteristic-2 identity")
-    roots = F._switchsum_roots
-    lhs = sum(1 - 2 * F.trace[F.mul(t, x)] for x in roots.get(y, ()))
-    t2 = F.mul(t, t)
-    rhs = sum(1 - 2 * F.trace[F.mul(u, y)] for u in roots.get(t2, ()))
-    return lhs == rhs
+    m = F.q - 1
+    exp, log = np.array(F.exp), np.array(F.log)
+    unit = log >= 0
+    psi = 1 - 2 * np.array(F.trace)  # psi as +-1 integers
+
+    def times(t: int) -> np.ndarray:
+        """t * x for every x in F."""
+        if t == 0:
+            return np.zeros(F.q, dtype=np.int64)
+        return np.where(unit, exp[(log[t] + log) % m], 0)
+
+    y_of_x = np.where(unit, exp[2 * log % m], 0) ^ np.arange(F.q)  # x^2 + x
+
+    def sides(t: int) -> tuple[np.ndarray, np.ndarray]:
+        tx = times(t)
+        lhs = np.zeros(F.q, dtype=np.int64)
+        np.add.at(lhs, y_of_x, psi[tx])
+        rhs = np.zeros(F.q, dtype=np.int64)
+        for u in np.flatnonzero(y_of_x == tx[t]):
+            rhs += psi[times(int(u))]
+        return lhs, rhs
+
+    return sides
+
+
+def switchsum_check(F: FieldPresentation, t: int, y: int) -> bool:
+    """Exact-integer equality of the two root sums; p = 2 only."""
+    lhs, rhs = _switchsum_sides(F)(t)
+    return bool(lhs[y] == rhs[y])
 
 
 def switchsum_exhaustive(r: int) -> tuple[int, int]:
     """Check the identity on all (t, y) pairs over F_{2^r}; returns
     (pairs checked, pairs equal)."""
     F = build_field(2, r)
-    roots = F._switchsum_roots
-    psi_int = [1 - 2 * tr for tr in F.trace]
+    sides = _switchsum_sides(F)
     checked = equal = 0
     for t in F.elements:
-        t2 = F.mul(t, t)
-        rhs_roots = roots.get(t2, ())
-        for y in F.elements:
-            lhs = sum(psi_int[F.mul(t, x)] for x in roots.get(y, ()))
-            rhs = sum(psi_int[F.mul(u, y)] for u in rhs_roots)
-            checked += 1
-            equal += lhs == rhs
+        lhs, rhs = sides(t)
+        checked += F.q
+        equal += int(np.count_nonzero(lhs == rhs))
     return checked, equal

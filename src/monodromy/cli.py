@@ -100,12 +100,30 @@ def cmd_search(args) -> tuple[dict, dict]:
     )
 
 
+# [p, d, e, x, y, expected] with an optional item number
+_WITNESS_CELLS = (int, int, int, str, str, str, int)
+
+
+def _witness_rows(raw) -> list[tuple]:
+    """The rows of a --table file, each checked for shape and cell types."""
+    if not isinstance(raw, list):
+        raise ValueError("--table must hold a JSON list of rows")
+    rows = []
+    for i, row in enumerate(raw):
+        if not (isinstance(row, list) and len(row) in (6, 7) and all(
+                isinstance(cell, kind) and not isinstance(cell, bool)
+                for cell, kind in zip(row, _WITNESS_CELLS))):
+            raise ValueError(f"--table row {i}: want [int p, d, e, str x, y, expected"
+                             f"(, int item)], got {json.dumps(row)}")
+        rows.append(tuple(row) + (0,) * (7 - len(row)))
+    return rows
+
+
 def cmd_verify_witnesses(args) -> tuple[dict, dict]:
     rows = None
     if args.table:
         with open(args.table, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        rows = [tuple(r[:6]) + (r[6] if len(r) > 6 else 0,) for r in raw]
+            rows = _witness_rows(json.load(fh))
     results = verify_witness_table(rows)
     for row in results:
         _emit(row, args.pretty)
@@ -189,7 +207,8 @@ def cmd_charsums(args) -> tuple[dict, dict]:
         worst = float(np.max(np.abs(np.abs(g[1:]) - F.q**0.5))) if F.q > 2 else 0.0
         ok = worst <= GAUSS_ABS_TOL * F.q**0.5
         failures += not ok
-        _emit({"suite": "gauss-modulus", "q": F.q, "worst_abs_dev": worst, "ok": ok},
+        _emit({"suite": "gauss-modulus", "q": F.q, "field": F.as_json_dict(),
+               "worst_abs_dev": worst, "ok": ok},
               args.pretty)
     for p, r in fields:
         if p**r not in MELLIN_QS:
@@ -201,8 +220,8 @@ def cmd_charsums(args) -> tuple[dict, dict]:
             ok = worst <= MELLIN_REL_TOL
             failures += not ok
             _emit(
-                {"suite": "mellin", "q": F.q, "d": pair[0], "e": pair[1],
-                 "rows": len(rows), "worst_rel_err": worst, "ok": ok},
+                {"suite": "mellin", "q": F.q, "field": F.as_json_dict(), "d": pair[0],
+                 "e": pair[1], "rows": len(rows), "worst_rel_err": worst, "ok": ok},
                 args.pretty,
             )
     for r in range(1, args.switch_max_r + 1):

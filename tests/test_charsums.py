@@ -14,6 +14,7 @@ from monodromy.charsums import (
     _is_irreducible,
     _poly_mulmod,
     _poly_trim,
+    _switchsum_sides,
     additive_char,
     belyi_values,
     build_field,
@@ -30,6 +31,7 @@ from monodromy.charsums import (
     switchsum_check,
     switchsum_exhaustive,
 )
+from monodromy.cli import MELLIN_PAIRS, MELLIN_QS
 from monodromy.qz import is_prime
 
 ABS_TOL = 1e-9
@@ -394,6 +396,61 @@ class TestMellin:
         with pytest.raises(ValueError):
             mellin_sum(F, (2, 2), 1, 1)
 
+    def test_suite_and_closed_form_guard(self):
+        # the closed forms come from q x q tables and their O(q^3) products
+        F = build_field(2, 7)
+        with pytest.raises(ValueError):
+            mellin_suite(F, (2, 2))
+        with pytest.raises(ValueError):
+            mellin_closed_form(F, (2, 2), 1, 1)
+
+    def test_closed_form_is_one_cell_of_suite(self):
+        for p, r in ((2, 3), (3, 2)):
+            F = build_field(p, r)
+            for row in mellin_suite(F, (3, 2)):
+                got = mellin_closed_form(F, (3, 2), row.a_chi, row.a_eta)
+                assert got == (row.expected, row.case)
+
+
+def closed_form_oracle(F, pair, a_chi, a_eta):
+    """The four closed-form cases for one (chi, eta), one Gauss or Jacobi
+    sum at a time."""
+    d, e = pair
+    m = F.q - 1
+    a_chi %= m
+    a_eta %= m
+    if a_chi == 0 and a_eta == 0:
+        return complex(F.q * (F.q - 2)), "trivial-trivial"
+    if a_chi == 0:
+        return F.q * gauss_sum_raw(F, a_eta), "trivial-eta"
+    chibar_neg1_e = mult_char(F, -a_chi * e, F.neg(1))
+    if a_eta == 0:
+        J = jacobi_sum(F, (-d * a_chi) % m, (-e * a_chi) % m)
+        return -gauss_sum_raw(F, a_chi) * chibar_neg1_e * J, "chi-trivial-eta"
+    J = jacobi_sum(F, (-d * a_chi - a_eta) % m, (-e * a_chi) % m)
+    return gauss_sum_raw(F, a_chi) * gauss_sum_raw(F, a_eta) * chibar_neg1_e * J, "nontrivial"
+
+
+def _mellin_field(q):
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    return build_field(p, round(math.log(q, p)))
+
+
+@pytest.mark.parametrize(
+    "q,pair",
+    [(q, pair) for q in MELLIN_QS if q <= 32 for pair in MELLIN_PAIRS]
+    + [(49, (5, 3)), (64, (5, 3))],
+)
+def test_mellin_suite_matches_per_row_oracle(q, pair):
+    F = _mellin_field(q)
+    assert F.q == q
+    rows = mellin_suite(F, pair)
+    assert len(rows) == (q - 1) ** 2
+    for row in rows:
+        want, case = closed_form_oracle(F, pair, row.a_chi, row.a_eta)
+        assert row.case == case
+        assert abs(row.expected - want) <= 1e-12 * abs(want), (row, want)
+
 
 class TestSwitchsum:
     def test_zero_zero(self):
@@ -418,3 +475,46 @@ class TestSwitchsum:
             roots.setdefault(F.add(F.mul(x, x), x), []).append(x)
         for y, xs in roots.items():
             assert len(xs) == 2  # x and x+1
+
+
+def switch_roots(F):
+    """The roots of w^2 + w = z, keyed by z, one element at a time."""
+    roots = {}
+    for x in F.elements:
+        roots.setdefault(F.add(F.mul(x, x), x), []).append(x)
+    return roots
+
+
+def switch_side(F, roots, s, z):
+    """sum of psi(s*x) over the roots x of x^2 + x = z, psi as integers +-1."""
+    return sum(1 - 2 * F.trace[F.mul(s, x)] for x in roots.get(z, ()))
+
+
+class TestSwitchsumSides:
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    def test_sides_match_per_pair_oracle(self, r):
+        F = build_field(2, r)
+        roots = switch_roots(F)
+        sides = _switchsum_sides(F)
+        for t in F.elements:
+            lhs, rhs = sides(t)
+            t2 = F.mul(t, t)
+            assert lhs.tolist() == [switch_side(F, roots, t, y) for y in F.elements]
+            assert rhs.tolist() == [switch_side(F, roots, y, t2) for y in F.elements]
+            if r <= 3:
+                assert all(switchsum_check(F, t, y) for y in F.elements)
+
+    # over F_2 (where t^2 = t) and F_4 the two pairings agree on every (t, y),
+    # so the control starts at r = 3
+    @pytest.mark.parametrize("r", [3, 4, 5, 6])
+    def test_roots_of_t_in_place_of_t_squared_disagree(self, r):
+        F = build_field(2, r)
+        roots = switch_roots(F)
+        sides = _switchsum_sides(F)
+        checked = equal = 0
+        for t in F.elements:
+            lhs, _ = sides(t)
+            for y in F.elements:
+                checked += 1
+                equal += lhs[y] == switch_side(F, roots, y, t)
+        assert equal < checked

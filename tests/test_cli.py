@@ -2,12 +2,15 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from monodromy.catalog import THEOREMS
 from monodromy.charsums import FIELD_SIZE_GUARD
 from monodromy.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, argv):
@@ -178,6 +181,13 @@ class TestCharsums:
         assert lines[-1]["result"]["failures"] == 0
         suites = {r["suite"] for r in lines[:-1]}
         assert suites == {"gauss-modulus", "mellin", "switchsum"}
+        for row in lines[:-1]:
+            if row["suite"] != "switchsum":
+                field = row["field"]
+                assert field.keys() == {"p", "r", "modulus", "generator"}
+                assert field["p"] ** field["r"] == row["q"]
+        f9 = next(r["field"] for r in lines[:-1] if r["suite"] == "mellin" and r["q"] == 9)
+        assert f9 == {"p": 3, "r": 2, "modulus": [1, 0, 1], "generator": [1, 1]}
 
     def test_trivial_rows_only_at_q4(self, capsys):
         code, lines = run(capsys, ["charsums", "--max-q", "4", "--switch-max-r", "2"])
@@ -233,6 +243,8 @@ class TestErrorBoundary:
             ["dump-catalog", "--out", "/nonexistent/x", "--max", "10", "--p", "7"],
             ["charsums", "--max-q", str(FIELD_SIZE_GUARD + 1)],
             ["belyi", "--p", "2", "--d", "1", "--e", "2", "--max-r", "40"],
+            ["verify-witnesses", "--table", str(DATA / "witness_table_null_expected.json")],
+            ["verify-witnesses", "--table", str(DATA / "witness_table_int_y.json")],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):
