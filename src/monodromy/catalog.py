@@ -17,7 +17,11 @@ Every family is a generator of (A, B, params) triples, and one helper,
 first produce each pair.  Enumeration, membership and the JSON rows of
 ``catalog_rows`` all read that map.  Membership checks always test both
 orientations of a pair; enumeration emits the orientation as printed in the
-source lists.  ``fm_pair_scan`` is the brute-force counterpart of the
+source lists.  Each family is written once: the quotients
+(p^(ab)+1)/(p^a+1), b odd, of candidate items 1, 2 and 6 and binomial item 5
+come from the one enumerator ``fm_exponents._cyclotomic_quotients``, and
+final items 3-9 and 11-13 are candidate items 5-8, 13-15 and 25-27 under
+their final numbers.  ``fm_pair_scan`` is the brute-force counterpart of the
 candidate list, and ``quotient_lemma_oracle`` brute-forces the
 exponential-quotient equations used throughout the case analysis.
 """
@@ -25,11 +29,11 @@ exponential-quotient equations used throughout the case analysis.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
 from .criteria import ExponentPair, SearchResult, _as_pair, belyi_search, default_max_r
-from .fm_exponents import classify_fm_exponent, fm_exponent_set, prime_to_p_part
+from .fm_exponents import _cyclotomic_quotients, fm_exponent_set, prime_to_p_part
 from .qz import _as_prime_int
 
 __all__ = [
@@ -93,13 +97,6 @@ def _pk(**kw) -> tuple[tuple[str, int], ...]:
 # ---------------------------------------------------------------------------
 # family generators
 
-def _odd_multiples(b: int) -> Iterator[int]:
-    a = b
-    while True:
-        yield a
-        a += 2 * b
-
-
 def _single_param(make, start: int = 0, step: int = 1):
     """Family from one integer parameter, values monotone in the parameter."""
 
@@ -119,43 +116,34 @@ def _single_param(make, start: int = 0, step: int = 1):
     return gen
 
 
+# In candidate items 1, 2 and 6, a = k*b with k odd, so (p^a+1)/(p^b+1) is
+# the quotient (b, k) of _cyclotomic_quotients.
+
 def _gen_cand_1(p: int, bound: int):
     # ((p^a+1)/(p^b+1), p^b*(p^a+1)/(p^b+1)), b >= 1, a an odd multiple of b
     b = 1
     while p**b <= bound:
-        for a in _odd_multiples(b):
-            A = (p**a + 1) // (p**b + 1)
-            B = p**b * A
-            if max(A, B) > bound:
-                break
-            yield A, B, _pk(a=a, b=b)
+        for k, q in _cyclotomic_quotients(p, b, bound // p**b):
+            yield q, p**b * q, _pk(a=k * b, b=b)
         b += 1
 
 
 def _gen_cand_2(p: int, bound: int):
-    # ((p^(a+2b)+1)/(p^b+1), p^b*(p^a+1)/(p^b+1)), b >= 1, a an odd multiple of b
+    # ((p^(a+2b)+1)/(p^b+1), p^b*(p^a+1)/(p^b+1)), b >= 1, a an odd multiple of b;
+    # A, quotient k+2, exceeds B, so only A is held to the bound
     b = 1
-    while (p ** (3 * b) + 1) // (p**b + 1) <= bound:
-        for a in _odd_multiples(b):
-            A = (p ** (a + 2 * b) + 1) // (p**b + 1)
-            B = p**b * ((p**a + 1) // (p**b + 1))
-            if max(A, B) > bound:
-                break
-            yield A, B, _pk(a=a, b=b)
+    while len(qs := list(_cyclotomic_quotients(p, b, bound))) > 1:
+        for (k, q), (_, q2) in zip(qs, qs[1:]):
+            yield q2, p**b * q, _pk(a=k * b, b=b)
         b += 1
 
 
 def _gen_cand_6(p: int, bound: int):
     # ((p^a+1)/(p^b+1), same), b >= 1, a an odd multiple of b; a=b gives (1,1)
     b = 1
-    while True:
-        if b > 1 and (p ** (3 * b) + 1) // (p**b + 1) > bound:
-            return
-        for a in _odd_multiples(b):
-            A = (p**a + 1) // (p**b + 1)
-            if A > bound:
-                break
-            yield A, A, _pk(a=a, b=b)
+    while len(qs := list(_cyclotomic_quotients(p, b, bound))) > 1 or b == 1:
+        for k, q in qs:
+            yield q, q, _pk(a=k * b, b=b)
         b += 1
 
 
@@ -262,20 +250,11 @@ _CANDIDATE_FAMILIES: tuple[_Family, ...] = (
 _FINAL_FAMILIES: tuple[_Family, ...] = (
     _Family(1, *_ANY, _single_param(lambda p, a: (1, p**a))),
     _Family(2, *_eq(2), _sporadic(((1, 12),))),
-    _Family(3, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a + 1), start=1)),
-    _Family(4, *_eq(2), _gen_cand_6),
-    _Family(5, *_eq(2), _single_param(lambda p, a: (1, 2**a + 1), start=1)),
-    _Family(6, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a), start=1)),
-    _Family(7, *_eq(2), _single_param(
-        lambda p, a: (2**a + 1, (2**a + 1) // 3), start=1, step=2)),
-    _Family(8, *_eq(2), _single_param(
-        lambda p, a: (1, (2**a + 1) // 3), start=1, step=2)),
-    _Family(9, *_eq(2), _single_param(
-        lambda p, a: ((2**a + 1) // 3, 2**a), start=1, step=2)),
+    # final items 3-9 and 11-13 are candidate items, renumbered
+    *(replace(_CANDIDATE_FAMILIES[c - 1], index=i)
+      for i, c in zip(range(3, 10), (5, 6, 7, 8, 13, 14, 15))),
     _Family(10, *_eq(3), _sporadic(((1, 4), (1, 6), (2, 2), (4, 3)))),
-    _Family(11, *_eq(3), _single_param(lambda p, a: (3**a + 1, (3**a + 1) // 2))),
-    _Family(12, *_eq(3), _single_param(lambda p, a: (1, (3**a + 1) // 2))),
-    _Family(13, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 3**a))),
+    *(replace(_CANDIDATE_FAMILIES[c - 1], index=i) for i, c in ((11, 25), (12, 26), (13, 27))),
     _Family(14, *_eq(5), _sporadic(((2, 1),))),
 )
 
@@ -312,24 +291,12 @@ def _gen_bin_4(p: int, bound: int):
         a += 1
 
 
-def _quotients_upto(p: int, a: int, bound: int, min_exp: int) -> list[tuple[int, int]]:
-    out = []
-    b = min_exp
-    while True:
-        q = (p ** (a * b) + 1) // (p**a + 1)
-        if q > bound:
-            return out
-        out.append((q, b))
-        b += 2
-
-
 def _gen_bin_5(p: int, bound: int):
     # same a on both sides; b, c odd and > 1
     a = 1
-    while (p ** (3 * a) + 1) // (p**a + 1) <= bound:
-        qs = _quotients_upto(p, a, bound, 3)
-        for qd, b in qs:
-            for qe, c in qs:
+    while qs := list(_cyclotomic_quotients(p, a, bound))[1:]:
+        for b, qd in qs:
+            for c, qe in qs:
                 yield qd, qe, _pk(a=a, b=b, c=c)
         a += 1
 

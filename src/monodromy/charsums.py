@@ -62,6 +62,7 @@ __all__ = [
 
 FIELD_SIZE_GUARD = 2**20
 MELLIN_Q_GUARD = 64
+SWITCH_MAX_R = 13  # 4^r (t, y) pairs over F_{2^r}, within the searches' 10^8-cell budget
 
 
 def _poly_trim(c: list[int]) -> list[int]:
@@ -594,7 +595,9 @@ def switchsum_check(F: FieldPresentation, t: int, y: int) -> bool:
 
 def switchsum_exhaustive(r: int) -> tuple[int, int]:
     """Check the identity on all (t, y) pairs over F_{2^r}; returns
-    (pairs checked, pairs equal)."""
+    (pairs checked, pairs equal).  r is at most SWITCH_MAX_R."""
+    if r > SWITCH_MAX_R:
+        raise ValueError(f"switchsum depth r = {r} exceeds {SWITCH_MAX_R} (4^r pairs)")
     F = build_field(2, r)
     sides = _switchsum_sides(F)
     checked = equal = 0

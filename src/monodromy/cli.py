@@ -29,6 +29,7 @@ from .catalog import (
 from .charsums import (
     FIELD_SIZE_GUARD,
     MELLIN_Q_GUARD,
+    SWITCH_MAX_R,
     build_field,
     gauss_sums_all,
     mellin_suite,
@@ -199,6 +200,8 @@ def _prime_powers_upto(limit: int) -> list[tuple[int, int]]:
 def cmd_charsums(args) -> tuple[dict, dict]:
     if args.max_q > FIELD_SIZE_GUARD:
         raise ValueError(f"--max-q {args.max_q} exceeds the field size guard {FIELD_SIZE_GUARD}")
+    if args.switch_max_r > SWITCH_MAX_R:
+        raise ValueError(f"--switch-max-r {args.switch_max_r} exceeds {SWITCH_MAX_R} (4^r pairs)")
     failures = 0
     fields = _prime_powers_upto(args.max_q)
     for p, r in fields:

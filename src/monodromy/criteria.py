@@ -199,11 +199,18 @@ def default_max_r(p: int, grid_limit: int | None = None) -> int:
 
     The guard defaults to 10^8 grid points and may be overridden with the
     MONODROMY_MAX_GRID environment variable (p=2 -> r<=13, p=3 -> r<=8,
-    p=5 -> r<=5, p=7 -> r<=4 at the default).
+    p=5 -> r<=5, p=7 -> r<=4 at the default).  A limit that is not a
+    positive integer raises ValueError; below (p^2 - 1)^2 the depth is 1.
     """
     p = _as_prime_int(p)
     if grid_limit is None:
-        grid_limit = int(os.environ.get(GRID_ENV_VAR, DEFAULT_GRID_LIMIT))
+        text = os.environ.get(GRID_ENV_VAR, str(DEFAULT_GRID_LIMIT))
+        try:
+            grid_limit = int(text)
+        except ValueError:
+            raise ValueError(f"{GRID_ENV_VAR}={text!r} is not an integer") from None
+    if grid_limit < 1:
+        raise ValueError(f"the grid limit ({GRID_ENV_VAR}) must be >= 1, not {grid_limit}")
     r = 1
     while (p ** (r + 1) - 1) ** 2 <= grid_limit:
         r += 1

@@ -8,8 +8,11 @@ in one of four families:
     3. (p^(a*b) + 1)/(p^a + 1) for a, b > 0 with b odd (this includes 1);
     4. the single sporadic case p = 5, prime-to-p part 7.
 
-`classify_fm_exponent` decides membership symbolically and reports the first
-matching family in the order above, with its witnessing parameters.
+`_fm_values` generates the family values up to a bound, family by family in
+the order above and then by least parameters.  `classify_fm_exponent` reports
+the first of them equal to the prime-to-p part of d, with its witnessing
+parameters, and `fm_exponent_set` is the set of p-power multiples of those
+values, so no exponent is classified one at a time to build it.
 `numeric_monomial_check` cross-checks the verdict against the V-function
 inequality V(x) + V(-d*x) >= 1/2 by bounded exhaustive search.
 """
@@ -62,60 +65,73 @@ class FmExponentVerdict:
     prime_to_p_part: int
 
 
+def _cyclotomic_quotients(p: int, a: int, bound: int):
+    """(b, (p^(a*b)+1)/(p^a+1)) for odd b = 1, 3, ... while the value is <= bound.
+
+    b = 1 gives 1, and q(b+2) = p^(2a) q(b) - p^a + 1, since
+    p^(a(b+2)) + 1 = p^(2a) (p^(ab) + 1) - (p^(2a) - 1); so q grows with b.
+    """
+    pa = p**a
+    b, q = 1, 1
+    while q <= bound:
+        yield b, q
+        b, q = b + 2, pa * pa * q - pa + 1
+
+
+def _fm_values(p: int, bound: int):
+    """(family, parameters, value) for every family value <= bound, family by
+    family in FAMILY_ORDER and then by least parameters: the tie-break order.
+
+    The values are the FM-exponents prime to p, some more than once (the
+    b = 1 quotient is 1 for every a).
+    """
+    a = 1 if p == 2 else 0
+    while (n := p**a + 1) <= bound:
+        yield POWER_PLUS_ONE, (a,), n
+        a += 1
+    a = 1
+    while p > 2 and (n := (p**a + 1) // 2) <= bound:
+        yield HALF_POWER_PLUS_ONE, (a,), n
+        a += 1
+    # past a = 1 each a adds values only from b = 3 on, and the b = 3 value
+    # p^(2a) - p^a + 1 grows with a
+    a = 1
+    while len(qs := list(_cyclotomic_quotients(p, a, bound))) > 1 or a == 1:
+        for b, q in qs:
+            yield CYCLOTOMIC_QUOTIENT, (a, b), q
+        a += 1
+    if p == 5 and bound >= 7:
+        yield SPORADIC_7_MOD_5, None, 7
+
+
 @lru_cache(maxsize=4096)
 def classify_fm_exponent(p: int, d: int) -> FmExponentVerdict:
     """Decide whether d is an FM-exponent for p, with witnessing family.
 
     Families overlap (e.g. 3 = 2+1 = (2^3+1)/(2+1) for p = 2); ties break
     deterministically in the order PowerPlusOne, HalfPowerPlusOne,
-    CyclotomicQuotient, Sporadic7mod5.
+    CyclotomicQuotient, Sporadic7mod5, then by least parameters.
     """
     p = _as_prime_int(p)
     if d < 1:
         raise ValueError("d must be a positive integer")
     dp = prime_to_p_part(p, d)
-
-    a = 1 if p == 2 else 0
-    while p**a + 1 <= dp:
-        if p**a + 1 == dp:
-            return FmExponentVerdict(d, p, True, POWER_PLUS_ONE, (a,), dp)
-        a += 1
-
-    if p > 2:
-        a = 1
-        while (p**a + 1) // 2 <= dp:
-            if p**a + 1 == 2 * dp:
-                return FmExponentVerdict(d, p, True, HALF_POWER_PLUS_ONE, (a,), dp)
-            a += 1
-
-    # (p^(a*b)+1)/(p^a+1) is increasing in b (b odd) and, past b=1, in a.
-    # dp=1 is the whole b=1 slice; any dp>1 solution has b>=3 and hence
-    # p^a+1 <= p*dp, which bounds the a loop.
-    if dp == 1:
-        return FmExponentVerdict(d, p, True, CYCLOTOMIC_QUOTIENT, (1, 1), dp)
-    a = 1
-    while p**a + 1 <= p * dp:
-        b = 1
-        while True:
-            q, rem = divmod(p ** (a * b) + 1, p**a + 1)
-            if rem == 0:
-                if q == dp:
-                    return FmExponentVerdict(d, p, True, CYCLOTOMIC_QUOTIENT, (a, b), dp)
-                if q > dp:
-                    break
-            b += 2
-        a += 1
-
-    if p == 5 and dp == 7:
-        return FmExponentVerdict(d, p, True, SPORADIC_7_MOD_5, None, dp)
-
+    for family, parameters, value in _fm_values(p, dp):
+        if value == dp:
+            return FmExponentVerdict(d, p, True, family, parameters, dp)
     return FmExponentVerdict(d, p, False, NOT_FM, None, dp)
 
 
 @lru_cache(maxsize=32)
 def fm_exponent_set(p: int, bound: int) -> frozenset[int]:
-    """All FM-exponents n <= bound for p (memoized convenience for scans)."""
-    return frozenset(n for n in range(1, bound + 1) if classify_fm_exponent(p, n).is_fm)
+    """All FM-exponents n <= bound for p: the p-power multiples of the family values."""
+    p = _as_prime_int(p)
+    out = set()
+    for _, _, n in _fm_values(p, bound):
+        while n <= bound:
+            out.add(n)
+            n *= p
+    return frozenset(out)
 
 
 @dataclass(frozen=True)

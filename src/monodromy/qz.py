@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
+    "OrderCapError",
     "Prime",
     "QzClass",
     "digit_sum",
@@ -30,6 +31,11 @@ __all__ = [
 ]
 
 MULT_ORDER_CAP = 10**6
+
+
+class OrderCapError(ArithmeticError, ValueError):
+    """A multiplicative order past its cap: an arithmetic limit, and for the
+    CLI an input it refuses."""
 
 
 def is_prime(n: int) -> bool:
@@ -186,7 +192,7 @@ def mult_order(p: int, den: int, cap: int = MULT_ORDER_CAP) -> int:
     """Smallest r >= 1 with p^r == 1 (mod den); returns 1 for den == 1.
 
     Computed by multiply-until-one, capped at ``cap`` iterations so a
-    pathological denominator fails loudly instead of spinning.
+    pathological denominator fails loudly (OrderCapError) instead of spinning.
     """
     p = _as_prime_int(p)
     if den < 1:
@@ -201,7 +207,7 @@ def mult_order(p: int, den: int, cap: int = MULT_ORDER_CAP) -> int:
         acc = (acc * p) % den
         r += 1
         if r > cap:
-            raise ArithmeticError(f"multiplicative order of {p} mod {den} exceeds cap {cap}")
+            raise OrderCapError(f"multiplicative order of {p} mod {den} exceeds cap {cap}")
     return r
 
 

@@ -10,7 +10,10 @@ from monodromy.catalog import (
     CANDIDATES,
     FINAL,
     FamilyId,
+    _CANDIDATE_FAMILIES,
+    _FINAL_FAMILIES,
     _canonical,
+    catalog_rows,
     candidate_union,
     classify_binomial,
     classify_pair,
@@ -147,6 +150,29 @@ class TestTheoremCrossValidation:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_final_subset_of_candidates(self, p):
         assert final_union(p, 300) <= candidate_union(p, 300)
+
+    @pytest.mark.parametrize("final_item,candidate_item", [
+        (3, 5), (4, 6), (5, 7), (6, 8), (7, 13), (8, 14), (9, 15), (11, 25), (12, 26), (13, 27),
+    ])
+    def test_reused_final_item_is_its_candidate_item(self, final_item, candidate_item):
+        final = _FINAL_FAMILIES[final_item - 1]
+        cand = _CANDIDATE_FAMILIES[candidate_item - 1]
+        assert (final.index, final.constraint) == (final_item, cand.constraint)
+        p = 2 if final_item < 10 else 3
+        assert list(final.gen(p, 10**4)) == list(cand.gen(p, 10**4))
+
+
+class TestLargeBounds:
+    """Bounds in the millions finish: FM sets are built from family values."""
+
+    def test_binomial_item_2_member_past_a_million(self):
+        cls = classify_binomial(3, (1, 3**13 + 1))
+        assert 2 in [m.family.index for m in cls.memberships]
+
+    def test_binomial_catalog_row_past_a_million(self):
+        row = {"theorem": BINOMIAL, "item": 2, "p": 3, "A": 1, "B": 3**13 + 1,
+               "params": {}, "reversed": False}
+        assert row in list(catalog_rows(BINOMIAL, 3, 3_000_000))
 
 
 class TestQuotientOracle:

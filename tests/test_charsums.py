@@ -468,6 +468,10 @@ class TestSwitchsum:
         checked, equal = switchsum_exhaustive(r)
         assert checked == equal == 4**r
 
+    def test_exhaustive_depth_guard(self):
+        with pytest.raises(ValueError, match="exceeds 13"):
+            switchsum_exhaustive(14)
+
     def test_sides_are_even_integers(self):
         F = build_field(2, 4)
         roots = {}

@@ -245,6 +245,9 @@ class TestErrorBoundary:
             ["belyi", "--p", "2", "--d", "1", "--e", "2", "--max-r", "40"],
             ["verify-witnesses", "--table", str(DATA / "witness_table_null_expected.json")],
             ["verify-witnesses", "--table", str(DATA / "witness_table_int_y.json")],
+            ["vp", "2", "1/1000003"],  # the order of 2 passes mult_order's cap
+            ["w", "2", "1", "1", "1/1000003", "1/3"],
+            ["charsums", "--switch-max-r", "14"],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):
@@ -252,3 +255,12 @@ class TestErrorBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("value", ["0", "1e9"])
+    def test_bad_grid_env_exits_2_naming_it(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MONODROMY_MAX_GRID", value)
+        assert main(["belyi", "--p", "7", "--d", "2", "--e", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert "MONODROMY_MAX_GRID" in captured.err

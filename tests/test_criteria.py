@@ -304,6 +304,21 @@ class TestDefaultMaxR:
     def test_explicit_limit(self):
         assert default_max_r(2, grid_limit=(2**16 - 1) ** 2) == 16
 
+    @pytest.mark.parametrize("value", ["0", "-5", "1e9", "", "ten"])
+    def test_bad_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("MONODROMY_MAX_GRID", value)
+        with pytest.raises(ValueError, match="MONODROMY_MAX_GRID"):
+            default_max_r(7)
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_bad_explicit_limit_rejected(self, limit):
+        with pytest.raises(ValueError, match="MONODROMY_MAX_GRID"):
+            default_max_r(7, grid_limit=limit)
+
+    def test_small_positive_limit_keeps_depth_1(self):
+        assert default_max_r(7, grid_limit=1) == 1
+        assert default_max_r(16411, grid_limit=10**8) == 1
+
     @pytest.mark.parametrize("p,max_r", [(2, 40), (7, 8)])
     def test_explicit_depth_past_level_table_guard_rejected(self, p, max_r):
         # 2^40 never finished; 7^8 is 5.76M table entries

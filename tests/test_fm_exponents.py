@@ -8,6 +8,7 @@ from monodromy import fm_exponents
 from monodromy.criteria import _level_tables
 from monodromy.fm_exponents import (
     CYCLOTOMIC_QUOTIENT,
+    FAMILY_ORDER,
     HALF_POWER_PLUS_ONE,
     NOT_FM,
     POWER_PLUS_ONE,
@@ -89,6 +90,47 @@ class TestClassifier:
         for d in sorted(fm_exponent_set(p, 500)):
             dp = classify_fm_exponent(p, d).prime_to_p_part
             assert dp % (p - 1) in allowed, d
+
+
+def _formula_table(p: int, bound: int) -> dict:
+    """{value: (family, least parameters)} from the module docstring's formulas,
+    family by family in FAMILY_ORDER, over exponents large enough for bound."""
+    exps = range(bound.bit_length() + 2)
+    params = {
+        POWER_PLUS_ONE: [((a,), p**a + 1) for a in exps if a > 0 or p != 2],
+        HALF_POWER_PLUS_ONE: [((a,), (p**a + 1) // 2) for a in exps if a > 0 and p > 2],
+        CYCLOTOMIC_QUOTIENT: [((a, b), (p ** (a * b) + 1) // (p**a + 1))
+                              for a in exps if a > 0 for b in exps if b % 2],
+        SPORADIC_7_MOD_5: [(None, 7)] if p == 5 else [],
+    }
+    table = {}
+    for family in FAMILY_ORDER:
+        for par, value in sorted(params[family], key=lambda pv: pv[0] or ()):
+            table.setdefault(value, (family, par))
+    return table
+
+
+class TestFamilyValues:
+    """Classification and FM sets both come from the one family-value generator."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_classifier_matches_formula_oracle(self, p):
+        table = _formula_table(p, 2000)
+        for d in range(1, 2001):
+            v = classify_fm_exponent(p, d)
+            assert (v.family, v.parameters) == table.get(v.prime_to_p_part, (NOT_FM, None)), d
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_set_is_the_classified_exponents(self, p):
+        fm = [n for n in range(1, 3001) if classify_fm_exponent(p, n).is_fm]
+        for bound in [*range(1, 65), 100, 999, 1000, 2999, 3000]:
+            assert fm_exponent_set(p, bound) == {n for n in fm if n <= bound}, bound
+
+    def test_large_set_is_built_from_values(self):
+        # 2^20 + 1 and its p-power multiples, without classifying a million n
+        fm = fm_exponent_set(2, 10**7)
+        assert {2**20 + 1, 2 * (2**20 + 1), 8 * (2**20 + 1)} <= fm
+        assert 2**20 + 3 not in fm
 
 
 class TestNumericCheck:

@@ -102,6 +102,11 @@ class TestMultOrder:
         with pytest.raises(ArithmeticError):
             mult_order(2, 11, 3)  # true order is 10
 
+    def test_cap_is_also_a_value_error(self):
+        # the CLI's error boundary turns ValueError into exit 2
+        with pytest.raises(ValueError, match="exceeds cap 3"):
+            mult_order(2, 13, 3)
+
     def test_agrees_with_search(self):
         for p in (2, 3, 5, 7):
             for den in range(1, 60):
