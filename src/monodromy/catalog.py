@@ -17,13 +17,17 @@ Every family is a generator of (A, B, params) triples, and one helper,
 first produce each pair.  Enumeration, membership and the JSON rows of
 ``catalog_rows`` all read that map.  Membership checks always test both
 orientations of a pair; enumeration emits the orientation as printed in the
-source lists.  Each family is written once: the quotients
-(p^(ab)+1)/(p^a+1), b odd, of candidate items 1, 2 and 6 and binomial item 5
-come from the one enumerator ``fm_exponents._cyclotomic_quotients``, and
-final items 3-9 and 11-13 are candidate items 5-8, 13-15 and 25-27 under
-their final numbers.  ``fm_pair_scan`` is the brute-force counterpart of the
-candidate list, and ``quotient_lemma_oracle`` brute-forces the
-exponential-quotient equations used throughout the case analysis.
+source lists.  Each family is written once.  The quotients
+(p^(ab)+1)/(p^a+1), b odd, are stepped by ``fm_exponents._cyclotomic_quotients``;
+candidate items 2 and 6, binomial item 5 and the FM-exponent values read
+them a-list by a-list from the one walker ``fm_exponents._quotient_lists``,
+and candidate item 1, whose bound shrinks with a, steps them directly.
+Binomial items 4 and 6 are the squares of p^a + 1 and (p^a + 1)/2, both
+built by ``_square``.  Final items 3-9 and 11-13 are candidate items 5-8,
+13-15 and 25-27 under their final numbers.  ``fm_pair_scan`` is the
+brute-force counterpart of the candidate list, and ``quotient_lemma_oracle``
+brute-forces the exponential-quotient equations used throughout the case
+analysis with one quotient lister and one solution loop.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import json
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
-from .criteria import ExponentPair, SearchResult, _as_pair, belyi_search, default_max_r
-from .fm_exponents import _cyclotomic_quotients, fm_exponent_set, prime_to_p_part
+from .criteria import ExponentPair, SearchResult, _as_pair, _resolve_max_r, belyi_search
+from .fm_exponents import _cyclotomic_quotients, _quotient_lists, fm_exponent_set, prime_to_p_part
 from .qz import _as_prime_int
 
 __all__ = [
@@ -102,22 +106,31 @@ def _single_param(make, start: int = 0, step: int = 1):
 
     def gen(p: int, bound: int):
         a = start
-        while True:
-            pair = make(p, a)
-            if pair is None:
-                a += step
-                continue
-            A, B = pair
-            if max(A, B) > bound:
-                return
-            yield A, B, _pk(a=a)
+        while max(pair := make(p, a)) <= bound:
+            yield *pair, _pk(a=a)
             a += step
 
     return gen
 
 
+def _square(value, start):
+    """Pairs (value(p, a), value(p, b)) for a, b >= start(p), values increasing
+    in the parameter."""
+
+    def gen(p: int, bound: int):
+        a, vals = start(p), []
+        while (v := value(p, a)) <= bound:
+            vals.append((a, v))
+            a += 1
+        for a, A in vals:
+            for b, B in vals:
+                yield A, B, _pk(a=a, b=b)
+
+    return gen
+
+
 # In candidate items 1, 2 and 6, a = k*b with k odd, so (p^a+1)/(p^b+1) is
-# the quotient (b, k) of _cyclotomic_quotients.
+# the quotient (b, k) of _cyclotomic_quotients, listed by _quotient_lists.
 
 def _gen_cand_1(p: int, bound: int):
     # ((p^a+1)/(p^b+1), p^b*(p^a+1)/(p^b+1)), b >= 1, a an odd multiple of b
@@ -131,20 +144,16 @@ def _gen_cand_1(p: int, bound: int):
 def _gen_cand_2(p: int, bound: int):
     # ((p^(a+2b)+1)/(p^b+1), p^b*(p^a+1)/(p^b+1)), b >= 1, a an odd multiple of b;
     # A, quotient k+2, exceeds B, so only A is held to the bound
-    b = 1
-    while len(qs := list(_cyclotomic_quotients(p, b, bound))) > 1:
+    for b, qs in _quotient_lists(p, bound):
         for (k, q), (_, q2) in zip(qs, qs[1:]):
             yield q2, p**b * q, _pk(a=k * b, b=b)
-        b += 1
 
 
 def _gen_cand_6(p: int, bound: int):
     # ((p^a+1)/(p^b+1), same), b >= 1, a an odd multiple of b; a=b gives (1,1)
-    b = 1
-    while len(qs := list(_cyclotomic_quotients(p, b, bound))) > 1 or b == 1:
+    for b, qs in _quotient_lists(p, bound):
         for k, q in qs:
             yield q, q, _pk(a=k * b, b=b)
-        b += 1
 
 
 def _sporadic(pairs: tuple[tuple[int, int], ...]):
@@ -266,10 +275,6 @@ def _coprime_fm_exponents(p: int, bound: int) -> list[int]:
     return [n for n in sorted(fm_exponent_set(p, bound)) if n % p != 0]
 
 
-def _gen_bin_1(p: int, bound: int):
-    yield 1, 1, _pk()
-
-
 def _gen_bin_2(p: int, bound: int):
     for e in _coprime_fm_exponents(p, bound):
         yield 1, e, _pk()
@@ -280,44 +285,21 @@ def _gen_bin_3(p: int, bound: int):
         yield d, 1, _pk()
 
 
-def _gen_bin_4(p: int, bound: int):
-    lo = 1 if p == 2 else 0
-    a = lo
-    while p**a + 1 <= bound:
-        b = lo
-        while p**b + 1 <= bound:
-            yield p**a + 1, p**b + 1, _pk(a=a, b=b)
-            b += 1
-        a += 1
-
-
 def _gen_bin_5(p: int, bound: int):
     # same a on both sides; b, c odd and > 1
-    a = 1
-    while qs := list(_cyclotomic_quotients(p, a, bound))[1:]:
-        for b, qd in qs:
-            for c, qe in qs:
+    for a, qs in _quotient_lists(p, bound):
+        for b, qd in qs[1:]:
+            for c, qe in qs[1:]:
                 yield qd, qe, _pk(a=a, b=b, c=c)
-        a += 1
-
-
-def _gen_bin_6(p: int, bound: int):
-    a = 0
-    while (p**a + 1) // 2 <= bound:
-        b = 0
-        while (p**b + 1) // 2 <= bound:
-            yield (p**a + 1) // 2, (p**b + 1) // 2, _pk(a=a, b=b)
-            b += 1
-        a += 1
 
 
 _BINOMIAL_FAMILIES: tuple[_Family, ...] = (
-    _Family(1, *_ANY, _gen_bin_1),
+    _Family(1, *_ANY, _sporadic(((1, 1),))),
     _Family(2, *_ANY, _gen_bin_2),
     _Family(3, *_ANY, _gen_bin_3),
-    _Family(4, *_ANY, _gen_bin_4),
+    _Family(4, *_ANY, _square(lambda p, a: p**a + 1, lambda p: 1 if p == 2 else 0)),
     _Family(5, *_ANY, _gen_bin_5),
-    _Family(6, *_GE3, _gen_bin_6),
+    _Family(6, *_GE3, _square(lambda p, a: (p**a + 1) // 2, lambda p: 0)),
     _Family(7, *_eq(2), _sporadic(((13, 3),))),
     _Family(8, *_eq(3), _sporadic(((7, 4), (7, 2), (5, 4), (5, 2)))),
     _Family(9, *_eq(5), _sporadic(((3, 2), (7, 7)))),
@@ -489,50 +471,19 @@ def quotient_lemma_oracle(p: int, max_exp: int, case: int | None = None):
         return {c: quotient_lemma_oracle(p, max_exp, c) for c in (1, 2, 3, 4, 5)}
     if case not in (1, 2, 3, 4, 5):
         raise ValueError("case must be 1..5")
-    lo = 1 if p == 2 else 0
-    exps = range(lo, max_exp + 1)
+    exps = range(1 if p == 2 else 0, max_exp + 1)
     pw = [p**k for k in range(max_exp + 1)]
 
-    def plus_quotients() -> list[tuple[int, int, int]]:
-        out = []
-        for a in exps:
-            for b in exps:
-                q, r = divmod(p**a + 1, p**b + 1)
-                if r == 0 and q > 0:
-                    out.append((a, b, q))
-        return out
+    def quotients(sign: int) -> list[tuple[tuple[int, ...], int]]:
+        """((a, b), q) for every positive integer q = (p^a + sign)/(p^b + 1)."""
+        return [((a, b), q) for a in exps for b in exps
+                for q, r in [divmod(pw[a] + sign, pw[b] + 1)] if r == 0 and q > 0]
 
-    def minus_quotients() -> list[tuple[int, int, int]]:
-        out = []
-        for c in exps:
-            for d in exps:
-                q, r = divmod(p**c - 1, p**d + 1)
-                if r == 0 and q > 0:
-                    out.append((c, d, q))
-        return out
-
-    def plus_plain() -> list[tuple[int, int]]:
-        return [(a, p**a + 1) for a in exps]
-
-    sols: list[tuple[int, ...]] = []
-    if case in (1, 2, 3):
-        left = plus_quotients() if case in (1, 3) else minus_quotients()
-        right = plus_quotients() if case == 1 else minus_quotients()
-        for a, b, q1 in left:
-            for c, d, q2 in right:
-                for m in range(max_exp + 1):
-                    for n in range(max_exp + 1):
-                        if pw[m] * q1 == pw[n] * q2:
-                            sols.append((m, n, a, b, c, d))
-    else:
-        right = plus_quotients() if case == 4 else minus_quotients()
-        for a, q1 in plus_plain():
-            for c, d, q2 in right:
-                for m in range(max_exp + 1):
-                    for n in range(max_exp + 1):
-                        if pw[m] * q1 == pw[n] * q2:
-                            sols.append((m, n, a, c, d))
-    return sorted(set(sols))
+    left = quotients(-1 if case == 2 else 1) if case <= 3 else [((a,), pw[a] + 1) for a in exps]
+    right = quotients(1 if case in (1, 4) else -1)
+    sols = {(m, n, *lhs, *rhs) for lhs, q1 in left for rhs, q2 in right
+            for m in range(max_exp + 1) for n in range(max_exp + 1) if pw[m] * q1 == pw[n] * q2}
+    return sorted(sols)
 
 
 # ---------------------------------------------------------------------------
@@ -589,30 +540,27 @@ def crosscheck(
 
     Non-members should all be violated; a non-member that survives max_r is
     flagged UNRESOLVED (and retried up to rerun_max_r when given).  Members
-    are searched too (unless disabled) and must not be violated.
+    are searched too (unless disabled) and must not be violated.  Both
+    depths are checked before any pair is scanned.
     """
     p = _as_prime_int(p)
-    if max_r is None:
-        max_r = default_max_r(p)
+    max_r = _resolve_max_r(p, max_r)
+    if rerun_max_r is not None:
+        rerun_max_r = _resolve_max_r(p, rerun_max_r)
     rows = []
     for A, B in sorted(_canonical(fm_pair_scan(p, bound))):
         cls = classify_pair(p, (A, B), FINAL)
         items = tuple(sorted(m.family.index for m in cls.memberships))
+        res = belyi_search(p, (A, B), max_r) if search_members or not cls.is_member else None
         if cls.is_member:
-            if search_members:
-                res = belyi_search(p, (A, B), max_r)
-                status = "member-violated" if res.found else "member-pass"
-            else:
-                res, status = None, "member-pass"
+            status = "member-violated" if res and res.found else "member-pass"
+        elif res.found:
+            status = "violated"
+        elif rerun_max_r is not None and rerun_max_r > max_r:
+            res = belyi_search(p, (A, B), rerun_max_r)
+            status = "resolved-on-rerun" if res.found else "UNRESOLVED"
         else:
-            res = belyi_search(p, (A, B), max_r)
-            if res.found:
-                status = "violated"
-            elif rerun_max_r is not None and rerun_max_r > max_r:
-                res = belyi_search(p, (A, B), rerun_max_r)
-                status = "resolved-on-rerun" if res.found else "UNRESOLVED"
-            else:
-                status = "UNRESOLVED"
+            status = "UNRESOLVED"
         rows.append(CrosscheckRow((A, B), cls.is_member, items, res, status))
     return CrosscheckReport(p, bound, max_r, tuple(rows))
 

@@ -135,10 +135,6 @@ class SearchResult:
     def found(self) -> bool:
         return self.violation is not None
 
-    @property
-    def verdict(self) -> str:
-        return "violation" if self.found else f"no_violation_up_to_max_r={self.max_r}"
-
     def as_dict(self) -> dict:
         return {
             "p": self.p,
@@ -153,11 +149,14 @@ class SearchResult:
 
 
 def w_value(p: int, pair, x, y) -> Fraction:
-    """W_p(d,e,x,y) = V(x)+V(y)+V(y-(d+e)x)+V(ex-y)+V(-ex), exact."""
+    """W_p(d,e,x,y) = V(x)+V(y)+V(y-(d+e)x)+V(ex-y)+V(-ex), exact, for x, y != 0
+    (the criterion says nothing at x = 0 or y = 0)."""
     p = _as_prime_int(p)
     pair = _as_pair(pair)
     x = x if isinstance(x, QzClass) else QzClass.parse(str(x))
     y = y if isinstance(y, QzClass) else QzClass.parse(str(y))
+    if x.is_zero() or y.is_zero():
+        raise ValueError("x and y must be nonzero")
     d, e = pair.d, pair.e
     ex = x.scale(e)
     return (
@@ -217,6 +216,20 @@ def default_max_r(p: int, grid_limit: int | None = None) -> int:
     return r
 
 
+def _resolve_max_r(p: int, max_r: int | None) -> int:
+    """The search depth: default_max_r(p) when None; a depth below 1 or with
+    p^max_r > LEVEL_TABLE_GUARD raises ValueError before any work."""
+    if max_r is None:
+        max_r = default_max_r(p)
+    if max_r < 1:
+        raise ValueError("max_r must be >= 1")
+    if p**max_r > LEVEL_TABLE_GUARD:
+        raise ValueError(
+            f"p^max_r = {p}^{max_r} exceeds the level-table guard {LEVEL_TABLE_GUARD}"
+        )
+    return max_r
+
+
 class _Level(NamedTuple):
     """Search tables for the classes with denominator dividing m = p^r - 1."""
 
@@ -263,21 +276,13 @@ def _scan(p: int, max_r: int | None, level_rows, stop_early=True, zero_row=False
     """The one level scan behind every inequality search.
 
     Visits the rows i of ``level.rows`` ascending at r = 1..max_r (and i = 0
-    first when zero_row); max_r defaults per the cost guard, and a depth
-    with p^max_r > LEVEL_TABLE_GUARD is rejected before any table is built.
-    The row function ``level_rows(level)`` yields (kind, None) for a
+    first when zero_row), with max_r from `_resolve_max_r`, so a bad depth
+    is rejected before any table is built.  The row function ``level_rows(level)`` yields (kind, None) for a
     one-variable hit and (kind, y-candidates) for a scan.  Returns max_r,
     (level, i, kind, j) of the first hit or None, and the hit count: the
     first row's with stop_early, else each row's times its orbit size.
     """
-    if max_r is None:
-        max_r = default_max_r(p)
-    if max_r < 1:
-        raise ValueError("max_r must be >= 1")
-    if p**max_r > LEVEL_TABLE_GUARD:
-        raise ValueError(
-            f"p^max_r = {p}^{max_r} exceeds the level-table guard {LEVEL_TABLE_GUARD}"
-        )
+    max_r = _resolve_max_r(p, max_r)
     first, total = None, 0
     for r in range(1, max_r + 1):
         level = _level_tables(p, r)

@@ -9,10 +9,14 @@ in one of four families:
     4. the single sporadic case p = 5, prime-to-p part 7.
 
 `_fm_values` generates the family values up to a bound, family by family in
-the order above and then by least parameters.  `classify_fm_exponent` reports
-the first of them equal to the prime-to-p part of d, with its witnessing
-parameters, and `fm_exponent_set` is the set of p-power multiples of those
-values, so no exponent is classified one at a time to build it.
+the order above and then by least parameters.  Family 3 comes from
+`_quotient_lists`, the one walk over the quotient lists, which the quotient
+families of `catalog` read too (binomial items 4 and 6, the squares of
+p^a + 1 and (p^a + 1)/2, come from `catalog._square`).
+`classify_fm_exponent` reports the first family value equal to the
+prime-to-p part of d, with its witnessing parameters, and `fm_exponent_set`
+is the set of p-power multiples of those values, so no exponent is
+classified one at a time to build it.
 `numeric_monomial_check` cross-checks the verdict against the V-function
 inequality V(x) + V(-d*x) >= 1/2 by bounded exhaustive search.
 """
@@ -78,6 +82,19 @@ def _cyclotomic_quotients(p: int, a: int, bound: int):
         b, q = b + 2, pa * pa * q - pa + 1
 
 
+def _quotient_lists(p: int, bound: int):
+    """(a, [(b, (p^(ab)+1)/(p^a+1)), ...]) with the quotients <= bound, for
+    a = 1 and then for every a whose list runs past b = 1.
+
+    Past a = 1 each a adds values only from b = 3 on, and the b = 3 value
+    p^(2a) - p^a + 1 grows with a, so the first a without one ends the walk.
+    """
+    a = 1
+    while len(qs := list(_cyclotomic_quotients(p, a, bound))) > 1 or a == 1:
+        yield a, qs
+        a += 1
+
+
 def _fm_values(p: int, bound: int):
     """(family, parameters, value) for every family value <= bound, family by
     family in FAMILY_ORDER and then by least parameters: the tie-break order.
@@ -93,13 +110,9 @@ def _fm_values(p: int, bound: int):
     while p > 2 and (n := (p**a + 1) // 2) <= bound:
         yield HALF_POWER_PLUS_ONE, (a,), n
         a += 1
-    # past a = 1 each a adds values only from b = 3 on, and the b = 3 value
-    # p^(2a) - p^a + 1 grows with a
-    a = 1
-    while len(qs := list(_cyclotomic_quotients(p, a, bound))) > 1 or a == 1:
+    for a, qs in _quotient_lists(p, bound):
         for b, q in qs:
             yield CYCLOTOMIC_QUOTIENT, (a, b), q
-        a += 1
     if p == 5 and bound >= 7:
         yield SPORADIC_7_MOD_5, None, 7
 

@@ -161,6 +161,59 @@ class TestTheoremCrossValidation:
         p = 2 if final_item < 10 else 3
         assert list(final.gen(p, 10**4)) == list(cand.gen(p, 10**4))
 
+    @pytest.mark.parametrize("p", [11, 13])
+    def test_general_families_match_formulas(self, p):
+        """Every item stated for all p (or all p >= 3), rebuilt from the
+        paper's formulas at primes the shipped catalog does not reach."""
+        bound = 10**6
+        exps = range(13)  # p^6 > bound, so no value within it needs an exponent past 12
+        odd = range(1, 2 * len(exps), 2)
+
+        def quotient(n, m):
+            q, r = divmod(n, m)
+            assert r == 0, (n, m)
+            return q
+
+        def cyclic(a, b):  # (p^(ab)+1)/(p^a+1), b odd
+            return quotient(p ** (a * b) + 1, p**a + 1)
+
+        # a an odd multiple of b >= 1
+        multiples = [(a, b) for b in exps[1:] for a in exps[1:] if a % b == 0 and a // b % 2]
+        fm_values = ({p**a + 1 for a in exps} | {quotient(p**a + 1, 2) for a in exps[1:]}
+                     | {cyclic(a, b) for a in exps[1:] for b in odd})
+        coprime_fm = sorted(n for n in fm_values if n <= bound)
+        families = {
+            CANDIDATES: {
+                1: [(quotient(p**a + 1, p**b + 1), p**b * quotient(p**a + 1, p**b + 1),
+                     {"a": a, "b": b}) for a, b in multiples],
+                2: [(quotient(p ** (a + 2 * b) + 1, p**b + 1), p**b * quotient(p**a + 1, p**b + 1),
+                     {"a": a, "b": b}) for a, b in multiples],
+                3: [(quotient(p**a + 1, 2), quotient(p**a + 1, 2), {"a": a}) for a in exps],
+            },
+            FINAL: {1: [(1, p**a, {"a": a}) for a in exps]},
+            BINOMIAL: {
+                1: [(1, 1, {})],
+                2: [(1, e, {}) for e in coprime_fm],
+                3: [(d, 1, {}) for d in coprime_fm],
+                4: [(p**a + 1, p**b + 1, {"a": a, "b": b}) for a in exps for b in exps],
+                5: [(cyclic(a, b), cyclic(a, c), {"a": a, "b": b, "c": c})
+                    for a in exps[1:] for b in odd[1:] for c in odd[1:]],
+                6: [(quotient(p**a + 1, 2), quotient(p**b + 1, 2), {"a": a, "b": b})
+                    for a in exps for b in exps],
+            },
+        }
+        for theorem, items in families.items():
+            expected = []
+            for item, triples in items.items():
+                first = {}  # the params that first produce each pair
+                for A, B, params in triples:
+                    if max(A, B) <= bound:
+                        first.setdefault((A, B), params)
+                expected += [{"theorem": theorem, "item": item, "p": p, "A": A, "B": B,
+                              "params": params, "reversed": False}
+                             for (A, B), params in sorted(first.items())]
+            assert list(catalog_rows(theorem, p, bound)) == expected, theorem
+
 
 class TestLargeBounds:
     """Bounds in the millions finish: FM sets are built from family values."""

@@ -248,6 +248,9 @@ class TestErrorBoundary:
             ["vp", "2", "1/1000003"],  # the order of 2 passes mult_order's cap
             ["w", "2", "1", "1", "1/1000003", "1/3"],
             ["charsums", "--switch-max-r", "14"],
+            ["w", "2", "1", "1", "0", "1/7"],
+            ["crosscheck", "--p", "2", "--max", "3", "--max-r", "40", "--skip-members"],
+            ["crosscheck", "--p", "2", "--max", "3", "--max-r", "0", "--skip-members"],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):

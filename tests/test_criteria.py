@@ -53,6 +53,12 @@ class TestWValue:
             assert all(0 <= t < 1 for t in terms)
             assert w_value(p, (d, e), x, y) == sum(terms) >= 0
 
+    def test_rejects_zero(self):
+        # (1, 1) is a final-list member; W at x = 0 or y = 0 is outside the criterion
+        for x, y in (("0", "1/7"), ("1/7", "0")):
+            with pytest.raises(ValueError, match="nonzero"):
+                w_value(2, (1, 1), x, y)
+
 
 class TestWitnessTable:
     def test_all_rows_reproduce(self):

@@ -256,8 +256,9 @@ class TestVFunctionClosedForms:
 
 
 def test_every_lru_cache_is_bounded():
-    """Every lru_cache in the numeric layers, on functions or on classes."""
-    mods = [import_module(f"monodromy.{m}") for m in ("qz", "fm_exponents", "criteria", "charsums")]
+    """Every lru_cache in the package's modules, on functions or on classes."""
+    mods = [import_module(f"monodromy.{m}")
+            for m in ("qz", "fm_exponents", "criteria", "charsums", "catalog", "cli")]
     owners = mods + [v for mod in mods for v in vars(mod).values() if isinstance(v, type)]
     caches = {
         f"{owner.__name__}.{name}": fn
