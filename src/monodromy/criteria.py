@@ -14,9 +14,19 @@ V = digitsum/(r(p-1)) directly on its numerator), so every comparison is an
 integer comparison.  One level scan serves every search and skips rows by
 two exact reductions: V(px) = V(x), so only the least x of each orbit
 under x -> px is scanned, and V(a) + V(b) >= V(a+b), so every criterion is
-at least V(x) and rows with V(x) >= 1/2 cannot violate.  The reported first
-witness is unchanged and deterministic: r ascending, then x numerator, then
-y numerator, with the one-variable check preceding the y scan at each x.
+at least V(x) and rows with V(x) >= 1/2 cannot violate.  Two row bounds
+then skip the y scan of a row no y can violate (m = p^r - 1):
+
+    Belyi:    V(y-(d+e)x) + V(ex-y) >= V(-dx) and V(y) >= 1/(r(p-1)) for
+              y != 0, so W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1));
+    binomial: V(ey) <= w V(y) with w the base-p digit sum of e mod m (1 if
+              it is 0), as V(py) = V(y) and V is subadditive, so
+              V(y) + V(-dx-ey) >= V(-dx)/w and the row is >= V(x) + V(-dx)/w.
+
+Exponents are reduced mod m before any numpy product, so no exponent is
+too large.  The reported first witness is unchanged and deterministic:
+r ascending, then x numerator, then y numerator, with the one-variable
+check preceding the y scan at each x.
 A full sweep weights each row's count by its orbit size, so
 violations_total still counts every (x, y).  Classes already covered at a
 divisor level s | r are not re-tested, and a reported witness is always
@@ -272,22 +282,23 @@ def _level_tables(p: int, r: int) -> _Level:
                   orbits, rows, pair_mask)
 
 
-def _scan(p: int, max_r: int | None, level_rows, stop_early=True, zero_row=False):
+def _scan(p: int, max_r: int | None, level_rows, stop_early=True):
     """The one level scan behind every inequality search.
 
-    Visits the rows i of ``level.rows`` ascending at r = 1..max_r (and i = 0
-    first when zero_row), with max_r from `_resolve_max_r`, so a bad depth
-    is rejected before any table is built.  The row function ``level_rows(level)`` yields (kind, None) for a
-    one-variable hit and (kind, y-candidates) for a scan.  Returns max_r,
-    (level, i, kind, j) of the first hit or None, and the hit count: the
-    first row's with stop_early, else each row's times its orbit size.
+    For r = 1..max_r, with max_r from `_resolve_max_r` (so a bad depth is
+    rejected before any table is built), ``level_rows(level)`` returns the
+    rows to visit, ascending, and their row function: ``row_hits(i)`` yields
+    (kind, None) for a one-variable hit and (kind, y-candidates) for a y
+    scan, and nothing for a row its exact lower bound clears.  Returns
+    max_r, (level, i, kind, j) of the first hit or None, and the hit count:
+    the first row's with stop_early, else each row's times its orbit size.
     """
     max_r = _resolve_max_r(p, max_r)
     first, total = None, 0
     for r in range(1, max_r + 1):
         level = _level_tables(p, r)
-        row_hits = level_rows(level)
-        for i in ([0] if zero_row else []) + level.rows.tolist():
+        rows, row_hits = level_rows(level)
+        for i in rows.tolist():
             for kind, viol in row_hits(i):
                 count, j = 1, None
                 if viol is not None:
@@ -338,25 +349,29 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     d, e = pair.d, pair.e
     if d % p == 0 and e % p == 0:
         raise ValueError(f"d={d} and e={e} are both multiples of p={p}")
-    K = d + e
 
     def level_rows(level: _Level):
         r, m, D, DD, EE = level.r, level.m, level.D, level.DD, level.EE
         half = r * (p - 1)  # a V-sum is < 1/2 iff twice its digit sums are < r(p-1)
+        dm, em, K = d % m, e % m, (d + e) % m
 
         def row_hits(i):
             if level.lev[i] == r and 2 * int(D[i] + D[-K * i % m]) < half:
                 yield "belyi-monomial", None
+            const = int(D[i] + D[-em * i % m])
+            # W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1)) on the row, since
+            # V(y-Kx) + V(ex-y) >= V(-dx) and y != 0
+            if 2 * (const + int(D[-dm * i % m]) + 1) >= 3 * half:
+                return
             # W < 3/2 iff D[j] + D[j - Ki] + D[ei - j] < (3*half - 2*const)/2
-            const = int(D[i] + D[-e * i % m])
-            c3, c4 = m - K * i % m, m - e * i % m
+            c3, c4 = m - K * i % m, m - em * i % m
             s = D + DD[c3:c3 + m]
             s += EE[c4:c4 + m]
             viol = s < (3 * half - 2 * const + 1) // 2
             viol[0] = False
             yield "belyi-pair", viol
 
-        return row_hits
+        return level.rows, row_hits
 
     return _search_result(p, pair, "belyi", *_scan(p, max_r, level_rows, stop_early))
 
@@ -370,17 +385,22 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
     def level_rows(level: _Level):
         m, D, DD = level.m, level.D, level.DD
         half = level.r * (p - 1)
-        neg_e = -e * np.arange(m) % m
+        dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
+        neg_e = -em * np.arange(m) % m
+        w = int(D[em]) or 1  # V(ey) <= w V(y): V(py) = V(y) and V is subadditive
 
         def row_hits(i):
-            viol = D + DD[neg_e + (m - d * i % m)] < (half + 1) // 2 - int(D[i])
+            # V(y) + V(-dx-ey) >= V(-dx)/w on the row, so no y violates when
+            # V(x) + V(-dx)/w >= 1/2 (never at x = 0)
+            if 2 * (w * int(D[i]) + int(D[-dm * i % m])) >= w * half:
+                return
+            viol = D + DD[neg_e + (m - dm * i % m)] < (half + 1) // 2 - int(D[i])
             viol[0] &= i > 0  # (x, y) = (0, 0) is excluded
             yield "binomial", viol
 
-        return row_hits
+        return np.concatenate(([0], level.rows)), row_hits
 
-    max_r, first, total = _scan(p, max_r, level_rows, stop_early, zero_row=True)
-    return _search_result(p, pair, "binomial", max_r, first, total)
+    return _search_result(p, pair, "binomial", *_scan(p, max_r, level_rows, stop_early))
 
 
 # The W values quoted in the classification's case-by-case elimination,

@@ -173,9 +173,10 @@ def numeric_monomial_check(p: int, d: int, max_r: int) -> MonomialCheckResult:
     p = _as_prime_int(p)
 
     def level_rows(level):
-        m, D, half = level.m, level.D, level.r * (p - 1)
+        m, D, rows = level.m, level.D, level.rows
         # V(x) + V(-dx) < 1/2 iff twice the two digit sums are < r(p-1)
-        return lambda i: [("monomial", None)] if 2 * int(D[i] + D[-d * i % m]) < half else []
+        hits = rows[2 * (D[rows] + D[-(d % m) * rows % m]) < level.r * (p - 1)]
+        return hits, lambda i: (("monomial", None),)
 
     _, first, _ = _scan(p, max_r, level_rows)
     if first is None:

@@ -77,6 +77,12 @@ class TestSearches:
         )
         assert lines[-1]["result"]["verdict"] == "no_violation_up_to_max_r"
 
+    def test_binomial_exponent_past_int64(self, capsys):
+        # 2^64 + 1 does not fit a numpy int64; the search reduces it mod p^r - 1
+        code, lines = run(capsys, ["binomial", "--p", "2", "--d", "1", "--e", str(2**64 + 1)])
+        assert code == 0
+        assert lines[-1]["result"]["e"] == 2**64 + 1
+
     def test_belyi_rejects_double_multiple(self, capsys):
         assert main(["belyi", "--p", "2", "--d", "2", "--e", "4", "--max-r", "3"]) == 2
 

@@ -1,9 +1,15 @@
 """Tests for the W functional, the inequality checks, and the searches."""
 
+import json
+import os
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from monodromy import criteria
 from monodromy.criteria import (
     WITNESS_TABLE,
     ExponentPair,
@@ -295,6 +301,128 @@ class TestBinomialSearch:
         w = res.violation
         assert binomial_check(2, (7, 3), w.x, w.y) == w.w_value
 
+    @pytest.mark.parametrize("stop_early", [True, False])
+    def test_huge_exponent_same_as_reduced(self, stop_early):
+        # 105 = lcm(2^r - 1 : r <= 4), so e and e + 105k are the same exponent
+        # at every level; near 2^62 the product e * arange(m) wraps in int64
+        k = 2**62 // 105
+        for e in range(1, 30):
+            small = binomial_search(2, (3, e), max_r=4, stop_early=stop_early)
+            huge = binomial_search(2, (3, e + 105 * k), max_r=4, stop_early=stop_early)
+            assert huge.found == small.found, e
+            assert huge.violations_total == small.violations_total, e
+            if small.found:
+                a, b = small.violation, huge.violation
+                assert (a.x, a.y, a.w_value) == (b.x, b.y, b.w_value), e
+
+
+ORACLE_DEPTH = {2: 7, 3: 4, 5: 3, 7: 2}  # levels whose rows are checked one by one
+ORACLE_PAIRS = [(d, e) for d in range(1, 13) for e in range(1, 13)]
+
+
+@lru_cache(maxsize=None)
+def v_numerators(p, r):
+    """r(p-1) V(j/(p^r - 1)) for j = 0..p^r - 2, from kubert_v in Fraction."""
+    m = p**r - 1
+    values = [kubert_v(p, QzClass(j, m)) * r * (p - 1) for j in range(m)]
+    assert all(v.denominator == 1 for v in values)
+    return np.array([int(v) for v in values])
+
+
+def row_violated(p, r, pair, criterion, i):
+    """Whether any y at level r violates the criterion on the row x = i/(p^r - 1)."""
+    d, e = pair
+    m, half, V, j = p**r - 1, r * (p - 1), v_numerators(p, r), np.arange(p**r - 1)
+    if criterion == "belyi":
+        s = V[i] + V[j] + V[(j - (d + e) * i) % m] + V[(e * i - j) % m] + V[-e * i % m]
+        return bool((2 * s[1:] < 3 * half).any())
+    s = V[i] + V[j] + V[(-d * i - e * j) % m]
+    return bool((2 * s[j > 0 if i == 0 else j >= 0] < half).any())
+
+
+def belyi_row_cleared(p, r, pair, i, y_floor=1):
+    """The Belyi row bound, with V(y) >= y_floor/(r(p-1)) assumed for y != 0."""
+    d, e = pair
+    m, V = p**r - 1, v_numerators(p, r)
+    return 2 * (V[i] + V[-e * i % m] + V[-d * i % m] + y_floor) >= 3 * r * (p - 1)
+
+
+def binomial_row_cleared(p, r, pair, i, w_drop=0):
+    """The binomial row bound, with V(ey) <= max(w - w_drop, 1) V(y) assumed."""
+    d, e = pair
+    m, V = p**r - 1, v_numerators(p, r)
+    w = max((int(V[e % m]) or 1) - w_drop, 1)
+    return i != 0 and 2 * (w * V[i] + V[-d * i % m]) >= w * r * (p - 1)
+
+
+def scanned_rows(monkeypatch, search, p, pair):
+    """(r, i, cleared) for every row a full sweep hands the level scan, where
+    cleared means the row function offers no y-candidates."""
+    seen, scan = {}, criteria._scan
+
+    def recording(p, max_r, level_rows, stop_early=True):
+        def rows_of(level):
+            seen[level.r] = level_rows(level)
+            return seen[level.r]
+
+        return scan(p, max_r, rows_of, stop_early)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(criteria, "_scan", recording)
+        search(p, pair, max_r=ORACLE_DEPTH[p], stop_early=False)
+    return [
+        (r, i, all(viol is None for _, viol in row_hits(i)))
+        for r, (rows, row_hits) in seen.items()
+        for i in rows.tolist()
+    ]
+
+
+class TestRowBounds:
+    """A row whose lower bound meets the criterion's bound gets no y scan, so
+    each bound must hold exactly: no y on a cleared row may violate."""
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    @pytest.mark.parametrize(
+        "search,cleared", [(belyi_search, belyi_row_cleared), (binomial_search, binomial_row_cleared)]
+    )
+    def test_cleared_rows_hold_no_violation(self, monkeypatch, search, cleared, p):
+        criterion = search.__name__.split("_")[0]
+        n_cleared = 0
+        for pair in ORACLE_PAIRS:
+            if criterion == "belyi" and pair[0] % p == pair[1] % p == 0:
+                continue
+            for r, i, skipped in scanned_rows(monkeypatch, search, p, pair):
+                assert skipped == cleared(p, r, pair, i), (pair, r, i)
+                if skipped:
+                    n_cleared += 1
+                    assert not row_violated(p, r, pair, criterion, i), (pair, r, i)
+        assert n_cleared > 0
+
+    @staticmethod
+    def cleared_violated_rows(criterion, cleared):
+        """Rows of the grid that a bound clears although they hold a violation."""
+        return sum(
+            bool(cleared(p, r, pair, i)) and row_violated(p, r, pair, criterion, i)
+            for p, max_r in ORACLE_DEPTH.items()
+            for pair in ORACLE_PAIRS
+            for r in range(1, max_r + 1)
+            for i in _level_tables(p, r).rows.tolist()
+        )
+
+    def test_belyi_control_is_caught(self):
+        # assuming V(y) >= 2/(r(p-1)) for y != 0 is false, and the oracle sees it
+        def cleared(p, r, pair, i):
+            return belyi_row_cleared(p, r, pair, i, y_floor=2)
+
+        assert self.cleared_violated_rows("belyi", cleared) == 621
+
+    def test_binomial_control_is_caught(self):
+        # w - 1 in place of w (where w > 1) undercounts V(ey), and the oracle sees it
+        def cleared(p, r, pair, i):
+            return binomial_row_cleared(p, r, pair, i, w_drop=1)
+
+        assert self.cleared_violated_rows("binomial", cleared) == 157
+
 
 class TestDefaultMaxR:
     def test_guard_defaults(self):
@@ -330,3 +458,45 @@ class TestDefaultMaxR:
         # 2^40 never finished; 7^8 is 5.76M table entries
         with pytest.raises(ValueError, match="level-table guard"):
             belyi_search(p, (1, 2), max_r=max_r)
+
+
+GOLDEN_PATH = Path(__file__).parent / "data" / "search_golden.json"
+SWEEP_DEPTH = {2: 6, 3: 4, 5: 2, 7: 2, 3271: 1, 9001: 1}  # full sweeps, stop_early=False
+LARGE_PRIME_PAIRS = {3271: [(1, 3269), (3269, 1)], 9001: [(1, 9000), (1, 8999)]}
+
+
+def golden_searches():
+    """as_dict() of every search the golden file pins, in a fixed order: both
+    searches at the default depth and as a full sweep at SWEEP_DEPTH, for
+    d, e <= 12 at p <= 7 and a few pairs at primes with wide digit sums
+    (int16 tables at 3271, int64 at 9001, w up to 8999).  Regenerate with
+    ``PYTHONPATH=src python tests/test_criteria.py`` only when a change is
+    meant to alter search outputs."""
+    cases = [(p, (d, e)) for p in (2, 3, 5, 7) for d in range(1, 13) for e in range(1, 13)]
+    cases += [(p, pair) for p, pairs in LARGE_PRIME_PAIRS.items() for pair in pairs]
+    out = []
+    for p, (d, e) in cases:
+        for search in (belyi_search, binomial_search):
+            if search is belyi_search and d % p == e % p == 0:
+                continue
+            out.append(search(p, (d, e)).as_dict())
+            out.append(search(p, (d, e), max_r=SWEEP_DEPTH[p], stop_early=False).as_dict())
+    return out
+
+
+def test_search_outputs_match_golden(monkeypatch):
+    """Witness, verdict and violations_total of every pinned search are
+    unchanged from the recorded file."""
+    monkeypatch.delenv("MONODROMY_MAX_GRID", raising=False)
+    want = json.loads(GOLDEN_PATH.read_text())
+    got = golden_searches()
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+
+
+if __name__ == "__main__":
+    os.environ.pop("MONODROMY_MAX_GRID", None)
+    GOLDEN_PATH.write_text(
+        "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in golden_searches()) + "\n]\n"
+    )
