@@ -14,14 +14,15 @@ V = digitsum/(r(p-1)) directly on its numerator), so every comparison is an
 integer comparison.  One level scan serves every search and skips rows by
 two exact reductions: V(px) = V(x), so only the least x of each orbit
 under x -> px is scanned, and V(a) + V(b) >= V(a+b), so every criterion is
-at least V(x) and rows with V(x) >= 1/2 cannot violate.  Two row bounds
-then skip the y scan of a row no y can violate (m = p^r - 1):
-
-    Belyi:    V(y-(d+e)x) + V(ex-y) >= V(-dx) and V(y) >= 1/(r(p-1)) for
-              y != 0, so W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1));
-    binomial: V(ey) <= w V(y) with w the base-p digit sum of e mod m (1 if
-              it is 0), as V(py) = V(y) and V is subadditive, so
-              V(y) + V(-dx-ey) >= V(-dx)/w and the row is >= V(x) + V(-dx)/w.
+at least V(x) and rows with V(x) >= 1/2 cannot violate.  The binomial
+search then skips the y scan of a row no y can violate (m = p^r - 1): with
+w the base-p digit sum of e mod m (1 if it is 0), V(ey) <= w V(y), as
+V(py) = V(y) and V is subadditive, so V(y) + V(-dx-ey) >= V(-dx)/w and the
+row is >= V(x) + V(-dx)/w.  The Belyi scan has no row bound, so its cost
+is the same for every pair of one prime; the analogous bound
+W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1)) holds, but would clear from every
+row of (1, 1) to about a third of those of (17, 17) at p = 2 (ROADMAP
+item 6).
 
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:
@@ -349,22 +350,18 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     d, e = pair.d, pair.e
     if d % p == 0 and e % p == 0:
         raise ValueError(f"d={d} and e={e} are both multiples of p={p}")
+    K = d + e
 
     def level_rows(level: _Level):
         r, m, D, DD, EE = level.r, level.m, level.D, level.DD, level.EE
         half = r * (p - 1)  # a V-sum is < 1/2 iff twice its digit sums are < r(p-1)
-        dm, em, K = d % m, e % m, (d + e) % m
 
         def row_hits(i):
             if level.lev[i] == r and 2 * int(D[i] + D[-K * i % m]) < half:
                 yield "belyi-monomial", None
-            const = int(D[i] + D[-em * i % m])
-            # W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1)) on the row, since
-            # V(y-Kx) + V(ex-y) >= V(-dx) and y != 0
-            if 2 * (const + int(D[-dm * i % m]) + 1) >= 3 * half:
-                return
             # W < 3/2 iff D[j] + D[j - Ki] + D[ei - j] < (3*half - 2*const)/2
-            c3, c4 = m - K * i % m, m - em * i % m
+            const = int(D[i] + D[-e * i % m])
+            c3, c4 = m - K * i % m, m - e * i % m
             s = D + DD[c3:c3 + m]
             s += EE[c4:c4 + m]
             viol = s < (3 * half - 2 * const + 1) // 2

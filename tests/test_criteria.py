@@ -329,22 +329,13 @@ def v_numerators(p, r):
     return np.array([int(v) for v in values])
 
 
-def row_violated(p, r, pair, criterion, i):
-    """Whether any y at level r violates the criterion on the row x = i/(p^r - 1)."""
+def binomial_row_violated(p, r, pair, i):
+    """Whether any y at level r has V(x) + V(y) + V(-dx-ey) < 1/2 on the row
+    x = i/(p^r - 1), (x, y) = (0, 0) excluded."""
     d, e = pair
-    m, half, V, j = p**r - 1, r * (p - 1), v_numerators(p, r), np.arange(p**r - 1)
-    if criterion == "belyi":
-        s = V[i] + V[j] + V[(j - (d + e) * i) % m] + V[(e * i - j) % m] + V[-e * i % m]
-        return bool((2 * s[1:] < 3 * half).any())
+    m, V, j = p**r - 1, v_numerators(p, r), np.arange(p**r - 1)
     s = V[i] + V[j] + V[(-d * i - e * j) % m]
-    return bool((2 * s[j > 0 if i == 0 else j >= 0] < half).any())
-
-
-def belyi_row_cleared(p, r, pair, i, y_floor=1):
-    """The Belyi row bound, with V(y) >= y_floor/(r(p-1)) assumed for y != 0."""
-    d, e = pair
-    m, V = p**r - 1, v_numerators(p, r)
-    return 2 * (V[i] + V[-e * i % m] + V[-d * i % m] + y_floor) >= 3 * r * (p - 1)
+    return bool((2 * s[j > 0 if i == 0 else j >= 0] < r * (p - 1)).any())
 
 
 def binomial_row_cleared(p, r, pair, i, w_drop=0):
@@ -378,50 +369,39 @@ def scanned_rows(monkeypatch, search, p, pair):
 
 
 class TestRowBounds:
-    """A row whose lower bound meets the criterion's bound gets no y scan, so
-    each bound must hold exactly: no y on a cleared row may violate."""
+    """A binomial row whose lower bound meets 1/2 gets no y scan, so the
+    bound must hold exactly: no y on a cleared row may violate."""
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
-    @pytest.mark.parametrize(
-        "search,cleared", [(belyi_search, belyi_row_cleared), (binomial_search, binomial_row_cleared)]
-    )
-    def test_cleared_rows_hold_no_violation(self, monkeypatch, search, cleared, p):
-        criterion = search.__name__.split("_")[0]
+    def test_cleared_rows_hold_no_violation(self, monkeypatch, p):
         n_cleared = 0
         for pair in ORACLE_PAIRS:
-            if criterion == "belyi" and pair[0] % p == pair[1] % p == 0:
-                continue
-            for r, i, skipped in scanned_rows(monkeypatch, search, p, pair):
-                assert skipped == cleared(p, r, pair, i), (pair, r, i)
+            for r, i, skipped in scanned_rows(monkeypatch, binomial_search, p, pair):
+                assert skipped == binomial_row_cleared(p, r, pair, i), (pair, r, i)
                 if skipped:
                     n_cleared += 1
-                    assert not row_violated(p, r, pair, criterion, i), (pair, r, i)
+                    assert not binomial_row_violated(p, r, pair, i), (pair, r, i)
         assert n_cleared > 0
 
-    @staticmethod
-    def cleared_violated_rows(criterion, cleared):
-        """Rows of the grid that a bound clears although they hold a violation."""
-        return sum(
-            bool(cleared(p, r, pair, i)) and row_violated(p, r, pair, criterion, i)
+    def test_control_is_caught(self):
+        # w - 1 in place of w (where w > 1) undercounts V(ey), and the oracle sees it
+        caught = sum(
+            bool(binomial_row_cleared(p, r, pair, i, w_drop=1))
+            and binomial_row_violated(p, r, pair, i)
             for p, max_r in ORACLE_DEPTH.items()
             for pair in ORACLE_PAIRS
             for r in range(1, max_r + 1)
             for i in _level_tables(p, r).rows.tolist()
         )
+        assert caught == 157
 
-    def test_belyi_control_is_caught(self):
-        # assuming V(y) >= 2/(r(p-1)) for y != 0 is false, and the oracle sees it
-        def cleared(p, r, pair, i):
-            return belyi_row_cleared(p, r, pair, i, y_floor=2)
-
-        assert self.cleared_violated_rows("belyi", cleared) == 621
-
-    def test_binomial_control_is_caught(self):
-        # w - 1 in place of w (where w > 1) undercounts V(ey), and the oracle sees it
-        def cleared(p, r, pair, i):
-            return binomial_row_cleared(p, r, pair, i, w_drop=1)
-
-        assert self.cleared_violated_rows("binomial", cleared) == 157
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_belyi_scans_every_row(self, monkeypatch, p):
+        # no Belyi row bound: every row gets its y scan, whatever the pair,
+        # so a search costs the same for every pair of one prime
+        for pair in [(1, 1), (1, 3), (11, 11), (1, 12)]:
+            rows = scanned_rows(monkeypatch, belyi_search, p, pair)
+            assert rows and not any(cleared for _, _, cleared in rows), pair
 
 
 class TestDefaultMaxR:
