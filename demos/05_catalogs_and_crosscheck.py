@@ -8,7 +8,7 @@ final list must be killed by a search violation.
 """
 
 from monodromy import classify_binomial, classify_pair, enumerate_family, fm_pair_scan
-from monodromy.catalog import _canonical, candidate_union, crosscheck, family_ids
+from monodromy.catalog import _canonical, candidate_union, crosscheck
 
 print("Some family enumerations (bound 60):")
 for theorem, item, p in [("final", 3, 2), ("final", 13, 3), ("candidates", 4, 2), ("candidates", 37, 7)]:

@@ -68,7 +68,7 @@ THEOREMS = (CANDIDATES, FINAL, BINOMIAL)
 class FamilyId:
     theorem: str
     index: int
-    p_constraint: str = ""
+    p_constraint: str
 
 
 @dataclass(frozen=True)
@@ -318,10 +318,11 @@ def _families(theorem: str) -> tuple[_Family, ...]:
     return _REGISTRY[theorem]
 
 
-def family_ids(theorem: str, p: int | None = None) -> list[FamilyId]:
-    """All items of a theorem's list, optionally restricted to those for p."""
+def family_ids(theorem: str, p: int) -> list[FamilyId]:
+    """The items of a theorem's list that apply to p, by item number."""
+    p = _as_prime_int(p)
     return [FamilyId(theorem, fam.index, fam.constraint) for fam in _families(theorem)
-            if p is None or fam.p_ok(_as_prime_int(p))]
+            if fam.p_ok(p)]
 
 
 def _rows(fam: _Family, p: int, bound: int) -> dict[tuple[int, int], tuple]:
@@ -449,7 +450,7 @@ def final_union(p: int, bound: int) -> set[tuple[int, int]]:
     return _union(FINAL, p, bound)
 
 
-def quotient_lemma_oracle(p: int, max_exp: int, case: int | None = None):
+def quotient_lemma_oracle(p: int, max_exp: int, case: int) -> list[tuple[int, ...]]:
     """Brute-force all solutions of the quotient equations, exponents <= max_exp.
 
     Cases (tuples are (m, n, a, b, c, d) for 1-3 and (m, n, a, c, d) for 4-5,
@@ -462,13 +463,11 @@ def quotient_lemma_oracle(p: int, max_exp: int, case: int | None = None):
         4:  p^m (p^a+1)         == p^n (p^c+1)/(p^d+1)
         5:  p^m (p^a+1)         == p^n (p^c-1)/(p^d+1)
 
-    Returns the list for one case, or a {case: list} dict when case is None.
+    Returns the sorted solution tuples of the one case asked for.
     """
     p = _as_prime_int(p)
     if max_exp < 1:
         raise ValueError("max_exp must be >= 1")
-    if case is None:
-        return {c: quotient_lemma_oracle(p, max_exp, c) for c in (1, 2, 3, 4, 5)}
     if case not in (1, 2, 3, 4, 5):
         raise ValueError("case must be 1..5")
     exps = range(1 if p == 2 else 0, max_exp + 1)

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .criteria import (
     BELYI_PAIR_BOUND,
     belyi_search,
     binomial_search,
-    default_max_r,
     verify_witness_table,
     w_value,
 )
@@ -116,6 +116,13 @@ def _witness_rows(raw) -> list[tuple]:
                 for cell, kind in zip(row, _WITNESS_CELLS))):
             raise ValueError(f"--table row {i}: want [int p, d, e, str x, y, expected"
                              f"(, int item)], got {json.dumps(row)}")
+        try:  # parsed as verify_witness_table parses them, so "1/0" is a usage error
+            QzClass.parse(row[3])
+            QzClass.parse(row[4])
+            Fraction(row[5])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"--table row {i}: x, y and expected must be fractions, "
+                             f"got {json.dumps(row)} ({exc})") from None
         rows.append(tuple(row) + (0,) * (7 - len(row)))
     return rows
 

@@ -39,7 +39,6 @@ a proof of finiteness.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -70,8 +69,7 @@ BELYI_PAIR_BOUND = Fraction(3, 2)
 MONOMIAL_BOUND = Fraction(1, 2)
 BINOMIAL_BOUND = Fraction(1, 2)
 
-DEFAULT_GRID_LIMIT = 10**8
-GRID_ENV_VAR = "MONODROMY_MAX_GRID"
+DEFAULT_GRID_LIMIT = 10**8  # (x, y) grid points at the default depth, (p^r - 1)^2
 LEVEL_TABLE_GUARD = 2**20  # entries in the deepest level's tables, p^max_r
 
 
@@ -85,9 +83,6 @@ class ExponentPair:
     def __post_init__(self) -> None:
         if self.d < 1 or self.e < 1:
             raise ValueError("exponents must be positive")
-
-    def reversed(self) -> "ExponentPair":
-        return ExponentPair(self.e, self.d)
 
     def __iter__(self):
         return iter((self.d, self.e))
@@ -204,25 +199,12 @@ def binomial_check(p: int, pair, x, y) -> Fraction:
     )
 
 
-def default_max_r(p: int, grid_limit: int | None = None) -> int:
-    """Largest r with (p^r - 1)^2 within the search cost guard.
-
-    The guard defaults to 10^8 grid points and may be overridden with the
-    MONODROMY_MAX_GRID environment variable (p=2 -> r<=13, p=3 -> r<=8,
-    p=5 -> r<=5, p=7 -> r<=4 at the default).  A limit that is not a
-    positive integer raises ValueError; below (p^2 - 1)^2 the depth is 1.
-    """
+def default_max_r(p: int) -> int:
+    """Largest r >= 1 with (p^r - 1)^2 <= 10^8 grid points: 13, 8, 5, 4 for
+    p = 2, 3, 5, 7, and 1 once (p^2 - 1)^2 passes 10^8.  A function of p alone."""
     p = _as_prime_int(p)
-    if grid_limit is None:
-        text = os.environ.get(GRID_ENV_VAR, str(DEFAULT_GRID_LIMIT))
-        try:
-            grid_limit = int(text)
-        except ValueError:
-            raise ValueError(f"{GRID_ENV_VAR}={text!r} is not an integer") from None
-    if grid_limit < 1:
-        raise ValueError(f"the grid limit ({GRID_ENV_VAR}) must be >= 1, not {grid_limit}")
     r = 1
-    while (p ** (r + 1) - 1) ** 2 <= grid_limit:
+    while (p ** (r + 1) - 1) ** 2 <= DEFAULT_GRID_LIMIT:
         r += 1
     return r
 

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: outputs, determinism, exit codes."""
 
 import json
+import shlex
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from monodromy.charsums import FIELD_SIZE_GUARD
 from monodromy.cli import main
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run(capsys, argv):
@@ -36,6 +38,11 @@ class TestVp:
 
     def test_bad_denominator_exits_2(self, capsys):
         assert main(["vp", "2", "1/6"]) == 2
+
+    def test_prime_past_trial_division(self, capsys):
+        # 2^61 - 1 would take ~10^9 trial divisions; p = 1 mod 3 gives V(1/3) = 1/3
+        code, lines = run(capsys, ["vp", str(2**61 - 1), "1/3"])
+        assert code == 0 and lines[-1]["result"]["v"] == "1/3"
 
 
 class TestW:
@@ -85,11 +92,6 @@ class TestSearches:
 
     def test_belyi_rejects_double_multiple(self, capsys):
         assert main(["belyi", "--p", "2", "--d", "2", "--e", "4", "--max-r", "3"]) == 2
-
-    def test_env_grid_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("MONODROMY_MAX_GRID", "100")
-        code, lines = run(capsys, ["belyi", "--p", "2", "--d", "3", "--e", "3"])
-        assert lines[-1]["inputs"]["max_r"] == 3
 
 
 class TestVerifyWitnesses:
@@ -257,6 +259,9 @@ class TestErrorBoundary:
             ["w", "2", "1", "1", "0", "1/7"],
             ["crosscheck", "--p", "2", "--max", "3", "--max-r", "40", "--skip-members"],
             ["crosscheck", "--p", "2", "--max", "3", "--max-r", "0", "--skip-members"],
+            ["verify-witnesses", "--table", str(DATA / "witness_table_zero_den_expected.json")],
+            ["verify-witnesses", "--table", str(DATA / "witness_table_zero_den_x.json")],
+            ["vp", str(2**89 - 1), "1/3"],  # a prime past the primality test's bound
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):
@@ -265,11 +270,23 @@ class TestErrorBoundary:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
-    @pytest.mark.parametrize("value", ["0", "1e9"])
-    def test_bad_grid_env_exits_2_naming_it(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("MONODROMY_MAX_GRID", value)
-        assert main(["belyi", "--p", "7", "--d", "2", "--e", "2"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
-        assert "MONODROMY_MAX_GRID" in captured.err
+
+def readme_cli_examples() -> list[list[str]]:
+    """The argv of every `monodromy ...` line in README's CLI block."""
+    block = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    block = block.split("```bash", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("monodromy ")]
+
+
+def test_readme_cli_block_shows_every_command():
+    assert len({argv[0] for argv in readme_cli_examples()}) == 10
+
+
+@pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, argv):
+    """The README's CLI examples run as written and exit 0."""
+    monkeypatch.chdir(tmp_path)  # dump-catalog writes into the working directory
+    code, lines = run(capsys, argv)
+    assert code == 0
+    assert lines[-1]["command"] == argv[0]

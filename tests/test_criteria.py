@@ -1,7 +1,6 @@
 """Tests for the W functional, the inequality checks, and the searches."""
 
 import json
-import os
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -10,6 +9,7 @@ import numpy as np
 import pytest
 
 from monodromy import criteria
+from monodromy.cli import main
 from monodromy.criteria import (
     WITNESS_TABLE,
     ExponentPair,
@@ -411,27 +411,25 @@ class TestDefaultMaxR:
         assert default_max_r(5) == 5
         assert default_max_r(7) == 4
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("MONODROMY_MAX_GRID", "100")
-        assert default_max_r(2) == 3
-
-    def test_explicit_limit(self):
-        assert default_max_r(2, grid_limit=(2**16 - 1) ** 2) == 16
-
-    @pytest.mark.parametrize("value", ["0", "-5", "1e9", "", "ten"])
-    def test_bad_env_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("MONODROMY_MAX_GRID", value)
-        with pytest.raises(ValueError, match="MONODROMY_MAX_GRID"):
-            default_max_r(7)
-
-    @pytest.mark.parametrize("limit", [0, -1])
-    def test_bad_explicit_limit_rejected(self, limit):
-        with pytest.raises(ValueError, match="MONODROMY_MAX_GRID"):
-            default_max_r(7, grid_limit=limit)
-
     def test_small_positive_limit_keeps_depth_1(self):
-        assert default_max_r(7, grid_limit=1) == 1
-        assert default_max_r(16411, grid_limit=10**8) == 1
+        assert default_max_r(16411) == 1
+
+    @pytest.mark.parametrize("value", ["100", "0", "-5", "1e9", "", "ten"])
+    def test_environment_does_not_set_depth(self, capsys, monkeypatch, value):
+        # a search is a function of its arguments: no variable changes its depth
+        monkeypatch.setenv("MONODROMY_MAX_GRID", value)
+        assert default_max_r(2) == 13
+        assert main(["belyi", "--p", "2", "--d", "3", "--e", "3"]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["inputs"]["max_r"] == summary["result"]["max_r"] == 13
+
+    def test_no_environment_reads_in_package(self):
+        package = Path(criteria.__file__).parent
+        sources = {path.name: path.read_bytes() for path in package.rglob("*")
+                   if path.is_file() and "__pycache__" not in path.parts}
+        assert "criteria.py" in sources
+        assert [name for name, text in sources.items()
+                if b"environ" in text or b"getenv" in text] == []
 
     @pytest.mark.parametrize("p,max_r", [(2, 40), (7, 8)])
     def test_explicit_depth_past_level_table_guard_rejected(self, p, max_r):
@@ -464,10 +462,9 @@ def golden_searches():
     return out
 
 
-def test_search_outputs_match_golden(monkeypatch):
+def test_search_outputs_match_golden():
     """Witness, verdict and violations_total of every pinned search are
     unchanged from the recorded file."""
-    monkeypatch.delenv("MONODROMY_MAX_GRID", raising=False)
     want = json.loads(GOLDEN_PATH.read_text())
     got = golden_searches()
     assert len(got) == len(want)
@@ -476,7 +473,6 @@ def test_search_outputs_match_golden(monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("MONODROMY_MAX_GRID", None)
     GOLDEN_PATH.write_text(
         "[\n" + ",\n".join(json.dumps(r, sort_keys=True) for r in golden_searches()) + "\n]\n"
     )

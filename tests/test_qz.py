@@ -44,6 +44,29 @@ class TestPrime:
     def test_is_prime(self):
         assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
+    def test_is_prime_matches_sieve(self):
+        # past 41^2 the Miller-Rabin path decides; compare both paths to a sieve
+        n = 20_000
+        sieve = bytearray([1]) * n
+        sieve[:2] = b"\0\0"
+        for q in range(2, math.isqrt(n) + 1):
+            if sieve[q]:
+                sieve[q * q::q] = bytearray(len(range(q * q, n, q)))
+        assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+
+    @pytest.mark.parametrize("n", [3215031751, 3825123056546413051])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        # strong probable primes to the bases 2..7 and 2..23 respectively
+        assert not is_prime(n)
+
+    def test_large_primes(self):
+        assert is_prime(2**61 - 1) and is_prime(10**15 + 37)
+        assert not is_prime((10**9 + 7) * (10**9 + 9))
+
+    def test_past_primality_bound_rejected(self):
+        with pytest.raises(ValueError, match="primality bound"):
+            Prime(2**89 - 1)
+
 
 class TestQzClass:
     def test_normalization(self):
