@@ -90,6 +90,14 @@ class TestSearches:
         assert code == 0
         assert lines[-1]["result"]["e"] == 2**64 + 1
 
+    @pytest.mark.parametrize("value", ["100", "0", "-5", "1e9", "", "ten"])
+    def test_environment_does_not_set_max_r(self, capsys, monkeypatch, value):
+        # the depth reaches a search only as --max-r or the fixed default
+        monkeypatch.setenv("MONODROMY_MAX_GRID", value)
+        code, lines = run(capsys, ["belyi", "--p", "2", "--d", "3", "--e", "3"])
+        assert code == 0
+        assert lines[-1]["inputs"]["max_r"] == lines[-1]["result"]["max_r"] == 13
+
     def test_belyi_rejects_double_multiple(self, capsys):
         assert main(["belyi", "--p", "2", "--d", "2", "--e", "4", "--max-r", "3"]) == 2
 

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from monodromy import criteria
-from monodromy.cli import main
 from monodromy.criteria import (
     WITNESS_TABLE,
     ExponentPair,
@@ -415,13 +414,11 @@ class TestDefaultMaxR:
         assert default_max_r(16411) == 1
 
     @pytest.mark.parametrize("value", ["100", "0", "-5", "1e9", "", "ten"])
-    def test_environment_does_not_set_depth(self, capsys, monkeypatch, value):
+    def test_environment_does_not_set_depth(self, monkeypatch, value):
         # a search is a function of its arguments: no variable changes its depth
+        # (the CLI side is TestSearches::test_environment_does_not_set_max_r)
         monkeypatch.setenv("MONODROMY_MAX_GRID", value)
         assert default_max_r(2) == 13
-        assert main(["belyi", "--p", "2", "--d", "3", "--e", "3"]) == 0
-        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert summary["inputs"]["max_r"] == summary["result"]["max_r"] == 13
 
     def test_no_environment_reads_in_package(self):
         package = Path(criteria.__file__).parent
