@@ -16,10 +16,14 @@ r x r matrix over F_p acting on digit rows, and rows [n, 2n) are rows [0, n)
 times its n-th power, so about log2(q) numpy matmuls build it.  ``log`` is
 one scatter of it, and ``trace`` the digit rows times the traces of the basis
 monomials, each the matrix trace of a power of the modulus' companion
-matrix.  The tables are stored as tuples of Python ints.  Caches are
-bounded: ``build_field`` keeps the 32 most recent fields, and the O(q)
-tables derived from a field (character values, psi by discrete log,
-log(1 - g^k)) are cached on the field itself, so they are freed with it.
+matrix.  The tables are stored as read-only numpy arrays, which every sum
+reads directly; ``exp``, ``log`` and ``trace`` are tuple-of-int views of
+them, built on first use.  Two fields are equal, and hash alike, when their
+presentations (p, r, q, modulus, generator) are, since those determine the
+tables.  Caches are bounded: ``build_field`` keeps the 32 most recent
+fields, and the O(q) tables derived from a field (character values, psi by
+discrete log, log(1 - g^k)) are cached on the field itself, so they are
+freed with it.
 
 The Mellin and switch checks build their tables per call and keep none.
 ``mellin_suite`` makes one character table R[a, k] = chi_a(g^k), and it
@@ -34,8 +38,10 @@ Jacobi sums hold for the unsigned sum, available as ``gauss_sum_raw``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import starmap
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +50,6 @@ from .qz import _as_prime_int
 __all__ = [
     "FieldPresentation",
     "MellinRow",
-    "additive_char",
     "build_field",
     "exp_sum",
     "gauss_sum",
@@ -54,8 +59,6 @@ __all__ = [
     "mellin_closed_form",
     "mellin_suite",
     "mellin_sum",
-    "mellin_sum_naive",
-    "mult_char",
     "switchsum_check",
     "switchsum_exhaustive",
 ]
@@ -144,7 +147,8 @@ class FieldPresentation:
 
     ``exp[k]`` is generator^k for 0 <= k < q-1 and ``log[t]`` inverts it on
     the units (log[0] is -1 and must not be used).  ``trace[t]`` is the
-    absolute trace into F_p.
+    absolute trace into F_p.  The private ``_exp``, ``_log`` and ``_trace``
+    are the same tables as read-only arrays.
     """
 
     p: int
@@ -152,9 +156,21 @@ class FieldPresentation:
     q: int
     modulus: tuple[int, ...]
     generator: int
-    exp: tuple[int, ...]
-    log: tuple[int, ...]
-    trace: tuple[int, ...]
+    _exp: np.ndarray = field(compare=False, repr=False)
+    _log: np.ndarray = field(compare=False, repr=False)
+    _trace: np.ndarray = field(compare=False, repr=False)
+
+    @cached_property
+    def exp(self) -> tuple[int, ...]:
+        return tuple(self._exp.tolist())
+
+    @cached_property
+    def log(self) -> tuple[int, ...]:
+        return tuple(self._log.tolist())
+
+    @cached_property
+    def trace(self) -> tuple[int, ...]:
+        return tuple(self._trace.tolist())
 
     # -- element arithmetic ------------------------------------------------
     def coeffs(self, t: int) -> tuple[int, ...]:
@@ -201,8 +217,8 @@ class FieldPresentation:
         return range(1, self.q)
 
     # -- characters ----------------------------------------------------------
-    # Derived tables are cached on the instance: they are freed with the
-    # field, and a lookup never hashes the field's O(q) tables.
+    # Derived tables are cached on the instance, so they are freed with the
+    # field.
     def psi(self, t: int) -> complex:
         return self._psi_table[t]
 
@@ -212,7 +228,7 @@ class FieldPresentation:
             roots = np.array([1.0 + 0j, -1.0 + 0j])
         else:
             roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        return roots[np.array(self.trace)]
+        return roots[self._trace]
 
     @cached_property
     def _unit_roots(self) -> np.ndarray:
@@ -222,7 +238,7 @@ class FieldPresentation:
     @cached_property
     def _psi_by_log(self) -> np.ndarray:
         """psi(generator^k) indexed by k."""
-        return self._psi_table[np.array(self.exp)]
+        return self._psi_table[self._exp]
 
     @cached_property
     def _log_one_minus(self) -> np.ndarray:
@@ -232,8 +248,8 @@ class FieldPresentation:
         changes only the constant base-p digit.
         """
         p = self.p
-        t = np.roll(np.array(self.exp), -((self.q - 1) // 2 if p > 2 else 0))
-        return np.array(self.log)[t - t % p + (t + 1) % p]
+        t = np.roll(self._exp, -((self.q - 1) // 2 if p > 2 else 0))
+        return self._log[t - t % p + (t + 1) % p]
 
     def as_json_dict(self) -> dict:
         return {
@@ -286,13 +302,13 @@ def build_field(p: int, r: int) -> FieldPresentation:
             n >>= 1
         return out
 
-    generator = None
-    for g in range(1, q):
-        gp = poly_of(g)
-        if all(raw_pow(gp, m // f) != [1] for f in prime_factors):
-            generator = g
-            break
-    assert generator is not None
+    def is_one(g: int, n: int) -> bool:
+        """Whether g^n = 1; by integer pow when r = 1, where the modulus is x
+        and elements are residues mod p."""
+        return pow(g, n, p) == 1 if r == 1 else raw_pow(poly_of(g), n) == [1]
+
+    generator = next(g for g in range(1, q)
+                     if not any(is_one(g, m // f) for f in prime_factors))
 
     # Row i of ``step`` holds the digits of x^i * generator, so row k of
     # ``digits`` (generator^k) times step^n is row k + n.  Matmul entries
@@ -328,33 +344,15 @@ def build_field(p: int, r: int) -> FieldPresentation:
 
     trace = np.zeros(q, dtype=np.int64)
     trace[exp] = digits @ np.array(tr_basis, dtype=dtype) % p
-    del digits  # the largest array here; drop it before the tuples are made
+    for table in (exp, log, trace):
+        table.flags.writeable = False
 
-    return FieldPresentation(
-        p=p, r=r, q=q,
-        modulus=tuple(modulus),
-        generator=generator,
-        exp=tuple(exp.tolist()),
-        log=tuple(log.tolist()),
-        trace=tuple(trace.tolist()),
-    )
+    return FieldPresentation(p=p, r=r, q=q, modulus=tuple(modulus), generator=generator,
+                             _exp=exp, _log=log, _trace=trace)
 
 
 # ---------------------------------------------------------------------------
 # characters and sums
-
-def additive_char(F: FieldPresentation, t: int) -> complex:
-    """psi(t) = exp(2*pi*i * Tr(t) / p); exactly +-1 when p = 2."""
-    return complex(F.psi(t))
-
-
-def mult_char(F: FieldPresentation, a: int, t: int) -> complex:
-    """chi_a(t) = exp(2*pi*i * a*log(t) / (q-1)) for a unit t; rejects t = 0."""
-    if t == 0:
-        raise ValueError("multiplicative characters are defined on units; t=0 rejected")
-    a %= F.q - 1
-    return complex(F._unit_roots[(a * F.log[t]) % (F.q - 1)])
-
 
 def _chi_vector(F: FieldPresentation, a: int) -> np.ndarray:
     """chi_a(generator^k) for k = 0..q-2."""
@@ -417,10 +415,16 @@ def exp_sum(F: FieldPresentation, f_coeffs, s: int, t: int) -> complex:
 
 
 def belyi_values(F: FieldPresentation, d: int, e: int) -> np.ndarray:
-    """f(x) = x^d (x-1)^e evaluated on all of F (element encodings)."""
-    out = np.zeros(F.q, dtype=np.int64)
-    for x in F.elements:
-        out[x] = F.mul(F.power(x, d), F.power(F.sub(x, 1), e))
+    """f(x) = x^d (x-1)^e evaluated on all of F (element encodings), for
+    d, e >= 0: g^(d log x + e log(x-1)), and 0 where a zero base has a
+    positive exponent.  x - 1 differs from x only in the constant base-p
+    digit, and log 0 = -1 drops out of a zero exponent.  The exponents are
+    reduced mod q - 1 first, so the int64 products cannot overflow."""
+    m = F.q - 1
+    x = np.arange(F.q)
+    out = F._exp[(d % m * F._log + e % m * F._log[x - x % F.p + (x - 1) % F.p]) % m]
+    out[0] *= d == 0
+    out[1] *= e == 0
     return out
 
 
@@ -441,7 +445,7 @@ def _linear_sums(F: FieldPresentation, R: np.ndarray) -> np.ndarray:
     m = F.q - 1
     psi_prod = np.empty((m, F.q), dtype=complex)  # psi(g^k * v) as [k, v]
     psi_prod[:, 0] = F.psi(0)
-    psi_prod[:, 1:] = F._psi_by_log[(np.arange(m)[:, None] + np.array(F.log[1:])) % m]
+    psi_prod[:, 1:] = F._psi_by_log[(np.arange(m)[:, None] + F._log[1:]) % m]
     return R @ psi_prod
 
 
@@ -456,20 +460,6 @@ def mellin_sum(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> complex:
     T_chi, T_eta = _linear_sums(F, _char_table(F, [a_chi, a_eta]))
     fvals = belyi_values(F, d, e)
     return complex(np.sum(T_chi[fvals] * T_eta))
-
-
-def mellin_sum_naive(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> complex:
-    """The same triple sum with no regrouping at all (tiny-q test oracle)."""
-    d, e = pair
-    total = 0j
-    for s in F.units():
-        for t in F.units():
-            inner = 0j
-            for x in F.elements:
-                fx = F.mul(F.power(x, d), F.power(F.sub(x, 1), e))
-                inner += F.psi(F.add(F.mul(s, fx), F.mul(t, x)))
-            total += mult_char(F, a_chi, s) * mult_char(F, a_eta, t) * inner
-    return total
 
 
 def _closed_forms(F: FieldPresentation, pair, R: np.ndarray) -> np.ndarray:
@@ -490,7 +480,7 @@ def _closed_forms(F: FieldPresentation, pair, R: np.ndarray) -> np.ndarray:
     J = R @ C.T  # J(chi_a1, chi_a2) as [a1, a2]
     a = np.arange(m)[:, None]
     b = np.arange(m)
-    chibar_neg1_e = F._unit_roots[(-a * F.log[F.neg(1)] * e) % m]
+    chibar_neg1_e = F._unit_roots[(-a * F._log[F.neg(1)] * e) % m]
     G_eta = np.where(b == 0, -1, G)  # eta trivial: -G(chi) in place of G(chi) G(eta)
     out = G[:, None] * G_eta * chibar_neg1_e * J[(-d * a - b) % m, (-e * a) % m]
     out[0] = q * G
@@ -513,22 +503,18 @@ def mellin_closed_form(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> tu
     return complex(_closed_forms(F, pair, _char_table(F, range(m)))[a, b]), _case(a, b)
 
 
-@dataclass(frozen=True)
-class MellinRow:
+class MellinRow(NamedTuple):
+    """One character pair of ``mellin_suite``: which closed-form case it
+    falls in, S(chi_a_chi, chi_a_eta) by summation and by the closed form,
+    |computed - expected|, and that over max(|expected|, 1)."""
+
     a_chi: int
     a_eta: int
     case: str
     computed: complex
     expected: complex
-
-    @property
-    def abs_error(self) -> float:
-        return abs(self.computed - self.expected)
-
-    @property
-    def rel_error(self) -> float:
-        scale = max(abs(self.expected), 1.0)
-        return self.abs_error / scale
+    abs_error: float
+    rel_error: float
 
 
 def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
@@ -537,19 +523,23 @@ def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
     One character table R[a, k] = chi_a(g^k), built per call, serves both
     sides: the full S-matrix, by the same per-x regrouping as ``mellin_sum``
     batched over all characters, and the Gauss vector G and Jacobi table J
-    that the closed forms are assembled from.
+    that the closed forms are assembled from.  The errors are taken as arrays
+    too, and each row is read off the raveled tables.
     """
     d, e = pair
     m = F.q - 1
     R = _char_table(F, range(m))
     A = _linear_sums(F, R)  # T_a(v) as [a, v]
-    S = (A[:, belyi_values(F, d, e)] @ A.T).tolist()  # S[a_chi][a_eta]
-    expected = _closed_forms(F, pair, R).tolist()
-    return [
-        MellinRow(a, b, _case(a, b), S[a][b], expected[a][b])
-        for a in range(m)
-        for b in range(m)
-    ]
+    S = A[:, belyi_values(F, d, e)] @ A.T  # S[a_chi, a_eta]
+    expected = _closed_forms(F, pair, R)
+    # np.hypot rounds as Python's abs(complex) does; np.abs need not
+    diff = S - expected
+    abs_error = np.hypot(diff.real, diff.imag)
+    rel_error = abs_error / np.maximum(np.hypot(expected.real, expected.imag), 1.0)
+    a, b = (v.tolist() for v in np.divmod(np.arange(m * m), m))
+    return list(starmap(MellinRow, zip(
+        a, b, map(_case, a, b),
+        *(v.ravel().tolist() for v in (S, expected, abs_error, rel_error)))))
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +553,9 @@ def _switchsum_sides(F: FieldPresentation):
     if F.p != 2:
         raise ValueError("switchsum is a characteristic-2 identity")
     m = F.q - 1
-    exp, log = np.array(F.exp), np.array(F.log)
+    exp, log = F._exp, F._log
     unit = log >= 0
-    psi = 1 - 2 * np.array(F.trace)  # psi as +-1 integers
+    psi = 1 - 2 * F._trace  # psi as +-1 integers
 
     def times(t: int) -> np.ndarray:
         """t * x for every x in F."""

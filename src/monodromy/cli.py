@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
@@ -43,7 +44,7 @@ from .criteria import (
     verify_witness_table,
     w_value,
 )
-from .qz import QzClass, is_prime, kubert_v
+from .qz import QzClass, kubert_v
 
 MELLIN_QS = (4, 8, 9, 16, 25, 27, 32, 49, 64)
 MELLIN_PAIRS = ((2, 2), (3, 2), (5, 3), (4, 3))
@@ -193,14 +194,19 @@ def cmd_crosscheck(args) -> tuple[dict, dict]:
 
 
 def _prime_powers_upto(limit: int) -> list[tuple[int, int]]:
+    """(p, r) for every prime power p^r <= limit, ordered by q, then p."""
+    limit = max(limit, 1)
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for n in range(2, math.isqrt(limit) + 1):
+        if sieve[n]:
+            sieve[n * n::n] = False
     out = []
-    for p in range(2, limit + 1):
-        if not is_prime(p):
-            continue
-        r = 1
-        while p**r <= limit:
+    for p in np.flatnonzero(sieve).tolist():
+        q, r = p, 1
+        while q <= limit:
             out.append((p, r))
-            r += 1
+            q, r = q * p, r + 1
     return sorted(out, key=lambda pr: (pr[0] ** pr[1], pr[0]))
 
 

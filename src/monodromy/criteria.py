@@ -22,7 +22,7 @@ row is >= V(x) + V(-dx)/w.  The Belyi scan has no row bound, so its cost
 is the same for every pair of one prime; the analogous bound
 W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1)) holds, but would clear from every
 row of (1, 1) to about a third of those of (17, 17) at p = 2 (ROADMAP
-item 6).
+item 8).
 
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:

@@ -15,7 +15,6 @@ from monodromy.charsums import (
     _poly_mulmod,
     _poly_trim,
     _switchsum_sides,
-    additive_char,
     belyi_values,
     build_field,
     exp_sum,
@@ -26,13 +25,13 @@ from monodromy.charsums import (
     mellin_closed_form,
     mellin_suite,
     mellin_sum,
-    mellin_sum_naive,
-    mult_char,
     switchsum_check,
     switchsum_exhaustive,
 )
 from monodromy.cli import MELLIN_PAIRS, MELLIN_QS
 from monodromy.qz import is_prime
+
+from charsum_oracles import additive_char, mellin_sum_naive, mult_char
 
 ABS_TOL = 1e-9
 ORTHO_TOL = 1e-12
@@ -151,6 +150,26 @@ class TestBuildField:
         gc.collect()
         assert build_field.cache_info().currsize <= 32
         assert evicted() is None
+
+    def test_tables_are_read_only(self):
+        F = build_field(3, 2)
+        for table in (F._exp, F._log, F._trace):
+            with pytest.raises(ValueError):
+                table[1] = 0
+
+    def test_equality_and_hash_come_from_the_presentation(self):
+        build_field.cache_clear()
+        F = build_field(2, 6)
+        gauss_sums_all(F)
+        mellin_suite(F, (3, 2))
+        switchsum_check(F, 3, 5)
+        build_field.cache_clear()
+        G = build_field(2, 6)
+        assert G is not F and G == F and hash(G) == hash(F)
+        assert G != build_field(2, 5)
+        # neither the sums nor == and hash build the tuple views
+        for field in (F, G):
+            assert not {"exp", "log", "trace"} & field.__dict__.keys()
 
     def test_trace_additive_and_surjective(self):
         for F in small_fields():
@@ -346,6 +365,15 @@ class TestExpSum:
                         assert abs(abs(base) - abs(shifted)) < 1e-9
 
 
+@pytest.mark.parametrize("p,r", [(p, r) for p in (2, 3, 5, 7) for r in range(1, 7) if p**r <= 64])
+def test_belyi_values_match_per_element(p, r):
+    F = build_field(p, r)
+    for d in range(9):
+        for e in range(9):
+            want = [F.mul(F.power(x, d), F.power(F.sub(x, 1), e)) for x in F.elements]
+            assert belyi_values(F, d, e).tolist() == want, (d, e)
+
+
 class TestMellin:
     @pytest.mark.parametrize("p,r", [(2, 2), (3, 1), (2, 3), (3, 2)])
     def test_regrouped_matches_naive(self, p, r):
@@ -410,6 +438,18 @@ class TestMellin:
             for row in mellin_suite(F, (3, 2)):
                 got = mellin_closed_form(F, (3, 2), row.a_chi, row.a_eta)
                 assert got == (row.expected, row.case)
+
+
+@pytest.mark.parametrize("q", MELLIN_QS)
+def test_mellin_row_errors_match_python_abs(q):
+    """abs_error and rel_error are the Python abs of each row's difference,
+    bit for bit, so worst_rel_err reads as it did per row."""
+    F = _mellin_field(q)
+    for pair in MELLIN_PAIRS:
+        for row in mellin_suite(F, pair):
+            err = abs(row.computed - row.expected)
+            assert row.abs_error == err
+            assert row.rel_error == err / max(abs(row.expected), 1.0)
 
 
 def closed_form_oracle(F, pair, a_chi, a_eta):

@@ -9,7 +9,8 @@ import pytest
 
 from monodromy.catalog import THEOREMS
 from monodromy.charsums import FIELD_SIZE_GUARD
-from monodromy.cli import main
+from monodromy.cli import _prime_powers_upto, main
+from monodromy.qz import is_prime
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parents[1] / "README.md"
@@ -209,6 +210,14 @@ class TestCharsums:
         code, lines = run(capsys, ["charsums", "--max-q", "4", "--switch-max-r", "2"])
         mellin_rows = [r for r in lines[:-1] if r["suite"] == "mellin"]
         assert mellin_rows and all(r["q"] == 4 for r in mellin_rows)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 64, 2900, 10**5])
+def test_prime_powers_sieve_matches_is_prime(limit):
+    want = sorted(((p, r) for p in range(2, limit + 1) if is_prime(p)
+                   for r in range(1, limit.bit_length() + 1) if p**r <= limit),
+                  key=lambda pr: (pr[0] ** pr[1], pr[0]))
+    assert _prime_powers_upto(limit) == want
 
 
 class TestDumpCatalog:
