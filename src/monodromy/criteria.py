@@ -8,10 +8,11 @@ when both of these hold over (Q/Z) prime to p:
     V(x) + V(-(d+e)x) >= 1/2                      for all x != 0.
 
 The binomial analogue bounds V(x) + V(y) + V(-dx-ey) below by 1/2 for (x, y)
-not both zero.  Point evaluations are exact rationals; the searches run on
-per-level digit-sum tables (a class with denominator dividing p^r - 1 has
-V = digitsum/(r(p-1)) directly on its numerator), so every comparison is an
-integer comparison.  One level scan serves every search and skips rows by
+not both zero.  Each inequality is one row of `_CRITERIA`, its forms a*x + b*y
+and its bound.  Every form's denominator divides N = lcm(den x, den y), and
+V(c/(p^r - 1)) = digitsum_p(c)/(r(p-1)), so one evaluator reads all forms at
+r = ord_N(p) as one Fraction, and a search compares level-r digit sums with
+ceil(bound * r(p-1)).  One level scan serves every search and skips rows by
 two exact reductions: V(px) = V(x), so only the least x of each orbit
 under x -> px is scanned, and V(a) + V(b) >= V(a+b), so every criterion is
 at least V(x) and rows with V(x) >= 1/2 cannot violate.  The binomial
@@ -34,11 +35,15 @@ divisor level s | r are not re-tested, and a reported witness is always
 rechecked exactly.
 
 A violation certifies non-integrality; a bounded pass is evidence only, never
-a proof of finiteness.
+a proof of finiteness.  A p = 2 witness with (d+e)x = 0 (Belyi (7, 7),
+x = 1/7) or ey = 0 (binomial (14, 7), y = 1/7) does not violate the literal
+sums at its level: it certifies only if the paper's one-variable side
+includes such x, undecided while the paper's text is not in the repository.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qz import QzClass, _as_prime_int, kubert_v
+from .qz import QzClass, _as_class, _as_prime_int, digit_sum, mult_order
 
 __all__ = [
     "BELYI_PAIR_BOUND",
@@ -68,6 +73,14 @@ __all__ = [
 BELYI_PAIR_BOUND = Fraction(3, 2)
 MONOMIAL_BOUND = Fraction(1, 2)
 BINOMIAL_BOUND = Fraction(1, 2)
+
+# kind -> (the (a, b) of each form a*x + b*y the V-sum reads, from (d, e); bound)
+_CRITERIA = {
+    "belyi-pair": (lambda d, e: ((1, 0), (0, 1), (-d - e, 1), (e, -1), (-e, 0)), BELYI_PAIR_BOUND),
+    "belyi-monomial": (lambda d, e: ((1, 0), (-d - e, 0)), MONOMIAL_BOUND),
+    "binomial": (lambda d, e: ((1, 0), (0, 1), (-d, -e)), BINOMIAL_BOUND),
+    "monomial": (lambda d, e: ((1, 0), (-d, 0)), MONOMIAL_BOUND),  # FM: one exponent d
+}
 
 DEFAULT_GRID_LIMIT = 10**8  # (x, y) grid points at the default depth, (p^r - 1)^2
 LEVEL_TABLE_GUARD = 2**20  # entries in the deepest level's tables, p^max_r
@@ -104,7 +117,7 @@ class WitnessReport:
 
     p: int
     pair: ExponentPair
-    criterion: str  # "belyi-pair" | "belyi-monomial" | "binomial"
+    criterion: str  # a key of _CRITERIA
     x: QzClass
     y: QzClass | None
     w_value: Fraction
@@ -154,49 +167,40 @@ class SearchResult:
         }
 
 
+def _criterion_value(p: int, kind: str, d: int, e: int, x: QzClass, y=QzClass(0)) -> Fraction:
+    """The V-sum of `kind` at (x, y), exact, every form read at r = ord_N(p) for
+    N = lcm(den x, den y), capped as every order is."""
+    mult_order(p, x.den), mult_order(p, y.den)  # p | den is reported as x's or y's own
+    r = mult_order(p, math.lcm(x.den, y.den))
+    m = p**r - 1
+    cx, cy = x.num * (m // x.den), y.num * (m // y.den)
+    total = sum(digit_sum((a * cx + b * cy) % m, p) for a, b in _CRITERIA[kind][0](d, e))
+    return Fraction(total, r * (p - 1))
+
+
 def w_value(p: int, pair, x, y) -> Fraction:
     """W_p(d,e,x,y) = V(x)+V(y)+V(y-(d+e)x)+V(ex-y)+V(-ex), exact, for x, y != 0
     (the criterion says nothing at x = 0 or y = 0)."""
-    p = _as_prime_int(p)
-    pair = _as_pair(pair)
-    x = x if isinstance(x, QzClass) else QzClass.parse(str(x))
-    y = y if isinstance(y, QzClass) else QzClass.parse(str(y))
+    p, pair, x, y = _as_prime_int(p), _as_pair(pair), _as_class(x), _as_class(y)
     if x.is_zero() or y.is_zero():
         raise ValueError("x and y must be nonzero")
-    d, e = pair.d, pair.e
-    ex = x.scale(e)
-    return (
-        kubert_v(p, x)
-        + kubert_v(p, y)
-        + kubert_v(p, y - x.scale(d + e))
-        + kubert_v(p, ex - y)
-        + kubert_v(p, -ex)
-    )
+    return _criterion_value(p, "belyi-pair", *pair, x, y)
 
 
 def belyi_monomial_side(p: int, pair, x) -> Fraction:
     """V(x) + V(-(d+e)x) for x != 0 (the one-variable side of the criterion)."""
-    p = _as_prime_int(p)
-    pair = _as_pair(pair)
-    x = x if isinstance(x, QzClass) else QzClass.parse(str(x))
+    p, pair, x = _as_prime_int(p), _as_pair(pair), _as_class(x)
     if x.is_zero():
         raise ValueError("x must be nonzero")
-    return kubert_v(p, x) + kubert_v(p, x.scale(-(pair.d + pair.e)))
+    return _criterion_value(p, "belyi-monomial", *pair, x)
 
 
 def binomial_check(p: int, pair, x, y) -> Fraction:
     """V(x) + V(y) + V(-dx-ey) for (x, y) not both zero."""
-    p = _as_prime_int(p)
-    pair = _as_pair(pair)
-    x = x if isinstance(x, QzClass) else QzClass.parse(str(x))
-    y = y if isinstance(y, QzClass) else QzClass.parse(str(y))
+    p, pair, x, y = _as_prime_int(p), _as_pair(pair), _as_class(x), _as_class(y)
     if x.is_zero() and y.is_zero():
         raise ValueError("(x, y) must not both be zero")
-    return (
-        kubert_v(p, x)
-        + kubert_v(p, y)
-        + kubert_v(p, x.scale(-pair.d) - y.scale(pair.e))
-    )
+    return _criterion_value(p, "binomial", *pair, x, y)
 
 
 def default_max_r(p: int) -> int:
@@ -235,6 +239,7 @@ class _Level(NamedTuple):
     orbits: np.ndarray  # the least element of each orbit of i -> p*i on 1..m-1
     rows: np.ndarray  # the orbit minima with 2*D[i] < r(p-1): V(i/m) < 1/2
     pair_mask: dict  # v -> (lcm(lev, v) == r) for each level v < r in lev
+    below: dict  # kind -> ceil(bound * r(p-1)): a V-sum violates iff its digit sums total less
 
 
 @lru_cache(maxsize=32)
@@ -261,8 +266,9 @@ def _level_tables(p: int, r: int) -> _Level:
     rows = orbits[2 * D[orbits] < r * (p - 1)]
     E = np.roll(D[::-1], 1)
     pair_mask = {int(v): np.lcm(lev, v) == r for v in np.unique(lev) if v != r}
+    below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound) in _CRITERIA.items()}
     return _Level(r, m, D, np.concatenate((D, D)), np.concatenate((E, E)), lev,
-                  orbits, rows, pair_mask)
+                  orbits, rows, pair_mask, below)
 
 
 def _scan(p: int, max_r: int | None, level_rows, stop_early=True):
@@ -305,14 +311,9 @@ def _search_result(p, pair, criterion, max_r, first, total) -> SearchResult:
     witness = None
     if first is not None:
         level, i, kind, j = first
-        x, y = QzClass(i, level.m), None if j is None else QzClass(j, level.m)
-        if kind == "belyi-monomial":
-            value, bound = belyi_monomial_side(p, pair, x), MONOMIAL_BOUND
-        elif kind == "belyi-pair":
-            value, bound = w_value(p, pair, x, y), BELYI_PAIR_BOUND
-        else:
-            value, bound = binomial_check(p, pair, x, y), BINOMIAL_BOUND
-        witness = WitnessReport(p, pair, kind, x, y, value, bound)
+        x, y = QzClass(i, level.m), QzClass(j or 0, level.m)
+        witness = WitnessReport(p, pair, kind, x, None if j is None else y,
+                                _criterion_value(p, kind, *pair, x, y), _CRITERIA[kind][1])
         if witness.verdict != "violation":
             raise RuntimeError(f"the scan reported {witness.as_dict()}, not a violation")
     return SearchResult(p, pair, criterion, max_r, witness, total)
@@ -336,17 +337,17 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
 
     def level_rows(level: _Level):
         r, m, D, DD, EE = level.r, level.m, level.D, level.DD, level.EE
-        half = r * (p - 1)  # a V-sum is < 1/2 iff twice its digit sums are < r(p-1)
+        below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
 
         def row_hits(i):
-            if level.lev[i] == r and 2 * int(D[i] + D[-K * i % m]) < half:
+            if level.lev[i] == r and int(D[i] + D[-K * i % m]) < below_x:
                 yield "belyi-monomial", None
-            # W < 3/2 iff D[j] + D[j - Ki] + D[ei - j] < (3*half - 2*const)/2
+            # W violates iff D[j] + D[j - Ki] + D[ei - j] < below_xy - const
             const = int(D[i] + D[-e * i % m])
             c3, c4 = m - K * i % m, m - e * i % m
             s = D + DD[c3:c3 + m]
             s += EE[c4:c4 + m]
-            viol = s < (3 * half - 2 * const + 1) // 2
+            viol = s < below_xy - const
             viol[0] = False
             yield "belyi-pair", viol
 
@@ -363,7 +364,7 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
 
     def level_rows(level: _Level):
         m, D, DD = level.m, level.D, level.DD
-        half = level.r * (p - 1)
+        half, below = level.r * (p - 1), level.below["binomial"]
         dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
         neg_e = -em * np.arange(m) % m
         w = int(D[em]) or 1  # V(ey) <= w V(y): V(py) = V(y) and V is subadditive
@@ -373,7 +374,7 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
             # V(x) + V(-dx)/w >= 1/2 (never at x = 0)
             if 2 * (w * int(D[i]) + int(D[-dm * i % m])) >= w * half:
                 return
-            viol = D + DD[neg_e + (m - dm * i % m)] < (half + 1) // 2 - int(D[i])
+            viol = D + DD[neg_e + (m - dm * i % m)] < below - int(D[i])
             viol[0] &= i > 0  # (x, y) = (0, 0) is excluded
             yield "binomial", viol
 

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .criteria import MONOMIAL_BOUND, _scan
-from .qz import QzClass, _as_prime_int, kubert_v
+from .criteria import _CRITERIA, _criterion_value, _scan
+from .qz import QzClass, _as_prime_int
 
 __all__ = [
     "FAMILY_ORDER",
@@ -161,29 +161,28 @@ class MonomialCheckResult:
         return self.violation is not None
 
 
-def numeric_monomial_check(p: int, d: int, max_r: int) -> MonomialCheckResult:
+def numeric_monomial_check(p: int, d: int, max_r: int | None) -> MonomialCheckResult:
     """Search for x != 0 with V(x) + V(-d*x) < 1/2, denominators dividing p^r - 1.
 
-    Returns the first violation in the order r = 1..max_r, then numerator
-    (the shared level scan of `criteria` visits only the rows that can hold
-    it), or a bounded-search pass.  The witness is rechecked exactly in
-    Fraction.  A violation certifies that d is not an FM-exponent; a pass is
-    evidence only.
+    Returns the first violation in the order r = 1..max_r (default_max_r(p)
+    for None, as reported), then numerator (the shared level scan of
+    `criteria` visits only the rows that can hold it), or a bounded-search
+    pass.  The witness is rechecked exactly in Fraction.  A violation
+    certifies that d is not an FM-exponent; a pass is evidence only.
     """
     p = _as_prime_int(p)
 
     def level_rows(level):
         m, D, rows = level.m, level.D, level.rows
-        # V(x) + V(-dx) < 1/2 iff twice the two digit sums are < r(p-1)
-        hits = rows[2 * (D[rows] + D[-(d % m) * rows % m]) < level.r * (p - 1)]
+        hits = rows[D[rows] + D[-(d % m) * rows % m] < level.below["monomial"]]
         return hits, lambda i: (("monomial", None),)
 
-    _, first, _ = _scan(p, max_r, level_rows)
+    max_r, first, _ = _scan(p, max_r, level_rows)
     if first is None:
         return MonomialCheckResult(p, d, max_r, None, None, None)
     level, i, _, _ = first
     x = QzClass(i, level.m)
-    v_sum = kubert_v(p, x) + kubert_v(p, x.scale(-d))
-    if v_sum >= MONOMIAL_BOUND:
+    v_sum = _criterion_value(p, "monomial", d, 0, x)
+    if v_sum >= _CRITERIA["monomial"][1]:
         raise RuntimeError(f"the scan reported x = {x} with V-sum {v_sum}, not a violation")
     return MonomialCheckResult(p, d, max_r, x, v_sum, level.r)

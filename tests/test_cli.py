@@ -67,6 +67,15 @@ class TestW:
             main(["w", "2", "5", "3", "x/y", "1/7"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("p,x,y,den", [("2", "1/2", "1/3", 2), ("3", "1/7", "1/3", 3)])
+    def test_denominator_divisible_by_p_names_its_own(self, capsys, p, x, y, den):
+        # x and y are read at one level, ord of lcm(den x, den y); the error
+        # still names the input's denominator, not the lcm
+        assert main(["w", p, "1", "1", x, y]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: denominator {den} is divisible by p={p}\n"
+
 
 class TestSearches:
     def test_belyi_violation(self, capsys):

@@ -1,17 +1,22 @@
 """Tests for the W functional, the inequality checks, and the searches."""
 
 import json
+import math
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monodromy import criteria
 from monodromy.criteria import (
     WITNESS_TABLE,
     ExponentPair,
+    _criterion_value,
     _level_tables,
     _search_result,
     belyi_monomial_side,
@@ -110,6 +115,108 @@ class TestBinomialCheck:
             binomial_check(2, (5, 3), "0", "0")
 
 
+# Each criterion's V-sum written out term by term in kubert_v: the reference
+# the one-level evaluator behind every point value and recheck is held to
+REFERENCE_SUMS = {
+    "belyi-pair": lambda V, d, e, x, y: (
+        V(x) + V(y) + V(y - x.scale(d + e)) + V(x.scale(e) - y) + V(x.scale(-e))),
+    "belyi-monomial": lambda V, d, e, x, y: V(x) + V(x.scale(-(d + e))),
+    "binomial": lambda V, d, e, x, y: V(x) + V(y) + V(x.scale(-d) - y.scale(e)),
+    "monomial": lambda V, d, e, x, y: V(x) + V(x.scale(-d)),
+}
+KINDS = list(REFERENCE_SUMS)
+ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 9001)
+EXPONENTS = st.one_of(st.integers(1, 10**4), st.integers(2**62, 2**64))
+
+
+def reference_sum(p, kind, d, e, x, y):
+    return REFERENCE_SUMS[kind](lambda z: kubert_v(p, z), d, e, x, y)
+
+
+def grid_cases():
+    """(p, kind, d, e, x, y) on a fixed grid: mixed denominators below 40
+    prime to p, exponents small and past 2^62."""
+    for p in ORACLE_PRIMES:
+        classes = [QzClass(a, n) for n in (1, 3, 5, 7, 9, 13, 21, 31, 33) if n % p
+                   for a in (1, n // 2 + 1)]
+        for x in classes:
+            for y in classes[::2]:  # numerator 1 for y keeps the grid small
+                for d, e in [(1, 1), (5, 3), (2**62 + 3, 2**63 + 5)]:
+                    for kind in KINDS:
+                        yield p, kind, d, e, x, y
+
+
+class TestCriterionEvaluator:
+    def test_table_kinds_have_references(self):
+        assert KINDS == list(criteria._CRITERIA)
+
+    def test_matches_reference_on_grid(self):
+        for case in grid_cases():
+            assert _criterion_value(*case) == reference_sum(*case), case
+
+    @given(
+        p=st.sampled_from(ORACLE_PRIMES),
+        kind=st.sampled_from(KINDS),
+        levels=st.tuples(st.integers(1, 12), st.integers(1, 12)),
+        nums=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+        d=EXPONENTS,
+        e=EXPONENTS,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_at_random_points(self, p, kind, levels, nums, d, e):
+        # x and y at two levels r1, r2 (p^r <= 10^12), so N = lcm(den x, den y)
+        # is often neither denominator and ord_N(p) = lcm(r1, r2)
+        top = int(math.log(10**12, p))
+        x, y = (QzClass(a, p ** (1 + r % top) - 1) for a, r in zip(nums, levels))
+        assert _criterion_value(p, kind, d, e, x, y) == reference_sum(p, kind, d, e, x, y)
+
+    @pytest.mark.parametrize("p,d,e", [(2, 5, 3), (3, 7, 21), (5, 2**62 + 1, 6), (9001, 1, 3)])
+    def test_public_evaluators_on_unreduced_inputs(self, p, d, e):
+        for xs, ys in [("2/14", "6/26"), ("-4/28", "26/13"), ("39/13", "10/70")]:
+            x, y = QzClass.parse(xs), QzClass.parse(ys)
+            assert binomial_check(p, (d, e), xs, ys) == reference_sum(p, "binomial", d, e, x, y)
+            if not x.is_zero():
+                assert (belyi_monomial_side(p, (d, e), xs)
+                        == reference_sum(p, "belyi-monomial", d, e, x, y))
+            if not (x.is_zero() or y.is_zero()):
+                assert w_value(p, (d, e), xs, ys) == reference_sum(p, "belyi-pair", d, e, x, y)
+
+    def test_control_reading_at_den_x_is_caught(self, monkeypatch):
+        # every form read at ord(den x) in place of ord(N): the grid sees it
+        monkeypatch.setattr(criteria, "math", SimpleNamespace(lcm=lambda a, b: a, ceil=math.ceil))
+        assert any(_criterion_value(*case) != reference_sum(*case) for case in grid_cases())
+
+    @pytest.mark.parametrize(
+        "call,message",
+        [
+            (lambda: w_value(2, (1, 1), "1/2", "1/3"), "denominator 2 is divisible by p=2"),
+            (lambda: w_value(3, (1, 1), "1/7", "1/3"), "denominator 3 is divisible by p=3"),
+            (lambda: binomial_check(2, (1, 1), "1/3", "1/6"), "denominator 6 is divisible by p=2"),
+            (lambda: belyi_monomial_side(5, (1, 1), "2/15"), "denominator 15 is divisible by p=5"),
+        ],
+        ids=["w-x", "w-y", "binomial-y", "monomial-x"],
+    )
+    def test_error_names_the_input_denominator(self, call, message):
+        # not lcm(den x, den y), the level the evaluator reads at
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("p,r", [(2, 1), (2, 13), (3, 8), (7, 4), (9001, 1)])
+    def test_level_thresholds_read_the_bounds(self, p, r):
+        # a V-sum at level r violates iff its digit sums total less than below[kind]
+        level, h = _level_tables(p, r), r * (p - 1)
+        for kind, (_, bound) in criteria._CRITERIA.items():
+            below = level.below[kind]
+            assert Fraction(below - 1, h) < bound <= Fraction(below, h), kind
+
+    def test_no_hand_written_v_sum_in_package(self):
+        # one exact V-sum path: a fifth hand-written sum fails here
+        package = Path(criteria.__file__).parent
+        for name in ("criteria.py", "fm_exponents.py"):
+            assert b"kubert_v(" not in (package / name).read_bytes(), name
+
+
 def brute_violation_count(p, pair, max_r, criterion):
     """Fraction count of every violation a full sweep meets: each x (and
     for the binomial x = 0) against every y, at the level where the pair
@@ -133,6 +240,9 @@ def brute_violation_count(p, pair, max_r, criterion):
                 else:
                     total += binomial_check(p, pair, x, y) < Fraction(1, 2)
     return total
+
+
+RECHECK_Y = {"belyi-pair": 1, "belyi-monomial": None, "binomial": 1, "monomial": None}
 
 
 class TestLevelScan:
@@ -171,10 +281,13 @@ class TestLevelScan:
         assert not binomial_search(p, (1, 1)).found
         assert not belyi_search(p, (1, 1)).found
 
-    def test_witness_failing_exact_recheck_raises(self):
-        # W_2(1,1; 1/3, 1/3) >= 3/2, so a scan must never report it
-        first = (_level_tables(2, 2), 1, "belyi-pair", 1)
-        with pytest.raises(RuntimeError):
+    @pytest.mark.parametrize("kind", list(criteria._CRITERIA))
+    def test_witness_failing_exact_recheck_raises(self, kind):
+        # at p = 2, pair (1, 1), x = 1/3 (and y = 1/3): W = 2 >= 3/2, the
+        # one-variable sides are 1 >= 1/2 and the binomial sum is 3/2 >= 1/2,
+        # so a scan must never report any of them
+        first = (_level_tables(2, 2), 1, kind, RECHECK_Y[kind])
+        with pytest.raises(RuntimeError, match="not a violation"):
             _search_result(2, ExponentPair(1, 1), "belyi", 2, first, 1)
 
 
@@ -282,6 +395,19 @@ class TestBelyiSearch:
                 for j in range(1, m)
             )
             assert grid == grid_scaled
+
+
+def test_p2_degenerate_first_witnesses():
+    """The known p = 2 first witnesses on which a form vanishes: (d+e)x = 0
+    for Belyi (7, 7) and ey = 0 for binomial (14, 7).  The literal sums do
+    not violate at their level (ROADMAP item 3); pinned until the paper's
+    one-variable side decides them."""
+    w = belyi_search(2, (7, 7)).violation
+    assert (w.criterion, str(w.x), w.y, w.w_value) == ("belyi-monomial", "1/7", None, Fraction(1, 3))
+    assert w.x.scale(7 + 7).is_zero()
+    w = binomial_search(2, (14, 7)).violation
+    assert (w.criterion, str(w.x), str(w.y), w.w_value) == ("binomial", "0/1", "1/7", Fraction(1, 3))
+    assert w.x.is_zero() and w.y.scale(7).is_zero()
 
 
 class TestBinomialSearch:

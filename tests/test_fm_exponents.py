@@ -146,6 +146,12 @@ class TestNumericCheck:
         with pytest.raises(ValueError):
             numeric_monomial_check(2, 3, 0)
 
+    def test_default_depth_is_reported(self):
+        # max_r=None scans to default_max_r(p) and says so, as SearchResult does
+        assert numeric_monomial_check(2, 7, None).max_r == 13
+        res = numeric_monomial_check(2, 3, None)
+        assert not res.found and res.max_r == 13
+
     def test_witness_failing_exact_recheck_raises(self, monkeypatch):
         # V_2(1/3) + V_2(2/3) = 1 >= 1/2, so a scan must never report x = 1/3 for d = 1
         first = (_level_tables(2, 2), 1, "monomial", None)
