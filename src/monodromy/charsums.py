@@ -11,12 +11,15 @@ Elements are integer-encoded coefficient vectors in the power basis of the
 modulus, the constant coefficient being the least significant base-p digit.
 Fields are immutable once built and all sums are pure functions of them.
 
-The exp table is filled by doubling: multiplication by the generator is an
-r x r matrix over F_p acting on digit rows, and rows [n, 2n) are rows [0, n)
-times its n-th power, so about log2(q) numpy matmuls build it.  ``log`` is
-one scatter of it, and ``trace`` the digit rows times the traces of the basis
-monomials, each the matrix trace of a power of the modulus' companion
-matrix.  The tables are stored as read-only numpy arrays, which every sum
+Field arithmetic is r x r matrices over F_p acting on digit rows.  Rabin's
+test on the companion matrix X picks the modulus, and a full-order test on
+element matrices the generator (integer ``pow`` in prime fields).  The
+powers X^0 .. X^(r-1) give every element's matrix and the basis traces
+Tr(x^i) = trace(X^i).  The exp table is filled by doubling: rows [n, 2n)
+are rows [0, n) times the n-th power of the generator's matrix, so about
+log2(q) numpy matmuls build it.  ``log`` is one scatter of it, and
+``trace`` the digit rows times the basis traces.  The tables are stored as
+read-only numpy arrays, which every sum
 reads directly; ``exp``, ``log`` and ``trace`` are tuple-of-int views of
 them, built on first use.  Two fields are equal, and hash alike, when their
 presentations (p, r, q, modulus, generator) are, since those determine the
@@ -68,55 +71,39 @@ MELLIN_Q_GUARD = 64
 SWITCH_MAX_R = 13  # 4^r (t, y) pairs over F_{2^r}, within the searches' 10^8-cell budget
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+def _companion(poly: list[int], p: int) -> np.ndarray:
+    """Multiplication by x modulo the monic ``poly``, acting on digit rows."""
+    r = len(poly) - 1
+    X = np.eye(r, k=1, dtype=np.int64)
+    X[-1] = np.negative(poly[:r]) % p
+    return X
 
 
-def _poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    """Product of coefficient lists reduced by a monic modulus, over F_p."""
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    r = len(mod) - 1
-    for i in range(len(prod) - 1, r - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(r):
-                prod[i - r + j] = (prod[i - r + j] - c * mod[j]) % p
-    return _poly_trim(prod)
-
-
-def _poly_divisible(num: list[int], den: list[int], p: int) -> bool:
-    """Whether the monic-leading ``den`` divides ``num`` over F_p."""
-    num = num[:]
-    inv_lead = pow(den[-1], -1, p)
-    while len(num) >= len(den) and _poly_trim(num):
-        shift = len(num) - len(den)
-        factor = (num[-1] * inv_lead) % p
-        for j, dj in enumerate(den):
-            num[shift + j] = (num[shift + j] - factor * dj) % p
-        _poly_trim(num)
-    return not _poly_trim(num)
+def _mat_pow(M: np.ndarray, n: int, p: int) -> np.ndarray:
+    """M^n mod p by square-and-multiply; entries stay below p, so int64 sums
+    of products stay below r*p^2 <= 20*2^20 when r >= 2 and p^r <= 2^20."""
+    out = np.eye(len(M), dtype=np.int64)
+    while n:
+        if n & 1:
+            out = out @ M % p
+        M = M @ M % p
+        n >>= 1
+    return out
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg/2."""
-    deg = len(poly) - 1
-    if deg == 1:
+    """Rabin's test on the companion matrix X: X^q = X, and A = X^(p^(r/l)) - X
+    a unit for each prime l | r, that is A^(q-1) = I, as a^q = a throughout the
+    product of fields F_p[x]/(poly) once X^q = X."""
+    r = len(poly) - 1
+    if r == 1:
         return True
-    if poly[0] == 0:  # divisible by x
+    if poly[0] == 0 or sum(poly) % p == 0:  # a root at 0 or 1
         return False
-    for ddeg in range(1, deg // 2 + 1):
-        for m in range(p**ddeg):
-            den = _decode_int(m, p, ddeg) + [1]
-            if _poly_divisible(poly[:], den, p):
-                return False
-    return True
+    q, X, one = p**r, _companion(poly, p), np.eye(r, dtype=np.int64)
+    return np.array_equal(_mat_pow(X, q, p), X) and all(
+        np.array_equal(_mat_pow((_mat_pow(X, p ** (r // ell), p) - X) % p, q - 1, p), one)
+        for ell in _factor(r))
 
 
 def _decode_int(m: int, p: int, width: int) -> list[int]:
@@ -272,52 +259,38 @@ def build_field(p: int, r: int) -> FieldPresentation:
     p = _as_prime_int(p)
     if r < 1:
         raise ValueError("degree must be >= 1")
-    q = p**r
-    if q > FIELD_SIZE_GUARD:
-        raise ValueError(f"field size {q} exceeds guard {FIELD_SIZE_GUARD}")
+    # p >= 2, so p^r passes the guard once r passes its bit length
+    if r >= FIELD_SIZE_GUARD.bit_length() or p**r > FIELD_SIZE_GUARD:
+        raise ValueError(f"field size {p}^{r} exceeds guard {FIELD_SIZE_GUARD}")
+    q, m = p**r, p**r - 1
+    modulus = next(c for c in (_decode_int(k, p, r) + [1] for k in range(q))
+                   if _is_irreducible(c, p))
 
-    modulus = None
-    for m in range(q):
-        cand = _decode_int(m, p, r) + [1]
-        if _is_irreducible(cand, p):
-            modulus = cand
-            break
-    assert modulus is not None
+    # X^0 .. X^(r-1) for the companion matrix X: the matrix of an element is
+    # its digits dotted with them, and Tr(x^i) is the matrix trace of X^i.
+    X = _companion(modulus, p)
+    powers = np.array([_mat_pow(X, i, p) for i in range(r)])
 
-    m = q - 1
-    prime_factors = _factor(m) if m > 1 else []
-
-    def poly_of(t: int) -> list[int]:
-        return _poly_trim(_decode_int(t, p, r))
-
-    def raw_mul(a: list[int], b: list[int]) -> list[int]:
-        return _poly_mulmod(a, b, modulus, p)
-
-    def raw_pow(a: list[int], n: int) -> list[int]:
-        out, base = [1], a[:]
-        while n:
-            if n & 1:
-                out = raw_mul(out, base)
-            base = raw_mul(base, base)
-            n >>= 1
-        return out
+    def matrix(t: int) -> np.ndarray:
+        return (np.dot(_decode_int(t, p, r), powers.reshape(r, -1)) % p).reshape(r, r)
 
     def is_one(g: int, n: int) -> bool:
         """Whether g^n = 1; by integer pow when r = 1, where the modulus is x
         and elements are residues mod p."""
-        return pow(g, n, p) == 1 if r == 1 else raw_pow(poly_of(g), n) == [1]
+        return (pow(g, n, p) == 1 if r == 1
+                else np.array_equal(_mat_pow(matrix(g), n, p), powers[0]))
 
-    generator = next(g for g in range(1, q)
-                     if not any(is_one(g, m // f) for f in prime_factors))
+    # When r >= 2 the encodings below p are the constants, whose order
+    # divides p - 1 < m, so the search for a unit of order m starts at p.
+    generator = next(g for g in range(1 if r == 1 else p, q)
+                     if not any(is_one(g, m // f) for f in _factor(m)))
 
     # Row i of ``step`` holds the digits of x^i * generator, so row k of
     # ``digits`` (generator^k) times step^n is row k + n.  Matmul entries
     # stay below r*(p-1)^2: int64 suffices for every q <= FIELD_SIZE_GUARD,
     # and int32 (always when r >= 2) halves the m x r digit matrix.
     dtype = np.int32 if r * (p - 1) ** 2 < 2**31 else np.int64
-    gp = poly_of(generator)
-    step = np.array([(raw_mul([0] * i + [1], gp) + [0] * r)[:r] for i in range(r)],
-                    dtype=dtype)
+    step = matrix(generator).astype(dtype)
     digits = np.zeros((m, r), dtype=dtype)
     digits[0, 0] = 1
     n = 1
@@ -331,19 +304,10 @@ def build_field(p: int, r: int) -> FieldPresentation:
     log = np.full(q, -1, dtype=np.int64)
     log[exp] = np.arange(m)
 
-    # Tr(x^k) is the matrix trace of multiplication by x^k, the k-th power of
-    # the modulus' companion matrix (entries < p, so int64 sums stay below
-    # r*p^2 <= 2^40 when p^r <= 2^20).  The absolute trace is F_p-linear, so
-    # Tr(t) for arbitrary t is a digit dot-product against these.
-    companion = np.eye(r, k=1, dtype=np.int64)
-    companion[-1] = np.negative(modulus[:r]) % p
-    tr_basis, power = [], np.eye(r, dtype=np.int64)
-    for _ in range(r):
-        tr_basis.append(int(np.trace(power)) % p)
-        power = power @ companion % p
-
+    # The absolute trace is F_p-linear, so Tr(t) for arbitrary t is a digit
+    # dot-product against the basis traces Tr(x^i).
     trace = np.zeros(q, dtype=np.int64)
-    trace[exp] = digits @ np.array(tr_basis, dtype=dtype) % p
+    trace[exp] = digits @ (np.trace(powers, axis1=1, axis2=2) % p).astype(dtype) % p
     for table in (exp, log, trace):
         table.flags.writeable = False
 

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .qz import QzClass, _as_class, _as_prime_int, digit_sum, mult_order
+from .qz import QzClass, _as_class, _as_prime_int, _orbit_sum, mult_order
 
 __all__ = [
     "BELYI_PAIR_BOUND",
@@ -171,11 +171,11 @@ def _criterion_value(p: int, kind: str, d: int, e: int, x: QzClass, y=QzClass(0)
     """The V-sum of `kind` at (x, y), exact, every form read at r = ord_N(p) for
     N = lcm(den x, den y), capped as every order is."""
     mult_order(p, x.den), mult_order(p, y.den)  # p | den is reported as x's or y's own
-    r = mult_order(p, math.lcm(x.den, y.den))
-    m = p**r - 1
-    cx, cy = x.num * (m // x.den), y.num * (m // y.den)
-    total = sum(digit_sum((a * cx + b * cy) % m, p) for a, b in _CRITERIA[kind][0](d, e))
-    return Fraction(total, r * (p - 1))
+    n = math.lcm(x.den, y.den)
+    r = mult_order(p, n)
+    cx, cy = x.num * (n // x.den), y.num * (n // y.den)
+    total = sum(_orbit_sum(p, (a * cx + b * cy) % n, n, r) for a, b in _CRITERIA[kind][0](d, e))
+    return Fraction(total, r * n)
 
 
 def w_value(p: int, pair, x, y) -> Fraction:
@@ -220,7 +220,8 @@ def _resolve_max_r(p: int, max_r: int | None) -> int:
         max_r = default_max_r(p)
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
-    if p**max_r > LEVEL_TABLE_GUARD:
+    # p >= 2, so p^max_r passes the guard once max_r passes its bit length
+    if max_r >= LEVEL_TABLE_GUARD.bit_length() or p**max_r > LEVEL_TABLE_GUARD:
         raise ValueError(
             f"p^max_r = {p}^{max_r} exceeds the level-table guard {LEVEL_TABLE_GUARD}"
         )

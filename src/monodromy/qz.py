@@ -7,8 +7,10 @@ p modulo the denominator.  On that representative
     V_p(a / (p^r - 1)) = (sum of the base-p digits of a) / (r * (p - 1)),
 
 and the value does not depend on the chosen r (replacing r by a multiple
-repeats the digit blocks).  Everything here is exact: classes are reduced
-integer fractions and V values are ``fractions.Fraction``.
+repeats the digit blocks).  The fractional parts {p^i x}, i < r, are the
+rotations of those digits, so V_p(x) is also their mean, which is how it is
+computed: in r steps, with no p^r formed.  Everything here is exact: classes
+are reduced integer fractions and V values are ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -231,11 +233,20 @@ def digit_sum(n: int, base: int) -> int:
     return s
 
 
+def _orbit_sum(p: int, c: int, n: int, r: int) -> int:
+    """The sum of c * p^i mod n over i < r: r * n * V_p(c/n) when ord_n(p) | r."""
+    total = 0
+    for _ in range(r):
+        total += c
+        c = c * p % n
+    return total
+
+
 def kubert_v(p: int | Prime, x: QzClass | Fraction | str | int) -> Fraction:
     """V_p(x) as an exact rational in [0, 1).
 
-    With r the multiplicative order of p mod den(x) and
-    a = num(x) * (p^r - 1) / den(x), this is digit_sum_p(a) / (r*(p-1)).
+    With r the multiplicative order of p mod den(x), this is the mean of {p^i x}
+    over i < r, or digit_sum_p(a) / (r*(p-1)) for a = num(x) * (p^r - 1) / den(x).
     Raises ValueError if den(x) is divisible by p.
     """
     p = _as_prime_int(p)
@@ -243,5 +254,4 @@ def kubert_v(p: int | Prime, x: QzClass | Fraction | str | int) -> Fraction:
     if x.is_zero():
         return Fraction(0)
     r = mult_order(p, x.den)
-    a = x.num * (p**r - 1) // x.den
-    return Fraction(digit_sum(a, p), r * (p - 1))
+    return Fraction(_orbit_sum(p, x.num, x.den, r), r * x.den)

@@ -1,11 +1,59 @@
-"""Per-element character oracles for the charsums tests.
+"""Per-element oracles for the charsums tests.
 
-Each evaluates one value at a time from a field's tables, with none of the
-batching the library uses, so the tests can check the batched sums against
-them.
+The characters and sums evaluate one value at a time from a field's tables,
+with none of the batching the library uses, so the tests can check the
+batched sums against them.  The field arithmetic is list-polynomial
+arithmetic over F_p (coefficients low to high), with irreducibility by trial
+division, so the tests can check the library's companion-matrix fields
+against code that shares none of it.
 """
 
+from itertools import product
+
 from monodromy.charsums import FieldPresentation
+
+
+def poly_trim(c: list[int]) -> list[int]:
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def poly_mulmod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    """Product of coefficient lists reduced by a monic modulus, over F_p."""
+    prod = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    r = len(mod) - 1
+    for i in range(len(prod) - 1, r - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(r):
+                prod[i - r + j] = (prod[i - r + j] - c * mod[j]) % p
+    return poly_trim(prod)
+
+
+def poly_divisible(num: list[int], den: list[int], p: int) -> bool:
+    """Whether the monic ``den`` divides ``num`` over F_p."""
+    num = num[:]
+    while len(num) >= len(den) and poly_trim(num):
+        shift, factor = len(num) - len(den), num[-1]
+        for j, dj in enumerate(den):
+            num[shift + j] = (num[shift + j] - factor * dj) % p
+        poly_trim(num)
+    return not poly_trim(num)
+
+
+def is_irreducible_trial(poly: list[int], p: int) -> bool:
+    """Trial division of a monic polynomial by every monic polynomial of
+    degree 1 .. deg/2."""
+    deg = len(poly) - 1
+    return not any(poly_divisible(poly, list(low) + [1], p)
+                   for ddeg in range(1, deg // 2 + 1)
+                   for low in product(range(p), repeat=ddeg))
 
 
 def additive_char(F: FieldPresentation, t: int) -> complex:

@@ -4,16 +4,18 @@ import cmath
 import gc
 import math
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from monodromy import charsums
 from monodromy.charsums import (
     FIELD_SIZE_GUARD,
+    _companion,
     _decode_int,
     _is_irreducible,
-    _poly_mulmod,
-    _poly_trim,
+    _mat_pow,
     _switchsum_sides,
     belyi_values,
     build_field,
@@ -31,7 +33,14 @@ from monodromy.charsums import (
 from monodromy.cli import MELLIN_PAIRS, MELLIN_QS
 from monodromy.qz import is_prime
 
-from charsum_oracles import additive_char, mellin_sum_naive, mult_char
+from charsum_oracles import (
+    additive_char,
+    is_irreducible_trial,
+    mellin_sum_naive,
+    mult_char,
+    poly_mulmod,
+    poly_trim,
+)
 
 ABS_TOL = 1e-9
 ORTHO_TOL = 1e-12
@@ -45,19 +54,19 @@ def oracle_field(p, r):
     """(modulus, generator, exp, log, trace) built one element at a time.
 
     The modulus is the first irreducible in encoding order; the generator is
-    the first unit whose powers, walked with ``_poly_mulmod``, reach q-1
+    the first unit whose powers, walked with ``poly_mulmod``, reach q-1
     elements before returning to 1; Tr(t) sums the constant coefficients
     (encodings mod p) of the r Frobenius conjugates t^(p^i), since the trace
     lies in F_p.
     """
     q, m = p**r, p**r - 1
     modulus = next(c for c in (_decode_int(k, p, r) + [1] for k in range(q))
-                   if _is_irreducible(c, p))
+                   if is_irreducible_trial(c, p))
 
     def powers(g):
-        gp, acc, out = _poly_trim(_decode_int(g, p, r)), [1], [[1]]
+        gp, acc, out = poly_trim(_decode_int(g, p, r)), [1], [[1]]
         while True:
-            acc = _poly_mulmod(acc, gp, modulus, p)
+            acc = poly_mulmod(acc, gp, modulus, p)
             if acc == [1]:
                 return out
             out.append(acc)
@@ -73,6 +82,39 @@ def oracle_field(p, r):
     frob = [p**i for i in range(r)]
     trace = [0] + [sum(exp[log[t] * f % m] for f in frob) % p for t in range(1, q)]
     return tuple(modulus), generator, tuple(exp), tuple(log), tuple(trace)
+
+
+def all_monic(p, deg):
+    """Every monic polynomial over F_p of degree deg, as coefficient lists."""
+    return [_decode_int(k, p, deg) + [1] for k in range(p**deg)]
+
+
+class TestIrreducibility:
+    def test_first_condition_alone_is_not_enough(self):
+        # over F_2 both split into distinct factors of degree dividing 6, so
+        # x^64 = x mod f and the first condition alone would accept them
+        for f in ([1, 1, 0, 0, 1, 0, 1],  # (x+1)(x^2+x+1)(x^3+x+1)
+                  [1, 1, 1, 1, 1, 1, 1]):  # (x^3+x+1)(x^3+x^2+1)
+            X = _companion(f, 2)
+            assert np.array_equal(_mat_pow(X, 2**6, 2), X)
+            assert not _is_irreducible(f, 2)
+
+    def test_square_is_rejected(self):
+        assert not _is_irreducible([1, 0, 1, 0, 1], 2)  # (x^2+x+1)^2
+
+    def test_matches_trial_division(self):
+        polys = [(p, f) for p, top in ((2, 6), (3, 6), (5, 3), (7, 3))
+                 for deg in range(1, top + 1) for f in all_monic(p, deg)]
+        assert len(polys) == 1772
+        for p, f in polys:
+            assert _is_irreducible(f, p) == is_irreducible_trial(f, p), (p, f)
+
+    def test_one_representation_of_the_field(self):
+        # field arithmetic is the companion matrix alone: list-polynomial
+        # helpers live in the test oracles
+        source = Path(charsums.__file__).read_text()
+        assert "def _poly_" not in source
+        assert "raw_pow" not in source
 
 
 class TestBuildField:
@@ -92,6 +134,9 @@ class TestBuildField:
     def test_guard(self):
         with pytest.raises(ValueError):
             build_field(2, 21)
+        # rejected by its degree, before 3^(10^7) is formed or printed
+        with pytest.raises(ValueError, match=r"field size 3\^10000000 exceeds guard"):
+            build_field(3, 10**7)
 
     def test_exp_log_bijection(self):
         for F in small_fields():

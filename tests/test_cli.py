@@ -40,6 +40,11 @@ class TestVp:
     def test_bad_denominator_exits_2(self, capsys):
         assert main(["vp", "2", "1/6"]) == 2
 
+    def test_order_just_inside_the_cap(self, capsys):
+        # ord_999979(2) = 999978: V is read off the orbit, with no 2^999978
+        code, lines = run(capsys, ["vp", "2", "1/999979"])
+        assert code == 0 and lines[-1]["result"]["v"] == "1/2"
+
     def test_prime_past_trial_division(self, capsys):
         # 2^61 - 1 would take ~10^9 trial divisions; p = 1 mod 3 gives V(1/3) = 1/3
         code, lines = run(capsys, ["vp", str(2**61 - 1), "1/3"])
@@ -61,6 +66,11 @@ class TestW:
         code, lines = run(capsys, ["w", "2", "1", "1", "1/3", "1/3"])
         res = lines[-1]["result"]
         assert res["verdict"] == "pass" and res["w"] == "2"
+
+    def test_order_just_inside_the_cap(self, capsys):
+        code, lines = run(capsys, ["w", "2", "5", "3", "1/999979", "2/999979"])
+        res = lines[-1]["result"]
+        assert code == 0 and res["w"] == "5/2" and res["verdict"] == "pass"
 
     def test_malformed_fraction_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -277,6 +287,8 @@ class TestErrorBoundary:
             ["dump-catalog", "--out", "/nonexistent/x", "--max", "10", "--p", "7"],
             ["charsums", "--max-q", str(FIELD_SIZE_GUARD + 1)],
             ["belyi", "--p", "2", "--d", "1", "--e", "2", "--max-r", "40"],
+            ["belyi", "--p", "3", "--d", "1", "--e", "1", "--max-r", "1000000000"],
+            ["crosscheck", "--p", "3", "--max", "3", "--max-r", "1000000000"],
             ["verify-witnesses", "--table", str(DATA / "witness_table_null_expected.json")],
             ["verify-witnesses", "--table", str(DATA / "witness_table_int_y.json")],
             ["vp", "2", "1/1000003"],  # the order of 2 passes mult_order's cap

@@ -27,7 +27,7 @@ from monodromy.criteria import (
     verify_witness_table,
     w_value,
 )
-from monodromy.qz import QzClass, kubert_v, mult_order
+from monodromy.qz import QzClass, digit_sum, kubert_v, mult_order
 
 
 class TestWValue:
@@ -115,8 +115,9 @@ class TestBinomialCheck:
             binomial_check(2, (5, 3), "0", "0")
 
 
-# Each criterion's V-sum written out term by term in kubert_v: the reference
-# the one-level evaluator behind every point value and recheck is held to
+# Each criterion's V-sum written out term by term, each V from its digit sums:
+# the reference the one-level evaluator behind every point value and recheck
+# is held to
 REFERENCE_SUMS = {
     "belyi-pair": lambda V, d, e, x, y: (
         V(x) + V(y) + V(y - x.scale(d + e)) + V(x.scale(e) - y) + V(x.scale(-e))),
@@ -129,8 +130,15 @@ ORACLE_PRIMES = (2, 3, 5, 7, 11, 13, 9001)
 EXPONENTS = st.one_of(st.integers(1, 10**4), st.integers(2**62, 2**64))
 
 
+def v_by_digits(p, z):
+    """V_p(z) as the digit sum of num * (p^r - 1) / den over r(p-1): the
+    definition, not the orbit sum that kubert_v and the evaluator share."""
+    r = mult_order(p, z.den)
+    return Fraction(digit_sum(z.num * (p**r - 1) // z.den, p), r * (p - 1))
+
+
 def reference_sum(p, kind, d, e, x, y):
-    return REFERENCE_SUMS[kind](lambda z: kubert_v(p, z), d, e, x, y)
+    return REFERENCE_SUMS[kind](lambda z: v_by_digits(p, z), d, e, x, y)
 
 
 def grid_cases():
