@@ -9,7 +9,7 @@ digit mechanics and the two structural identities everything else relies on.
 from fractions import Fraction
 
 from monodromy import QzClass, kubert_v, mult_order
-from monodromy.qz import digit_sum, negate, scale
+from monodromy.qz import digit_sum
 
 
 def show(p, x):
@@ -35,13 +35,13 @@ for p, x in [(2, "1/7"), (2, "4/7"), (7, "1/3"), (2, "1/3"), (3, "11/80"), (5, "
 print("\nComplement identity V(x) + V(-x) = 1 for x != 0:")
 for p, x in [(2, "3/31"), (3, "2/13"), (5, "7/24")]:
     x = QzClass.parse(x)
-    print(f"  p={p}: V({x}) + V({negate(x)}) = {kubert_v(p, x) + kubert_v(p, negate(x))}")
+    print(f"  p={p}: V({x}) + V({-x}) = {kubert_v(p, x) + kubert_v(p, -x)}")
 
 print("\nGalois invariance V(p*x) = V(x) (multiplying by p permutes digits):")
 for p, x in [(2, "1/7"), (3, "1/8")]:
     x = QzClass.parse(x)
-    chain = [str(scale(x, p**k)) for k in range(4)]
-    vals = {str(kubert_v(p, scale(x, p**k))) for k in range(4)}
+    chain = [str(x.scale(p**k)) for k in range(4)]
+    vals = {str(kubert_v(p, x.scale(p**k))) for k in range(4)}
     print(f"  p={p}: orbit {' -> '.join(chain)} all have V = {vals.pop()}")
 
 print("\nThe value never depends on which p^r - 1 denominator is used:")

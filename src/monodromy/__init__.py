@@ -14,7 +14,7 @@ The package has five layers:
   fields (Gauss, Jacobi, Mellin, switchsum), the independent oracle layer.
 """
 
-from .qz import Prime, QzClass, kubert_v, mult_order
+from .qz import QzClass, kubert_v, mult_order
 from .fm_exponents import classify_fm_exponent, numeric_monomial_check, prime_to_p_part
 from .criteria import (
     ExponentPair,
@@ -48,7 +48,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ExponentPair",
-    "Prime",
     "QzClass",
     "WitnessReport",
     "belyi_monomial_side",

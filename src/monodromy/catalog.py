@@ -24,10 +24,11 @@ them a-list by a-list from the one walker ``fm_exponents._quotient_lists``,
 and candidate item 1, whose bound shrinks with a, steps them directly.
 Binomial items 4 and 6 are the squares of p^a + 1 and (p^a + 1)/2, both
 built by ``_square``.  Final items 3-9 and 11-13 are candidate items 5-8,
-13-15 and 25-27 under their final numbers.  ``fm_pair_scan`` is the
-brute-force counterpart of the candidate list, and ``quotient_lemma_oracle``
-brute-forces the exponential-quotient equations used throughout the case
-analysis with one quotient lister and one solution loop.
+13-15 and 25-27 under their final numbers.  ``fm_pair_scan``, a brute
+force over the FM set, is the counterpart of the candidate list, and
+``quotient_lemma_oracle`` brute-forces the exponential-quotient equations
+used throughout the case analysis with one quotient lister and one
+solution loop.
 """
 
 from __future__ import annotations
@@ -418,19 +419,15 @@ def classify_binomial(p: int, pair) -> PairClassification:
 
 def fm_pair_scan(p: int, bound: int) -> list[ExponentPair]:
     """All (A, B) with A prime to p, max(A, B) <= bound, and A, B, A+B all
-    FM-exponents.  Brute force against the symbolic classifier."""
+    FM-exponents, by A and then B.  A brute force over the FM set, checked
+    against the symbolic candidate list: it tries every pair of FM-exponents
+    <= bound, so its time grows with the size of that set, not the bound."""
     p = _as_prime_int(p)
     if bound < 2:
         raise ValueError("bound must be >= 2")
     fm = fm_exponent_set(p, 2 * bound)
-    out = []
-    for A in range(1, bound + 1):
-        if A % p == 0 or A not in fm:
-            continue
-        for B in range(1, bound + 1):
-            if B in fm and (A + B) in fm:
-                out.append(ExponentPair(A, B))
-    return out
+    below = sorted(n for n in fm if n <= bound)
+    return [ExponentPair(A, B) for A in below if A % p for B in below if A + B in fm]
 
 
 def _canonical(pairs: Iterable[ExponentPair]) -> set[tuple[int, int]]:
@@ -494,7 +491,7 @@ class CrosscheckRow:
     is_final_member: bool
     families: tuple[int, ...]
     search: SearchResult | None
-    status: str  # "member-pass" | "member-violated" | "violated" | "UNRESOLVED" | "resolved-on-rerun"
+    status: str  # "member-pass" | "member-violated" | "violated" | "UNRESOLVED"
 
     def as_dict(self) -> dict:
         return {
@@ -527,25 +524,17 @@ class CrosscheckReport:
         return [row for row in self.rows if row.status in ("UNRESOLVED", "member-violated")]
 
 
-def crosscheck(
-    p: int,
-    bound: int,
-    max_r: int | None = None,
-    search_members: bool = True,
-    rerun_max_r: int | None = None,
-) -> CrosscheckReport:
+def crosscheck(p: int, bound: int, max_r: int | None = None,
+               search_members: bool = True) -> CrosscheckReport:
     """Scan FM-pairs up to the bound, split by final-family membership, and
     hunt violations for the non-members.
 
     Non-members should all be violated; a non-member that survives max_r is
-    flagged UNRESOLVED (and retried up to rerun_max_r when given).  Members
-    are searched too (unless disabled) and must not be violated.  Both
-    depths are checked before any pair is scanned.
+    flagged UNRESOLVED.  Members are searched too (unless disabled) and must
+    not be violated.  The depth is checked before any pair is scanned.
     """
     p = _as_prime_int(p)
     max_r = _resolve_max_r(p, max_r)
-    if rerun_max_r is not None:
-        rerun_max_r = _resolve_max_r(p, rerun_max_r)
     rows = []
     for A, B in sorted(_canonical(fm_pair_scan(p, bound))):
         cls = classify_pair(p, (A, B), FINAL)
@@ -553,13 +542,8 @@ def crosscheck(
         res = belyi_search(p, (A, B), max_r) if search_members or not cls.is_member else None
         if cls.is_member:
             status = "member-violated" if res and res.found else "member-pass"
-        elif res.found:
-            status = "violated"
-        elif rerun_max_r is not None and rerun_max_r > max_r:
-            res = belyi_search(p, (A, B), rerun_max_r)
-            status = "resolved-on-rerun" if res.found else "UNRESOLVED"
         else:
-            status = "UNRESOLVED"
+            status = "violated" if res.found else "UNRESOLVED"
         rows.append(CrosscheckRow((A, B), cls.is_member, items, res, status))
     return CrosscheckReport(p, bound, max_r, tuple(rows))
 

@@ -18,15 +18,13 @@ powers X^0 .. X^(r-1) give every element's matrix and the basis traces
 Tr(x^i) = trace(X^i).  The exp table is filled by doubling: rows [n, 2n)
 are rows [0, n) times the n-th power of the generator's matrix, so about
 log2(q) numpy matmuls build it.  ``log`` is one scatter of it, and
-``trace`` the digit rows times the basis traces.  The tables are stored as
-read-only numpy arrays, which every sum
-reads directly; ``exp``, ``log`` and ``trace`` are tuple-of-int views of
-them, built on first use.  Two fields are equal, and hash alike, when their
-presentations (p, r, q, modulus, generator) are, since those determine the
-tables.  Caches are bounded: ``build_field`` keeps the 32 most recent
-fields, and the O(q) tables derived from a field (character values, psi by
-discrete log, log(1 - g^k)) are cached on the field itself, so they are
-freed with it.
+``trace`` the digit rows times the basis traces.  The tables are
+read-only numpy arrays, which every sum reads directly.  Two fields are
+equal, and hash alike, when their presentations (p, r, q, modulus,
+generator) are, since those determine the tables.  Caches are bounded:
+``build_field`` keeps the 32 most recent fields, and the O(q) tables
+derived from a field (character values, psi by discrete log, log(1 - g^k))
+are cached on the field itself, so they are freed with it.
 
 The Mellin and switch checks build their tables per call and keep none.
 ``mellin_suite`` makes one character table R[a, k] = chi_a(g^k), and it
@@ -130,12 +128,11 @@ def _factor(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldPresentation:
-    """A concrete model of F_{p^r} with exp/log tables.
+    """A concrete model of F_{p^r} with exp/log tables, as read-only arrays.
 
     ``exp[k]`` is generator^k for 0 <= k < q-1 and ``log[t]`` inverts it on
     the units (log[0] is -1 and must not be used).  ``trace[t]`` is the
-    absolute trace into F_p.  The private ``_exp``, ``_log`` and ``_trace``
-    are the same tables as read-only arrays.
+    absolute trace into F_p.
     """
 
     p: int
@@ -143,21 +140,9 @@ class FieldPresentation:
     q: int
     modulus: tuple[int, ...]
     generator: int
-    _exp: np.ndarray = field(compare=False, repr=False)
-    _log: np.ndarray = field(compare=False, repr=False)
-    _trace: np.ndarray = field(compare=False, repr=False)
-
-    @cached_property
-    def exp(self) -> tuple[int, ...]:
-        return tuple(self._exp.tolist())
-
-    @cached_property
-    def log(self) -> tuple[int, ...]:
-        return tuple(self._log.tolist())
-
-    @cached_property
-    def trace(self) -> tuple[int, ...]:
-        return tuple(self._trace.tolist())
+    exp: np.ndarray = field(compare=False, repr=False)
+    log: np.ndarray = field(compare=False, repr=False)
+    trace: np.ndarray = field(compare=False, repr=False)
 
     # -- element arithmetic ------------------------------------------------
     def coeffs(self, t: int) -> tuple[int, ...]:
@@ -185,7 +170,7 @@ class FieldPresentation:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return self.exp[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
 
     def power(self, a: int, n: int) -> int:
         if a == 0:
@@ -194,7 +179,7 @@ class FieldPresentation:
             if n < 0:
                 raise ZeroDivisionError("inverse of zero")
             return 0
-        return self.exp[(self.log[a] * n) % (self.q - 1)]
+        return int(self.exp[int(self.log[a]) * n % (self.q - 1)])
 
     @property
     def elements(self) -> range:
@@ -215,7 +200,7 @@ class FieldPresentation:
             roots = np.array([1.0 + 0j, -1.0 + 0j])
         else:
             roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        return roots[self._trace]
+        return roots[self.trace]
 
     @cached_property
     def _unit_roots(self) -> np.ndarray:
@@ -225,7 +210,7 @@ class FieldPresentation:
     @cached_property
     def _psi_by_log(self) -> np.ndarray:
         """psi(generator^k) indexed by k."""
-        return self._psi_table[self._exp]
+        return self._psi_table[self.exp]
 
     @cached_property
     def _log_one_minus(self) -> np.ndarray:
@@ -235,8 +220,8 @@ class FieldPresentation:
         changes only the constant base-p digit.
         """
         p = self.p
-        t = np.roll(self._exp, -((self.q - 1) // 2 if p > 2 else 0))
-        return self._log[t - t % p + (t + 1) % p]
+        t = np.roll(self.exp, -((self.q - 1) // 2 if p > 2 else 0))
+        return self.log[t - t % p + (t + 1) % p]
 
     def as_json_dict(self) -> dict:
         return {
@@ -312,7 +297,7 @@ def build_field(p: int, r: int) -> FieldPresentation:
         table.flags.writeable = False
 
     return FieldPresentation(p=p, r=r, q=q, modulus=tuple(modulus), generator=generator,
-                             _exp=exp, _log=log, _trace=trace)
+                             exp=exp, log=log, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +371,7 @@ def belyi_values(F: FieldPresentation, d: int, e: int) -> np.ndarray:
     reduced mod q - 1 first, so the int64 products cannot overflow."""
     m = F.q - 1
     x = np.arange(F.q)
-    out = F._exp[(d % m * F._log + e % m * F._log[x - x % F.p + (x - 1) % F.p]) % m]
+    out = F.exp[(d % m * F.log + e % m * F.log[x - x % F.p + (x - 1) % F.p]) % m]
     out[0] *= d == 0
     out[1] *= e == 0
     return out
@@ -409,7 +394,7 @@ def _linear_sums(F: FieldPresentation, R: np.ndarray) -> np.ndarray:
     m = F.q - 1
     psi_prod = np.empty((m, F.q), dtype=complex)  # psi(g^k * v) as [k, v]
     psi_prod[:, 0] = F.psi(0)
-    psi_prod[:, 1:] = F._psi_by_log[(np.arange(m)[:, None] + F._log[1:]) % m]
+    psi_prod[:, 1:] = F._psi_by_log[(np.arange(m)[:, None] + F.log[1:]) % m]
     return R @ psi_prod
 
 
@@ -444,7 +429,7 @@ def _closed_forms(F: FieldPresentation, pair, R: np.ndarray) -> np.ndarray:
     J = R @ C.T  # J(chi_a1, chi_a2) as [a1, a2]
     a = np.arange(m)[:, None]
     b = np.arange(m)
-    chibar_neg1_e = F._unit_roots[(-a * F._log[F.neg(1)] * e) % m]
+    chibar_neg1_e = F._unit_roots[(-a * F.log[F.neg(1)] * e) % m]
     G_eta = np.where(b == 0, -1, G)  # eta trivial: -G(chi) in place of G(chi) G(eta)
     out = G[:, None] * G_eta * chibar_neg1_e * J[(-d * a - b) % m, (-e * a) % m]
     out[0] = q * G
@@ -517,9 +502,9 @@ def _switchsum_sides(F: FieldPresentation):
     if F.p != 2:
         raise ValueError("switchsum is a characteristic-2 identity")
     m = F.q - 1
-    exp, log = F._exp, F._log
+    exp, log = F.exp, F.log
     unit = log >= 0
-    psi = 1 - 2 * F._trace  # psi as +-1 integers
+    psi = 1 - 2 * F.trace  # psi as +-1 integers
 
     def times(t: int) -> np.ndarray:
         """t * x for every x in F."""

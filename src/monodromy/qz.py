@@ -16,20 +16,16 @@ are reduced integer fractions and V values are ``fractions.Fraction``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
     "OrderCapError",
-    "Prime",
     "QzClass",
     "digit_sum",
     "is_prime",
     "kubert_v",
     "mult_order",
-    "negate",
-    "scale",
 ]
 
 MULT_ORDER_CAP = 10**6
@@ -72,26 +68,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Prime:
-    """A prime characteristic, validated at construction."""
-
-    p: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __str__(self) -> str:
-        return str(self.p)
-
-
-def _as_prime_int(p: int | Prime) -> int:
-    if isinstance(p, Prime):
-        return p.p
+def _as_prime_int(p: int) -> int:
     p = int(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -142,14 +119,12 @@ class QzClass:
     def is_zero(self) -> bool:
         return self.num == 0
 
-    def negate(self) -> "QzClass":
-        return QzClass(-self.num, self.den)
-
     def scale(self, k: int) -> "QzClass":
+        """The class of k*x; its reduced denominator divides this one's."""
         return QzClass(k * self.num, self.den)
 
     def __neg__(self) -> "QzClass":
-        return self.negate()
+        return QzClass(-self.num, self.den)
 
     def __add__(self, other: "QzClass") -> "QzClass":
         if not isinstance(other, QzClass):
@@ -186,16 +161,6 @@ def _as_class(x: QzClass | Fraction | str | int) -> QzClass:
     if isinstance(x, int):
         return QzClass(x)
     raise TypeError(f"cannot interpret {x!r} as a class in Q/Z")
-
-
-def negate(x: QzClass) -> QzClass:
-    """The class of -x; fixes 0."""
-    return _as_class(x).negate()
-
-
-def scale(x: QzClass, k: int) -> QzClass:
-    """The class of k*x mod 1.  The reduced denominator divides den(x)."""
-    return _as_class(x).scale(k)
 
 
 @lru_cache(maxsize=4096)
@@ -242,7 +207,7 @@ def _orbit_sum(p: int, c: int, n: int, r: int) -> int:
     return total
 
 
-def kubert_v(p: int | Prime, x: QzClass | Fraction | str | int) -> Fraction:
+def kubert_v(p: int, x: QzClass | Fraction | str | int) -> Fraction:
     """V_p(x) as an exact rational in [0, 1).
 
     With r the multiplicative order of p mod den(x), this is the mean of {p^i x}

@@ -213,20 +213,14 @@ def test_criterion_7_candidate_completeness():
 
 def test_criterion_8_negative_half():
     with criterion(8, "non-final candidates violated at bound 60", 600.0):
-        for p in (3, 5, 7):
+        for p in (2, 3, 5, 7):
             rep = crosscheck(p, 60, search_members=False)
             assert rep.unresolved == [], (p, [r.pair for r in rep.unresolved])
-        rep = crosscheck(2, 60, search_members=False, rerun_max_r=16)
-        rerun_rows = [r for r in rep.rows if r.status == "resolved-on-rerun"]
-        assert len(rerun_rows) <= 2, [r.pair for r in rerun_rows]
-        assert rep.unresolved == [], [r.pair for r in rep.unresolved]
-        # reversal symmetry of verdicts at the sweep depth, on the sweep itself
-        for p in (2, 3, 5, 7):
-            for row in crosscheck(p, 60, search_members=False).rows:
-                if row.is_final_member:
-                    continue
-                A, B = row.pair
-                assert belyi_search(p, (B, A)).found, (p, B, A)
+            # reversal symmetry of verdicts at the sweep depth, on the sweep itself
+            for row in rep.rows:
+                if not row.is_final_member:
+                    A, B = row.pair
+                    assert belyi_search(p, (B, A)).found, (p, B, A)
 
 
 def test_criterion_9_positive_evidence():

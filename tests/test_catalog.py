@@ -129,6 +129,17 @@ class TestFmPairScan:
     def test_first_component_coprime(self):
         assert all(q.d % 3 != 0 for q in fm_pair_scan(3, 50))
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_matches_double_loop_reference(self, p):
+        from monodromy.fm_exponents import fm_exponent_set
+
+        for bound in (2, 3, 10, 60, 300):
+            fm = fm_exponent_set(p, 2 * bound)
+            expected = [ExponentPair(A, B)
+                        for A in range(1, bound + 1) if A % p and A in fm
+                        for B in range(1, bound + 1) if B in fm and A + B in fm]
+            assert fm_pair_scan(p, bound) == expected, bound
+
 
 class TestTheoremCrossValidation:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -209,6 +209,12 @@ class TestCrosscheck:
         assert lines[-1]["result"]["unresolved"] == 0
         assert lines[-1]["result"]["member_violations"] == 0
 
+    def test_bound_past_a_billion(self, capsys):
+        # the scan pairs FM-exponents, so its time does not grow with the bound
+        code, lines = run(capsys, ["crosscheck", "--p", "7", "--max", "1000000000"])
+        assert code == 0
+        assert lines[-1]["result"]["unresolved"] == 0
+
 
 class TestCharsums:
     def test_small_suite(self, capsys):
