@@ -5,7 +5,8 @@ The package has five layers:
 * :mod:`monodromy.qz` - classes in (Q/Z) prime to p and the Kubert
   V-function by p-adic digit sums;
 * :mod:`monodromy.fm_exponents` - the FM-exponent classification and its
-  numeric cross-check;
+  numeric cross-check, which runs on the level scan and exact recheck of
+  :mod:`monodromy.criteria`;
 * :mod:`monodromy.criteria` - the W functional, the two-variable and
   binomial inequalities, and bounded exhaustive violation searches;
 * :mod:`monodromy.catalog` - the candidate/final/binomial family lists as

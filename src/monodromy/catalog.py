@@ -78,8 +78,9 @@ class Membership:
     params: tuple[tuple[str, int], ...]
     reversed: bool
 
-    def params_dict(self) -> dict:
-        return dict(self.params)
+    def as_dict(self) -> dict:
+        """The JSON membership that `classify` prints and every catalog row ends with."""
+        return {"item": self.family.index, "params": dict(self.params), "reversed": self.reversed}
 
 
 @dataclass(frozen=True)
@@ -362,9 +363,10 @@ def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
         raise ValueError("bound must be >= 1")
     for fam in fams:
         if fam.p_ok(p):
+            fid = FamilyId(theorem, fam.index, fam.constraint)
             for (A, B), params in sorted(_rows(fam, p, bound).items()):
-                yield {"theorem": theorem, "item": fam.index, "p": p, "A": A, "B": B,
-                       "params": dict(params), "reversed": False}
+                yield {"theorem": theorem, "p": p, "A": A, "B": B,
+                       **Membership(fid, params, False).as_dict()}
 
 
 def _memberships(p: int, A: int, B: int, theorem: str) -> list[Membership]:
@@ -491,7 +493,7 @@ class CrosscheckRow:
     is_final_member: bool
     families: tuple[int, ...]
     search: SearchResult | None
-    status: str  # "member-pass" | "member-violated" | "violated" | "UNRESOLVED"
+    status: str  # member-pass, member-violated, member-skipped, violated or UNRESOLVED
 
     def as_dict(self) -> dict:
         return {
@@ -530,8 +532,10 @@ def crosscheck(p: int, bound: int, max_r: int | None = None,
     hunt violations for the non-members.
 
     Non-members should all be violated; a non-member that survives max_r is
-    flagged UNRESOLVED.  Members are searched too (unless disabled) and must
-    not be violated.  The depth is checked before any pair is scanned.
+    flagged UNRESOLVED.  Members are searched too and must not be violated;
+    with search_members=False they are not searched and are marked
+    member-skipped, never member-pass.  The depth is checked before any
+    pair is scanned.
     """
     p = _as_prime_int(p)
     max_r = _resolve_max_r(p, max_r)
@@ -540,8 +544,10 @@ def crosscheck(p: int, bound: int, max_r: int | None = None,
         cls = classify_pair(p, (A, B), FINAL)
         items = tuple(sorted(m.family.index for m in cls.memberships))
         res = belyi_search(p, (A, B), max_r) if search_members or not cls.is_member else None
-        if cls.is_member:
-            status = "member-violated" if res and res.found else "member-pass"
+        if res is None:
+            status = "member-skipped"
+        elif cls.is_member:
+            status = "member-violated" if res.found else "member-pass"
         else:
             status = "violated" if res.found else "UNRESOLVED"
         rows.append(CrosscheckRow((A, B), cls.is_member, items, res, status))

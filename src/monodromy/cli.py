@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -158,14 +159,7 @@ def cmd_classify(args) -> tuple[dict, dict]:
         {
             "reduced": [cls.reduced_pair.d, cls.reduced_pair.e],
             "stripped_p_power": cls.stripped_p_power,
-            "memberships": [
-                {
-                    "item": m.family.index,
-                    "params": m.params_dict(),
-                    "reversed": m.reversed,
-                }
-                for m in cls.memberships
-            ],
+            "memberships": [m.as_dict() for m in cls.memberships],
         },
     )
 
@@ -179,16 +173,15 @@ def cmd_crosscheck(args) -> tuple[dict, dict]:
     )
     for row in report.rows:
         _emit(row.as_dict(), args.pretty)
+    status = Counter(row.status for row in report.rows)
     return (
         {"p": args.p, "max": args.max, "max_r": report.max_r},
         {
             "pairs": len(report.rows),
-            "members": sum(1 for r in report.rows if r.is_final_member),
-            "violated": sum(1 for r in report.rows if r.status == "violated"),
-            "unresolved": len(report.unresolved),
-            "member_violations": sum(
-                1 for r in report.rows if r.status == "member-violated"
-            ),
+            "members": sum(row.is_final_member for row in report.rows),
+            "violated": status["violated"],
+            "unresolved": status["UNRESOLVED"],
+            "member_violations": status["member-violated"],
         },
     )
 
@@ -263,14 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, func):
         p.add_argument("--pretty", action="store_true", help="indent JSON output")
+        p.set_defaults(func=func)
 
     s = sub.add_parser("vp", help="Kubert V-function value V_p(x)")
     s.add_argument("p", type=int)
     s.add_argument("fraction", type=_fraction_arg)
-    common(s)
-    s.set_defaults(func=cmd_v)
+    common(s, cmd_v)
 
     s = sub.add_parser("w", help="W_p(d,e,x,y) with verdict against 3/2")
     s.add_argument("p", type=int)
@@ -278,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("e", type=int)
     s.add_argument("x", type=_fraction_arg)
     s.add_argument("y", type=_fraction_arg)
-    common(s)
-    s.set_defaults(func=cmd_w)
+    common(s, cmd_w)
 
     for name, help_ in (("belyi", "two-variable + one-variable inequality search"),
                         ("binomial", "binomial inequality search")):
@@ -289,49 +281,42 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--e", type=int, required=True)
         s.add_argument("--max-r", type=int, default=None)
         s.add_argument("--no-early-stop", action="store_true")
-        common(s)
-        s.set_defaults(func=cmd_search)
+        common(s, cmd_search)
 
     s = sub.add_parser("verify-witnesses", help="re-evaluate the built-in W table")
     s.add_argument("--table", help="JSON file of [p,d,e,x,y,expected] rows")
-    common(s)
-    s.set_defaults(func=cmd_verify_witnesses)
+    common(s, cmd_verify_witnesses)
 
     s = sub.add_parser("catalog", help="enumerate family members as JSON lines")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--max", type=int, required=True)
     s.add_argument("--theorem", choices=THEOREMS, default="final")
-    common(s)
-    s.set_defaults(func=cmd_catalog)
+    common(s, cmd_catalog)
 
     s = sub.add_parser("classify", help="family memberships of one pair")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--e", type=int, required=True)
     s.add_argument("--theorem", choices=THEOREMS, default="final")
-    common(s)
-    s.set_defaults(func=cmd_classify)
+    common(s, cmd_classify)
 
     s = sub.add_parser("crosscheck", help="scan FM-pairs and hunt violations for non-members")
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--max", type=int, required=True)
     s.add_argument("--max-r", type=int, default=None)
     s.add_argument("--skip-members", action="store_true")
-    common(s)
-    s.set_defaults(func=cmd_crosscheck)
+    common(s, cmd_crosscheck)
 
     s = sub.add_parser("charsums", help="Gauss/Mellin/switchsum identity suites")
     s.add_argument("--max-q", type=int, default=MELLIN_Q_GUARD)
     s.add_argument("--switch-max-r", type=int, default=8)
-    common(s)
-    s.set_defaults(func=cmd_charsums)
+    common(s, cmd_charsums)
 
     s = sub.add_parser("dump-catalog", help="regenerate the shipped catalog file")
     s.add_argument("--out", required=True)
     s.add_argument("--max", type=int, default=300)
     s.add_argument("--p", type=int, action="append", default=None)
-    common(s)
-    s.set_defaults(func=cmd_dump_catalog)
+    common(s, cmd_dump_catalog)
 
     return ap
 

@@ -116,7 +116,7 @@ class WitnessReport:
     """A (pair, x, y, value) record certifying a criterion violation or pass."""
 
     p: int
-    pair: ExponentPair
+    pair: ExponentPair  # the plain tuple (d, 0) for the monomial check
     criterion: str  # a key of _CRITERIA
     x: QzClass
     y: QzClass | None
@@ -128,10 +128,11 @@ class WitnessReport:
         return "violation" if self.w_value < self.bound else "pass"
 
     def as_dict(self) -> dict:
+        d, e = self.pair
         return {
             "p": self.p,
-            "d": self.pair.d,
-            "e": self.pair.e,
+            "d": d,
+            "e": e,
             "criterion": self.criterion,
             "x": str(self.x),
             "y": None if self.y is None else str(self.y),
@@ -308,7 +309,8 @@ def _scan(p: int, max_r: int | None, level_rows, stop_early=True):
 
 
 def _search_result(p, pair, criterion, max_r, first, total) -> SearchResult:
-    """The result of a scan, with its first hit rechecked exactly in Fraction."""
+    """The result of a scan, with its first hit rechecked exactly in Fraction:
+    the one recheck of the Belyi, binomial and monomial searches."""
     witness = None
     if first is not None:
         level, i, kind, j = first

@@ -18,7 +18,9 @@ prime-to-p part of d, with its witnessing parameters, and `fm_exponent_set`
 is the set of p-power multiples of those values, so no exponent is
 classified one at a time to build it.
 `numeric_monomial_check` cross-checks the verdict against the V-function
-inequality V(x) + V(-d*x) >= 1/2 by bounded exhaustive search.
+inequality V(x) + V(-d*x) >= 1/2 by bounded exhaustive search: it runs on
+the level scan of `criteria` and reports its witness through the same exact
+recheck as the Belyi and binomial searches.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .criteria import _CRITERIA, _criterion_value, _scan
+from .criteria import _scan, _search_result
 from .qz import QzClass, _as_prime_int
 
 __all__ = [
@@ -167,8 +169,10 @@ def numeric_monomial_check(p: int, d: int, max_r: int | None) -> MonomialCheckRe
     Returns the first violation in the order r = 1..max_r (default_max_r(p)
     for None, as reported), then numerator (the shared level scan of
     `criteria` visits only the rows that can hold it), or a bounded-search
-    pass.  The witness is rechecked exactly in Fraction.  A violation
-    certifies that d is not an FM-exponent; a pass is evidence only.
+    pass.  The witness is rechecked exactly in Fraction by
+    `criteria._search_result`, as the criterion "monomial" for the pair
+    (d, 0), whose forms read d alone.  A violation certifies that d is not
+    an FM-exponent; a pass is evidence only.
     """
     p = _as_prime_int(p)
 
@@ -178,11 +182,7 @@ def numeric_monomial_check(p: int, d: int, max_r: int | None) -> MonomialCheckRe
         return hits, lambda i: (("monomial", None),)
 
     max_r, first, _ = _scan(p, max_r, level_rows)
-    if first is None:
+    w = _search_result(p, (d, 0), "monomial", max_r, first, 0).violation
+    if w is None:
         return MonomialCheckResult(p, d, max_r, None, None, None)
-    level, i, _, _ = first
-    x = QzClass(i, level.m)
-    v_sum = _criterion_value(p, "monomial", d, 0, x)
-    if v_sum >= _CRITERIA["monomial"][1]:
-        raise RuntimeError(f"the scan reported x = {x} with V-sum {v_sum}, not a violation")
-    return MonomialCheckResult(p, d, max_r, x, v_sum, level.r)
+    return MonomialCheckResult(p, d, max_r, w.x, w.w_value, first[0].r)

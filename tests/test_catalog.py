@@ -9,6 +9,7 @@ from monodromy.catalog import (
     BINOMIAL,
     CANDIDATES,
     FINAL,
+    THEOREMS,
     FamilyId,
     _CANDIDATE_FAMILIES,
     _FINAL_FAMILIES,
@@ -86,7 +87,7 @@ class TestClassifyPair:
 
     def test_params_recorded(self):
         cls = classify_pair(2, (3, 3), FINAL)
-        items = {m.family.index: m.params_dict() for m in cls.memberships}
+        items = {m.family.index: m.as_dict()["params"] for m in cls.memberships}
         assert items[3] == {"a": 1}
         assert items[4] == {"a": 3, "b": 1}  # (2^3+1)/(2^1+1) = 3
 
@@ -224,6 +225,21 @@ class TestTheoremCrossValidation:
                               "params": params, "reversed": False}
                              for (A, B), params in sorted(first.items())]
             assert list(catalog_rows(theorem, p, bound)) == expected, theorem
+
+
+@pytest.mark.parametrize("theorem", THEOREMS)
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_catalog_rows_agree_with_classify(theorem, p):
+    """Every catalog row's membership is one that classify reports for its pair."""
+    for row in catalog_rows(theorem, p, 60):
+        A, B = row["A"], row["B"]
+        assert A % p or B % p  # so classify_pair strips no power of p
+        if theorem == BINOMIAL:
+            cls = classify_binomial(p, (A, B))
+        else:
+            cls = classify_pair(p, (A, B), theorem)
+        membership = {k: row[k] for k in ("item", "params", "reversed")}
+        assert membership in [m.as_dict() for m in cls.memberships], row
 
 
 class TestLargeBounds:

@@ -1,6 +1,7 @@
 """Tests for the command-line surface: outputs, determinism, exit codes."""
 
 import json
+import re
 import shlex
 from importlib import resources
 from pathlib import Path
@@ -209,6 +210,31 @@ class TestCrosscheck:
         assert lines[-1]["result"]["unresolved"] == 0
         assert lines[-1]["result"]["member_violations"] == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["--p", "2", "--max", "60"],
+        ["--p", "5", "--max", "8", "--max-r", "5"],
+        ["--p", "5", "--max", "8", "--max-r", "5", "--skip-members"],
+    ])
+    def test_summary_recounts_its_rows(self, capsys, argv):
+        """The summary counts the streamed rows, and members that were not
+        searched read member-skipped, never member-pass."""
+        code, lines = run(capsys, ["crosscheck", *argv])
+        rows, summary = lines[:-1], lines[-1]["result"]
+        skip = "--skip-members" in argv
+        members = [r for r in rows if r["final_member"]]
+        assert members
+        for row in members:
+            assert (row["status"] == "member-skipped") == skip
+            assert row["witness"] is None or not skip
+        count = lambda status: sum(r["status"] == status for r in rows)
+        assert summary == {
+            "pairs": len(rows),
+            "members": sum(r["final_member"] for r in rows),
+            "violated": count("violated"),
+            "unresolved": count("UNRESOLVED"),
+            "member_violations": count("member-violated"),
+        }
+
     def test_bound_past_a_billion(self, capsys):
         # the scan pairs FM-exponents, so its time does not grow with the bound
         code, lines = run(capsys, ["crosscheck", "--p", "7", "--max", "1000000000"])
@@ -329,8 +355,16 @@ def test_readme_cli_block_shows_every_command():
 
 @pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, argv):
-    """The README's CLI examples run as written and exit 0."""
+    """The README's CLI examples run as written, exit 0, and print the same
+    output twice apart from timing_ms; dump-catalog writes the same file."""
     monkeypatch.chdir(tmp_path)  # dump-catalog writes into the working directory
-    code, lines = run(capsys, argv)
-    assert code == 0
-    assert lines[-1]["command"] == argv[0]
+    outputs, files = [], []
+    for _ in range(2):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out.splitlines()[-1])["command"] == argv[0]
+        outputs.append(re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out))
+        files.append({f.name: f.read_bytes() for f in tmp_path.iterdir()})
+    assert outputs[0] == outputs[1]
+    assert files[0] == files[1]
+    assert bool(files[0]) == (argv[0] == "dump-catalog")
