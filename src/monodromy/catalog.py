@@ -15,7 +15,9 @@ Three theorem-shaped lists are encoded as data, each entry keeping its
 Every family is a generator of (A, B, params) triples, and one helper,
 ``_rows``, turns it into a {pair: params} map that keeps the params that
 first produce each pair.  Enumeration, membership and the JSON rows of
-``catalog_rows`` all read that map.  Membership checks always test both
+``catalog_rows`` all read that map.  One function, ``classify_pair``,
+reports membership under all three theorems: it reduces a binomial pair to
+its prime-to-p parts and any other pair by a common power of p.  Membership checks always test both
 orientations of a pair; enumeration emits the orientation as printed in the
 source lists.  Each family is written once.  The quotients
 (p^(ab)+1)/(p^a+1), b odd, are stepped by ``fm_exponents._cyclotomic_quotients``;
@@ -371,7 +373,7 @@ def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
 
 def _memberships(p: int, A: int, B: int, theorem: str) -> list[Membership]:
     found = []
-    for fam in _REGISTRY[theorem]:
+    for fam in _families(theorem):
         if not fam.p_ok(p):
             continue
         rows = _rows(fam, p, max(A, B))
@@ -386,34 +388,28 @@ def _memberships(p: int, A: int, B: int, theorem: str) -> list[Membership]:
 def classify_pair(p: int, pair, theorem: str = FINAL) -> PairClassification:
     """Memberships of (A, B) across one theorem's families, both orientations.
 
-    A common power of p is stripped from the pair first (scaling both
-    exponents by p does not change the verdict); the reduction is reported.
+    The binomial cases are matched on prime-to-p parts; for the other
+    theorems a common power of p is stripped from the pair first (scaling
+    both exponents by p does not change the verdict).  The reduction is
+    reported.
     """
     p = _as_prime_int(p)
     pair = _as_pair(pair)
-    if theorem not in (CANDIDATES, FINAL):
-        raise ValueError(f"classify_pair handles {CANDIDATES!r} and {FINAL!r}; "
-                         f"use classify_binomial for {BINOMIAL!r}")
     A, B = pair.d, pair.e
+    if theorem == BINOMIAL:
+        A, B = prime_to_p_part(p, A), prime_to_p_part(p, B)
     k = 0
     while A % p == 0 and B % p == 0:
         A //= p
         B //= p
         k += 1
-    reduced = ExponentPair(A, B)
     members = _memberships(p, A, B, theorem)
-    return PairClassification(pair, p, reduced, k, tuple(members))
+    return PairClassification(pair, p, ExponentPair(A, B), k, tuple(members))
 
 
 def classify_binomial(p: int, pair) -> PairClassification:
     """Memberships of a binomial pair among the 9 cases, on prime-to-p parts."""
-    p = _as_prime_int(p)
-    pair = _as_pair(pair)
-    dp = prime_to_p_part(p, pair.d)
-    ep = prime_to_p_part(p, pair.e)
-    reduced = ExponentPair(dp, ep)
-    members = _memberships(p, dp, ep, BINOMIAL)
-    return PairClassification(pair, p, reduced, 0, tuple(members))
+    return classify_pair(p, pair, BINOMIAL)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +488,8 @@ class CrosscheckRow:
     pair: tuple[int, int]
     is_final_member: bool
     families: tuple[int, ...]
-    search: SearchResult | None
-    status: str  # member-pass, member-violated, member-skipped, violated or UNRESOLVED
+    search: SearchResult
+    status: str  # member-pass, member-violated, violated or UNRESOLVED
 
     def as_dict(self) -> dict:
         return {
@@ -502,11 +498,7 @@ class CrosscheckRow:
             "final_member": self.is_final_member,
             "final_items": list(self.families),
             "status": self.status,
-            "witness": (
-                self.search.violation.as_dict()
-                if self.search and self.search.violation
-                else None
-            ),
+            "witness": self.search.violation.as_dict() if self.search.found else None,
         }
 
 
@@ -526,16 +518,14 @@ class CrosscheckReport:
         return [row for row in self.rows if row.status in ("UNRESOLVED", "member-violated")]
 
 
-def crosscheck(p: int, bound: int, max_r: int | None = None,
-               search_members: bool = True) -> CrosscheckReport:
+def crosscheck(p: int, bound: int, max_r: int | None = None) -> CrosscheckReport:
     """Scan FM-pairs up to the bound, split by final-family membership, and
-    hunt violations for the non-members.
+    hunt violations for every pair.
 
     Non-members should all be violated; a non-member that survives max_r is
-    flagged UNRESOLVED.  Members are searched too and must not be violated;
-    with search_members=False they are not searched and are marked
-    member-skipped, never member-pass.  The depth is checked before any
-    pair is scanned.
+    flagged UNRESOLVED.  Members must not be violated: each reads
+    member-pass or member-violated.  The depth is checked before any pair
+    is scanned.
     """
     p = _as_prime_int(p)
     max_r = _resolve_max_r(p, max_r)
@@ -543,10 +533,8 @@ def crosscheck(p: int, bound: int, max_r: int | None = None,
     for A, B in sorted(_canonical(fm_pair_scan(p, bound))):
         cls = classify_pair(p, (A, B), FINAL)
         items = tuple(sorted(m.family.index for m in cls.memberships))
-        res = belyi_search(p, (A, B), max_r) if search_members or not cls.is_member else None
-        if res is None:
-            status = "member-skipped"
-        elif cls.is_member:
+        res = belyi_search(p, (A, B), max_r)
+        if cls.is_member:
             status = "member-violated" if res.found else "member-pass"
         else:
             status = "violated" if res.found else "UNRESOLVED"

@@ -24,7 +24,6 @@ from . import __version__
 from .catalog import (
     THEOREMS,
     catalog_rows,
-    classify_binomial,
     classify_pair,
     crosscheck,
     write_catalog,
@@ -150,10 +149,7 @@ def cmd_catalog(args) -> tuple[dict, dict]:
 
 
 def cmd_classify(args) -> tuple[dict, dict]:
-    if args.theorem == "binomial":
-        cls = classify_binomial(args.p, (args.d, args.e))
-    else:
-        cls = classify_pair(args.p, (args.d, args.e), args.theorem)
+    cls = classify_pair(args.p, (args.d, args.e), args.theorem)
     return (
         {"p": args.p, "d": args.d, "e": args.e, "theorem": args.theorem},
         {
@@ -165,12 +161,7 @@ def cmd_classify(args) -> tuple[dict, dict]:
 
 
 def cmd_crosscheck(args) -> tuple[dict, dict]:
-    report = crosscheck(
-        args.p,
-        args.max,
-        max_r=args.max_r,
-        search_members=not args.skip_members,
-    )
+    report = crosscheck(args.p, args.max, max_r=args.max_r)
     for row in report.rows:
         _emit(row.as_dict(), args.pretty)
     status = Counter(row.status for row in report.rows)
@@ -304,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=int, required=True)
     s.add_argument("--max", type=int, required=True)
     s.add_argument("--max-r", type=int, default=None)
-    s.add_argument("--skip-members", action="store_true")
     common(s, cmd_crosscheck)
 
     s = sub.add_parser("charsums", help="Gauss/Mellin/switchsum identity suites")

@@ -8,11 +8,11 @@ when both of these hold over (Q/Z) prime to p:
     V(x) + V(-(d+e)x) >= 1/2                      for all x != 0.
 
 The binomial analogue bounds V(x) + V(y) + V(-dx-ey) below by 1/2 for (x, y)
-not both zero.  Each inequality is one row of `_CRITERIA`, its forms a*x + b*y
-and its bound.  Every form's denominator divides N = lcm(den x, den y), and
-V(c/(p^r - 1)) = digitsum_p(c)/(r(p-1)), so one evaluator reads all forms at
-r = ord_N(p) as one Fraction, and a search compares level-r digit sums with
-ceil(bound * r(p-1)).  One level scan serves every search and skips rows by
+not both zero.  Each inequality is one row of `_CRITERIA`: its forms a*x + b*y,
+its bound and its nonzero condition.  Every form's denominator divides
+N = lcm(den x, den y), and V(c/(p^r - 1)) = digitsum_p(c)/(r(p-1)), so one
+evaluator reads all forms at r = ord_N(p) as one Fraction, and a search
+compares level-r digit sums with ceil(bound * r(p-1)).  One level scan serves every search and skips rows by
 two exact reductions: V(px) = V(x), so only the least x of each orbit
 under x -> px is scanned, and V(a) + V(b) >= V(a+b), so every criterion is
 at least V(x) and rows with V(x) >= 1/2 cannot violate.  The binomial
@@ -32,7 +32,7 @@ check preceding the y scan at each x.
 A full sweep weights each row's count by its orbit size, so
 violations_total still counts every (x, y).  Classes already covered at a
 divisor level s | r are not re-tested, and a reported witness is always
-rechecked exactly.
+rechecked exactly, both its value and its row's nonzero condition.
 
 A violation certifies non-integrality; a bounded pass is evidence only, never
 a proof of finiteness.  A p = 2 witness with (d+e)x = 0 (Belyi (7, 7),
@@ -74,12 +74,14 @@ BELYI_PAIR_BOUND = Fraction(3, 2)
 MONOMIAL_BOUND = Fraction(1, 2)
 BINOMIAL_BOUND = Fraction(1, 2)
 
-# kind -> (the (a, b) of each form a*x + b*y the V-sum reads, from (d, e); bound)
+# kind -> (the (a, b) of each form a*x + b*y the V-sum reads, from (d, e); bound;
+#          its nonzero condition, from (x != 0, y != 0): where the criterion speaks)
 _CRITERIA = {
-    "belyi-pair": (lambda d, e: ((1, 0), (0, 1), (-d - e, 1), (e, -1), (-e, 0)), BELYI_PAIR_BOUND),
-    "belyi-monomial": (lambda d, e: ((1, 0), (-d - e, 0)), MONOMIAL_BOUND),
-    "binomial": (lambda d, e: ((1, 0), (0, 1), (-d, -e)), BINOMIAL_BOUND),
-    "monomial": (lambda d, e: ((1, 0), (-d, 0)), MONOMIAL_BOUND),  # FM: one exponent d
+    "belyi-pair": (lambda d, e: ((1, 0), (0, 1), (-d - e, 1), (e, -1), (-e, 0)), BELYI_PAIR_BOUND,
+                   lambda x, y: x and y),
+    "belyi-monomial": (lambda d, e: ((1, 0), (-d - e, 0)), MONOMIAL_BOUND, lambda x, y: x),
+    "binomial": (lambda d, e: ((1, 0), (0, 1), (-d, -e)), BINOMIAL_BOUND, lambda x, y: x or y),
+    "monomial": (lambda d, e: ((1, 0), (-d, 0)), MONOMIAL_BOUND, lambda x, y: x),  # FM: exponent d
 }
 
 DEFAULT_GRID_LIMIT = 10**8  # (x, y) grid points at the default depth, (p^r - 1)^2
@@ -268,7 +270,7 @@ def _level_tables(p: int, r: int) -> _Level:
     rows = orbits[2 * D[orbits] < r * (p - 1)]
     E = np.roll(D[::-1], 1)
     pair_mask = {int(v): np.lcm(lev, v) == r for v in np.unique(lev) if v != r}
-    below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound) in _CRITERIA.items()}
+    below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound, _) in _CRITERIA.items()}
     return _Level(r, m, D, np.concatenate((D, D)), np.concatenate((E, E)), lev,
                   orbits, rows, pair_mask, below)
 
@@ -309,14 +311,19 @@ def _scan(p: int, max_r: int | None, level_rows, stop_early=True):
 
 
 def _search_result(p, pair, criterion, max_r, first, total) -> SearchResult:
-    """The result of a scan, with its first hit rechecked exactly in Fraction:
-    the one recheck of the Belyi, binomial and monomial searches."""
+    """The result of a scan, with its first hit rechecked exactly in Fraction
+    and against its criterion's nonzero condition: the one recheck of the
+    Belyi, binomial and monomial searches."""
     witness = None
     if first is not None:
         level, i, kind, j = first
         x, y = QzClass(i, level.m), QzClass(j or 0, level.m)
+        _, bound, nonzero = _CRITERIA[kind]
+        if not nonzero(i != 0, bool(j)):
+            raise RuntimeError(f"the scan reported {kind} at x = {x}, y = {y}, "
+                               "outside its nonzero condition")
         witness = WitnessReport(p, pair, kind, x, None if j is None else y,
-                                _criterion_value(p, kind, *pair, x, y), _CRITERIA[kind][1])
+                                _criterion_value(p, kind, *pair, x, y), bound)
         if witness.verdict != "violation":
             raise RuntimeError(f"the scan reported {witness.as_dict()}, not a violation")
     return SearchResult(p, pair, criterion, max_r, witness, total)

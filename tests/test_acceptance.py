@@ -214,7 +214,7 @@ def test_criterion_7_candidate_completeness():
 def test_criterion_8_negative_half():
     with criterion(8, "non-final candidates violated at bound 60", 600.0):
         for p in (2, 3, 5, 7):
-            rep = crosscheck(p, 60, search_members=False)
+            rep = crosscheck(p, 60)
             assert rep.unresolved == [], (p, [r.pair for r in rep.unresolved])
             # reversal symmetry of verdicts at the sweep depth, on the sweep itself
             for row in rep.rows:

@@ -1,20 +1,34 @@
 """Tests for the command-line surface: outputs, determinism, exit codes."""
 
+import contextlib
+import io
 import json
+import os
 import re
 import shlex
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from monodromy.catalog import THEOREMS
-from monodromy.charsums import FIELD_SIZE_GUARD
+from monodromy.catalog import (
+    THEOREMS,
+    catalog_rows,
+    classify_pair,
+    enumerate_family,
+    fm_pair_scan,
+    quotient_lemma_oracle,
+)
+from monodromy.charsums import FIELD_SIZE_GUARD, build_field
 from monodromy.cli import _prime_powers_upto, main
-from monodromy.qz import is_prime
+from monodromy.criteria import ExponentPair
+from monodromy.fm_exponents import classify_fm_exponent
+from monodromy.qz import _as_class, digit_sum, is_prime, mult_order
 
 DATA = Path(__file__).parent / "data"
-README = Path(__file__).parents[1] / "README.md"
+ROOT = Path(__file__).parents[1]
+README = ROOT / "README.md"
 
 
 def run(capsys, argv):
@@ -205,7 +219,7 @@ class TestCrosscheck:
     def test_p5(self, capsys):
         code, lines = run(
             capsys,
-            ["crosscheck", "--p", "5", "--max", "8", "--max-r", "5", "--skip-members"],
+            ["crosscheck", "--p", "5", "--max", "8", "--max-r", "5"],
         )
         assert lines[-1]["result"]["unresolved"] == 0
         assert lines[-1]["result"]["member_violations"] == 0
@@ -213,19 +227,16 @@ class TestCrosscheck:
     @pytest.mark.parametrize("argv", [
         ["--p", "2", "--max", "60"],
         ["--p", "5", "--max", "8", "--max-r", "5"],
-        ["--p", "5", "--max", "8", "--max-r", "5", "--skip-members"],
     ])
     def test_summary_recounts_its_rows(self, capsys, argv):
-        """The summary counts the streamed rows, and members that were not
-        searched read member-skipped, never member-pass."""
+        """The summary counts the streamed rows, and every member is searched
+        and passes."""
         code, lines = run(capsys, ["crosscheck", *argv])
         rows, summary = lines[:-1], lines[-1]["result"]
-        skip = "--skip-members" in argv
         members = [r for r in rows if r["final_member"]]
         assert members
         for row in members:
-            assert (row["status"] == "member-skipped") == skip
-            assert row["witness"] is None or not skip
+            assert row["status"] == "member-pass" and row["witness"] is None
         count = lambda status: sum(r["status"] == status for r in rows)
         assert summary == {
             "pairs": len(rows),
@@ -327,11 +338,12 @@ class TestErrorBoundary:
             ["w", "2", "1", "1", "1/1000003", "1/3"],
             ["charsums", "--switch-max-r", "14"],
             ["w", "2", "1", "1", "0", "1/7"],
-            ["crosscheck", "--p", "2", "--max", "3", "--max-r", "40", "--skip-members"],
-            ["crosscheck", "--p", "2", "--max", "3", "--max-r", "0", "--skip-members"],
+            ["crosscheck", "--p", "2", "--max", "3", "--max-r", "40"],
+            ["crosscheck", "--p", "2", "--max", "3", "--max-r", "0"],
             ["verify-witnesses", "--table", str(DATA / "witness_table_zero_den_expected.json")],
             ["verify-witnesses", "--table", str(DATA / "witness_table_zero_den_x.json")],
             ["vp", str(2**89 - 1), "1/3"],  # a prime past the primality test's bound
+            ["verify-witnesses", "--table", str(DATA / "witness_table_object.json")],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):
@@ -339,6 +351,47 @@ class TestErrorBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["vp", "2", "1/7"],
+    ["crosscheck", "--p", "7", "--max", "5", "--max-r", "3"],
+    ["verify-witnesses"],
+], ids=lambda argv: argv[0])
+def test_pretty_prints_the_same_objects(capsys, argv):
+    """--pretty indents each object but prints the same objects and exit code."""
+    outputs = []
+    for extra in ([], ["--pretty"]):
+        code = main(argv + extra)
+        text, objs, pos = capsys.readouterr().out, [], 0
+        while pos < len(text):
+            obj, pos = json.JSONDecoder().raw_decode(text, pos)
+            objs.append(obj)
+            pos += 1  # the newline print() writes after each object
+        objs[-1]["timing_ms"] = 0
+        outputs.append((code, objs))
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: classify_pair(2, (1, 1), "bogus"), ValueError, "unknown theorem selector 'bogus'"),
+    (lambda: enumerate_family(("final", 1), 2, 0), ValueError, "bound must be >= 1"),
+    (lambda: list(catalog_rows("final", 2, 0)), ValueError, "bound must be >= 1"),
+    (lambda: fm_pair_scan(2, 1), ValueError, "bound must be >= 2"),
+    (lambda: quotient_lemma_oracle(2, 0, 1), ValueError, "max_exp must be >= 1"),
+    (lambda: build_field(2, 0), ValueError, "degree must be >= 1"),
+    (lambda: build_field(2, 2).power(0, -1), ZeroDivisionError, "inverse of zero"),
+    (lambda: ExponentPair(0, 1), ValueError, "exponents must be positive"),
+    (lambda: classify_fm_exponent(2, 0), ValueError, "d must be a positive integer"),
+    (lambda: mult_order(2, 0), ValueError, "denominator must be positive"),
+    (lambda: digit_sum(-1, 2), ValueError, "non-negative integer"),
+    (lambda: _as_class(1.5), TypeError, "cannot interpret 1.5"),
+], ids=["theorem", "enumerate_family", "catalog_rows", "fm_pair_scan", "quotient_lemma_oracle",
+        "build_field", "power", "ExponentPair", "classify_fm_exponent", "mult_order",
+        "digit_sum", "_as_class"])
+def test_library_rejects_out_of_range_input(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def readme_cli_examples() -> list[list[str]]:
@@ -368,3 +421,85 @@ def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, argv):
     assert outputs[0] == outputs[1]
     assert files[0] == files[1]
     assert bool(files[0]) == (argv[0] == "dump-catalog")
+
+
+CLI_GOLDEN_PATH = DATA / "cli_golden.json"
+# argv after `monodromy`; from "classify --p 4 --d 1 --e 2" on, TestErrorBoundary's
+# list with its table paths relative to the repository root
+CLI_GOLDEN_COMMANDS = (
+    "vp 2 1/7",
+    "w 2 5 3 1/7 1/7",
+    "w 2 1 1 1/2 1/3",
+    "belyi --p 2 --d 3 --e 10",
+    "belyi --p 3 --d 1 --e 1 --max-r 3 --no-early-stop",
+    "binomial --p 2 --d 14 --e 7",
+    "verify-witnesses",
+    "catalog --p 2 --max 40",
+    "catalog --p 5 --max 60 --theorem binomial",
+    "classify --p 2 --d 9 --e 13 --theorem candidates",
+    "classify --p 2 --d 5 --e 3",
+    "classify --p 2 --d 12 --e 48",
+    "classify --p 5 --d 7 --e 35 --theorem binomial",
+    "classify --p 3 --d 21 --e 36 --theorem binomial",
+    "classify --p 2 --d 26 --e 12 --theorem binomial",
+    "classify --p 4 --d 1 --e 2 --theorem binomial",
+    "crosscheck --p 7 --max 5 --max-r 3",
+    "crosscheck --p 5 --max 8 --max-r 5",
+    "crosscheck --p 2 --max 60",
+    "crosscheck --p 3 --max 30",
+    "crosscheck --p 2 --max 1",
+    "charsums --max-q 9 --switch-max-r 2",
+    "--help",
+    "classify --help",
+    "crosscheck --help",
+    "--version",
+    "classify --p 4 --d 1 --e 2",
+    "crosscheck --p 4 --max 10",
+    "dump-catalog --out /nonexistent/x --max 10 --p 7",
+    f"charsums --max-q {FIELD_SIZE_GUARD + 1}",
+    "belyi --p 2 --d 1 --e 2 --max-r 40",
+    "belyi --p 3 --d 1 --e 1 --max-r 1000000000",
+    "crosscheck --p 3 --max 3 --max-r 1000000000",
+    "verify-witnesses --table tests/data/witness_table_null_expected.json",
+    "verify-witnesses --table tests/data/witness_table_int_y.json",
+    "vp 2 1/1000003",
+    "w 2 1 1 1/1000003 1/3",
+    "charsums --switch-max-r 14",
+    "w 2 1 1 0 1/7",
+    "crosscheck --p 2 --max 3 --max-r 40",
+    "crosscheck --p 2 --max 3 --max-r 0",
+    "verify-witnesses --table tests/data/witness_table_zero_den_expected.json",
+    "verify-witnesses --table tests/data/witness_table_zero_den_x.json",
+    f"vp {2**89 - 1} 1/3",
+    "verify-witnesses --table tests/data/witness_table_object.json",
+)
+
+
+def cli_output(command: str) -> dict:
+    """stdout with timing_ms zeroed, stderr and exit code of one in-process
+    run, with table paths read from the repository root and argparse's help
+    80 columns wide."""
+    argv = [str(ROOT / a) if a.startswith("tests/data/") else a for a in shlex.split(command)]
+    out, err = io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+          contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # --help, --version and argparse's own errors
+            code = exc.code
+    stdout = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out.getvalue())
+    return {"stdout": stdout, "stderr": err.getvalue(), "exit": code}
+
+
+def test_cli_outputs_match_golden():
+    """Every byte each pinned command prints, and its exit code, are
+    unchanged from the recorded file.  Regenerate it with
+    ``PYTHONPATH=src python tests/test_cli.py`` only when a change is meant
+    to alter CLI output."""
+    want = json.loads(CLI_GOLDEN_PATH.read_text())
+    assert {command: cli_output(command) for command in CLI_GOLDEN_COMMANDS} == want
+
+
+if __name__ == "__main__":
+    golden = {command: cli_output(command) for command in CLI_GOLDEN_COMMANDS}
+    CLI_GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")

@@ -214,7 +214,7 @@ class TestCriterionEvaluator:
     def test_level_thresholds_read_the_bounds(self, p, r):
         # a V-sum at level r violates iff its digit sums total less than below[kind]
         level, h = _level_tables(p, r), r * (p - 1)
-        for kind, (_, bound) in criteria._CRITERIA.items():
+        for kind, (_, bound, _) in criteria._CRITERIA.items():
             below = level.below[kind]
             assert Fraction(below - 1, h) < bound <= Fraction(below, h), kind
 
@@ -289,14 +289,22 @@ class TestLevelScan:
         assert not binomial_search(p, (1, 1)).found
         assert not belyi_search(p, (1, 1)).found
 
-    @pytest.mark.parametrize("kind", list(criteria._CRITERIA))
-    def test_witness_failing_exact_recheck_raises(self, kind):
+    @pytest.mark.parametrize("kind,pair,i,j,message", [
+        *(pytest.param(kind, (1, 1), 1, RECHECK_Y[kind], "not a violation", id=kind)
+          for kind in criteria._CRITERIA),
+        # V-sums below their bounds, but outside the nonzero condition: the
+        # binomial sum is 0 at (x, y) = (0, 0), and W_2(1, 3, 1/3, 0) = 1 for
+        # the final-family member (1, 3)
+        pytest.param("binomial", (1, 1), 0, 0, "outside", id="binomial-x0-y0"),
+        pytest.param("belyi-pair", (1, 3), 1, 0, "outside", id="belyi-pair-y0"),
+    ])
+    def test_witness_failing_exact_recheck_raises(self, kind, pair, i, j, message):
         # at p = 2, pair (1, 1), x = 1/3 (and y = 1/3): W = 2 >= 3/2, the
         # one-variable sides are 1 >= 1/2 and the binomial sum is 3/2 >= 1/2,
         # so a scan must never report any of them
-        first = (_level_tables(2, 2), 1, kind, RECHECK_Y[kind])
-        with pytest.raises(RuntimeError, match="not a violation"):
-            _search_result(2, ExponentPair(1, 1), "belyi", 2, first, 1)
+        first = (_level_tables(2, 2), i, kind, j)
+        with pytest.raises(RuntimeError, match=message):
+            _search_result(2, ExponentPair(*pair), "belyi", 2, first, 1)
 
 
 def brute_belyi_first_violation(p, pair, max_r):
