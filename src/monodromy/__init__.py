@@ -4,11 +4,10 @@ The package has five layers:
 
 * :mod:`monodromy.qz` - classes in (Q/Z) prime to p and the Kubert
   V-function by p-adic digit sums;
-* :mod:`monodromy.fm_exponents` - the FM-exponent classification and its
-  numeric cross-check, which runs on the level scan and exact recheck of
-  :mod:`monodromy.criteria`;
-* :mod:`monodromy.criteria` - the W functional, the two-variable and
-  binomial inequalities, and bounded exhaustive violation searches;
+* :mod:`monodromy.fm_exponents` - the symbolic FM-exponent classification;
+* :mod:`monodromy.criteria` - every V-criterion, each with its domain, as one
+  table row: the W functional, the binomial and FM-exponent inequalities,
+  and bounded exhaustive violation searches on one level scan;
 * :mod:`monodromy.catalog` - the candidate/final/binomial family lists as
   data, brute-force scans, and the scan-vs-theorems crosscheck;
 * :mod:`monodromy.charsums` - literal character sums over small finite
@@ -16,7 +15,7 @@ The package has five layers:
 """
 
 from .qz import QzClass, kubert_v, mult_order
-from .fm_exponents import classify_fm_exponent, numeric_monomial_check, prime_to_p_part
+from .fm_exponents import classify_fm_exponent, prime_to_p_part
 from .criteria import (
     ExponentPair,
     WitnessReport,
@@ -25,6 +24,7 @@ from .criteria import (
     binomial_check,
     binomial_search,
     default_max_r,
+    monomial_search,
     verify_witness_table,
     w_value,
 )
@@ -68,8 +68,8 @@ __all__ = [
     "jacobi_sum",
     "kubert_v",
     "mellin_sum",
+    "monomial_search",
     "mult_order",
-    "numeric_monomial_check",
     "prime_to_p_part",
     "quotient_lemma_oracle",
     "switchsum_check",

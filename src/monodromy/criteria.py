@@ -8,8 +8,10 @@ when both of these hold over (Q/Z) prime to p:
     V(x) + V(-(d+e)x) >= 1/2                      for all x != 0.
 
 The binomial analogue bounds V(x) + V(y) + V(-dx-ey) below by 1/2 for (x, y)
-not both zero.  Each inequality is one row of `_CRITERIA`: its forms a*x + b*y,
-its bound and its nonzero condition.  Every form's denominator divides
+not both zero, and the FM-exponent criterion is V(x) + V(-dx) >= 1/2, x != 0.
+Each inequality is one row of `_CRITERIA`: its forms a*x + b*y, its bound,
+its nonzero condition and the error raised outside it, which every point
+value and every witness recheck read.  Every form's denominator divides
 N = lcm(den x, den y), and V(c/(p^r - 1)) = digitsum_p(c)/(r(p-1)), so one
 evaluator reads all forms at r = ord_N(p) as one Fraction, and a search
 compares level-r digit sums with ceil(bound * r(p-1)).  One level scan serves every search and skips rows by
@@ -66,6 +68,7 @@ __all__ = [
     "binomial_check",
     "binomial_search",
     "default_max_r",
+    "monomial_search",
     "verify_witness_table",
     "w_value",
 ]
@@ -75,13 +78,17 @@ MONOMIAL_BOUND = Fraction(1, 2)
 BINOMIAL_BOUND = Fraction(1, 2)
 
 # kind -> (the (a, b) of each form a*x + b*y the V-sum reads, from (d, e); bound;
-#          its nonzero condition, from (x != 0, y != 0): where the criterion speaks)
+#          its nonzero condition, from (x != 0, y != 0): where the criterion speaks;
+#          the ValueError text for a point outside it)
 _CRITERIA = {
     "belyi-pair": (lambda d, e: ((1, 0), (0, 1), (-d - e, 1), (e, -1), (-e, 0)), BELYI_PAIR_BOUND,
-                   lambda x, y: x and y),
-    "belyi-monomial": (lambda d, e: ((1, 0), (-d - e, 0)), MONOMIAL_BOUND, lambda x, y: x),
-    "binomial": (lambda d, e: ((1, 0), (0, 1), (-d, -e)), BINOMIAL_BOUND, lambda x, y: x or y),
-    "monomial": (lambda d, e: ((1, 0), (-d, 0)), MONOMIAL_BOUND, lambda x, y: x),  # FM: exponent d
+                   lambda x, y: x and y, "x and y must be nonzero"),
+    "belyi-monomial": (lambda d, e: ((1, 0), (-d - e, 0)), MONOMIAL_BOUND, lambda x, y: x,
+                       "x must be nonzero"),
+    "binomial": (lambda d, e: ((1, 0), (0, 1), (-d, -e)), BINOMIAL_BOUND, lambda x, y: x or y,
+                 "(x, y) must not both be zero"),
+    "monomial": (lambda d, e: ((1, 0), (-d, 0)), MONOMIAL_BOUND, lambda x, y: x,  # FM: exponent d
+                 "x must be nonzero"),
 }
 
 DEFAULT_GRID_LIMIT = 10**8  # (x, y) grid points at the default depth, (p^r - 1)^2
@@ -147,7 +154,7 @@ class WitnessReport:
 @dataclass(frozen=True)
 class SearchResult:
     p: int
-    pair: ExponentPair
+    pair: ExponentPair  # the plain tuple (d, 0) for the monomial search
     criterion: str
     max_r: int
     violation: WitnessReport | None
@@ -158,10 +165,11 @@ class SearchResult:
         return self.violation is not None
 
     def as_dict(self) -> dict:
+        d, e = self.pair
         return {
             "p": self.p,
-            "d": self.pair.d,
-            "e": self.pair.e,
+            "d": d,
+            "e": e,
             "criterion": self.criterion,
             "max_r": self.max_r,
             "verdict": "violation" if self.found else "no_violation_up_to_max_r",
@@ -181,29 +189,30 @@ def _criterion_value(p: int, kind: str, d: int, e: int, x: QzClass, y=QzClass(0)
     return Fraction(total, r * n)
 
 
+def _point_value(kind: str, p: int, pair, x, y=QzClass(0)) -> Fraction:
+    """The V-sum of `kind` at one point, exact, after parsing the inputs and
+    checking the point against the row's nonzero condition."""
+    p, pair, x, y = _as_prime_int(p), _as_pair(pair), _as_class(x), _as_class(y)
+    _, _, nonzero, outside = _CRITERIA[kind]
+    if not nonzero(not x.is_zero(), not y.is_zero()):
+        raise ValueError(outside)
+    return _criterion_value(p, kind, *pair, x, y)
+
+
 def w_value(p: int, pair, x, y) -> Fraction:
     """W_p(d,e,x,y) = V(x)+V(y)+V(y-(d+e)x)+V(ex-y)+V(-ex), exact, for x, y != 0
     (the criterion says nothing at x = 0 or y = 0)."""
-    p, pair, x, y = _as_prime_int(p), _as_pair(pair), _as_class(x), _as_class(y)
-    if x.is_zero() or y.is_zero():
-        raise ValueError("x and y must be nonzero")
-    return _criterion_value(p, "belyi-pair", *pair, x, y)
+    return _point_value("belyi-pair", p, pair, x, y)
 
 
 def belyi_monomial_side(p: int, pair, x) -> Fraction:
     """V(x) + V(-(d+e)x) for x != 0 (the one-variable side of the criterion)."""
-    p, pair, x = _as_prime_int(p), _as_pair(pair), _as_class(x)
-    if x.is_zero():
-        raise ValueError("x must be nonzero")
-    return _criterion_value(p, "belyi-monomial", *pair, x)
+    return _point_value("belyi-monomial", p, pair, x)
 
 
 def binomial_check(p: int, pair, x, y) -> Fraction:
     """V(x) + V(y) + V(-dx-ey) for (x, y) not both zero."""
-    p, pair, x, y = _as_prime_int(p), _as_pair(pair), _as_class(x), _as_class(y)
-    if x.is_zero() and y.is_zero():
-        raise ValueError("(x, y) must not both be zero")
-    return _criterion_value(p, "binomial", *pair, x, y)
+    return _point_value("binomial", p, pair, x, y)
 
 
 def default_max_r(p: int) -> int:
@@ -270,7 +279,7 @@ def _level_tables(p: int, r: int) -> _Level:
     rows = orbits[2 * D[orbits] < r * (p - 1)]
     E = np.roll(D[::-1], 1)
     pair_mask = {int(v): np.lcm(lev, v) == r for v in np.unique(lev) if v != r}
-    below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound, _) in _CRITERIA.items()}
+    below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound, *_) in _CRITERIA.items()}
     return _Level(r, m, D, np.concatenate((D, D)), np.concatenate((E, E)), lev,
                   orbits, rows, pair_mask, below)
 
@@ -318,7 +327,7 @@ def _search_result(p, pair, criterion, max_r, first, total) -> SearchResult:
     if first is not None:
         level, i, kind, j = first
         x, y = QzClass(i, level.m), QzClass(j or 0, level.m)
-        _, bound, nonzero = _CRITERIA[kind]
+        _, bound, nonzero, _ = _CRITERIA[kind]
         if not nonzero(i != 0, bool(j)):
             raise RuntimeError(f"the scan reported {kind} at x = {x}, y = {y}, "
                                "outside its nonzero condition")
@@ -391,6 +400,22 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
         return np.concatenate(([0], level.rows)), row_hits
 
     return _search_result(p, pair, "binomial", *_scan(p, max_r, level_rows, stop_early))
+
+
+def monomial_search(p: int, d: int, max_r: int | None = None) -> SearchResult:
+    """Bounded exhaustive search for x != 0 with V(x) + V(-d*x) < 1/2, as the
+    criterion "monomial" of the pair (d, 0).  A violation certifies that d
+    is not an FM-exponent; a pass is evidence only."""
+    p = _as_prime_int(p)
+    if d < 1:
+        raise ValueError("d must be a positive integer")
+
+    def level_rows(level: _Level):
+        m, D, rows = level.m, level.D, level.rows
+        hits = rows[D[rows] + D[-(d % m) * rows % m] < level.below["monomial"]]
+        return hits, lambda i: (("monomial", None),)
+
+    return _search_result(p, (d, 0), "monomial", *_scan(p, max_r, level_rows))
 
 
 # The W values quoted in the classification's case-by-case elimination,

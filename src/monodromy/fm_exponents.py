@@ -17,28 +17,23 @@ p^a + 1 and (p^a + 1)/2, come from `catalog._square`).
 prime-to-p part of d, with its witnessing parameters, and `fm_exponent_set`
 is the set of p-power multiples of those values, so no exponent is
 classified one at a time to build it.
-`numeric_monomial_check` cross-checks the verdict against the V-function
-inequality V(x) + V(-d*x) >= 1/2 by bounded exhaustive search: it runs on
-the level scan of `criteria` and reports its witness through the same exact
-recheck as the Belyi and binomial searches.
+This module is the symbolic side alone and imports nothing from `criteria`.
+The V-function inequality V(x) + V(-d*x) >= 1/2 that it decides is searched
+numerically by `criteria.monomial_search`, beside the other criteria.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
-from .criteria import _scan, _search_result
-from .qz import QzClass, _as_prime_int
+from .qz import _as_prime_int
 
 __all__ = [
     "FAMILY_ORDER",
     "FmExponentVerdict",
-    "MonomialCheckResult",
     "classify_fm_exponent",
     "fm_exponent_set",
-    "numeric_monomial_check",
     "prime_to_p_part",
 ]
 
@@ -148,41 +143,3 @@ def fm_exponent_set(p: int, bound: int) -> frozenset[int]:
             n *= p
     return frozenset(out)
 
-
-@dataclass(frozen=True)
-class MonomialCheckResult:
-    p: int
-    d: int
-    max_r: int
-    violation: QzClass | None
-    v_sum: Fraction | None
-    r_found: int | None
-
-    @property
-    def found(self) -> bool:
-        return self.violation is not None
-
-
-def numeric_monomial_check(p: int, d: int, max_r: int | None) -> MonomialCheckResult:
-    """Search for x != 0 with V(x) + V(-d*x) < 1/2, denominators dividing p^r - 1.
-
-    Returns the first violation in the order r = 1..max_r (default_max_r(p)
-    for None, as reported), then numerator (the shared level scan of
-    `criteria` visits only the rows that can hold it), or a bounded-search
-    pass.  The witness is rechecked exactly in Fraction by
-    `criteria._search_result`, as the criterion "monomial" for the pair
-    (d, 0), whose forms read d alone.  A violation certifies that d is not
-    an FM-exponent; a pass is evidence only.
-    """
-    p = _as_prime_int(p)
-
-    def level_rows(level):
-        m, D, rows = level.m, level.D, level.rows
-        hits = rows[D[rows] + D[-(d % m) * rows % m] < level.below["monomial"]]
-        return hits, lambda i: (("monomial", None),)
-
-    max_r, first, _ = _scan(p, max_r, level_rows)
-    w = _search_result(p, (d, 0), "monomial", max_r, first, 0).violation
-    if w is None:
-        return MonomialCheckResult(p, d, max_r, None, None, None)
-    return MonomialCheckResult(p, d, max_r, w.x, w.w_value, first[0].r)

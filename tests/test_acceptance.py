@@ -17,8 +17,8 @@ from monodromy.catalog import (
     quotient_lemma_oracle,
 )
 from monodromy.charsums import build_field, mellin_suite, switchsum_exhaustive
-from monodromy.criteria import belyi_search, verify_witness_table
-from monodromy.fm_exponents import classify_fm_exponent, numeric_monomial_check
+from monodromy.criteria import belyi_search, monomial_search, verify_witness_table
+from monodromy.fm_exponents import classify_fm_exponent
 from monodromy.qz import QzClass, kubert_v
 
 
@@ -191,7 +191,7 @@ def test_criterion_6_classifier_vs_numeric():
         unresolved = []
         for d in range(1, 61, 2):
             is_fm = classify_fm_exponent(2, d).is_fm
-            res = numeric_monomial_check(2, d, 12)
+            res = monomial_search(2, d, 12)
             if is_fm:
                 assert not res.found, (d, res.violation)
             elif not res.found:

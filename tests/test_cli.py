@@ -22,7 +22,7 @@ from monodromy.catalog import (
 )
 from monodromy.charsums import FIELD_SIZE_GUARD, build_field
 from monodromy.cli import _prime_powers_upto, main
-from monodromy.criteria import ExponentPair
+from monodromy.criteria import ExponentPair, monomial_search
 from monodromy.fm_exponents import classify_fm_exponent
 from monodromy.qz import _as_class, digit_sum, is_prime, mult_order
 
@@ -216,21 +216,13 @@ class TestCrosscheck:
         assert row22["status"] == "violated"
         assert lines[-1]["result"]["unresolved"] == 0
 
-    def test_p5(self, capsys):
-        code, lines = run(
-            capsys,
-            ["crosscheck", "--p", "5", "--max", "8", "--max-r", "5"],
-        )
-        assert lines[-1]["result"]["unresolved"] == 0
-        assert lines[-1]["result"]["member_violations"] == 0
-
     @pytest.mark.parametrize("argv", [
         ["--p", "2", "--max", "60"],
         ["--p", "5", "--max", "8", "--max-r", "5"],
     ])
     def test_summary_recounts_its_rows(self, capsys, argv):
-        """The summary counts the streamed rows, and every member is searched
-        and passes."""
+        """The summary counts the streamed rows, every member is searched and
+        passes, and no non-member is left unresolved."""
         code, lines = run(capsys, ["crosscheck", *argv])
         rows, summary = lines[:-1], lines[-1]["result"]
         members = [r for r in rows if r["final_member"]]
@@ -245,6 +237,7 @@ class TestCrosscheck:
             "unresolved": count("UNRESOLVED"),
             "member_violations": count("member-violated"),
         }
+        assert summary["unresolved"] == 0
 
     def test_bound_past_a_billion(self, capsys):
         # the scan pairs FM-exponents, so its time does not grow with the bound
@@ -383,12 +376,13 @@ def test_pretty_prints_the_same_objects(capsys, argv):
     (lambda: build_field(2, 2).power(0, -1), ZeroDivisionError, "inverse of zero"),
     (lambda: ExponentPair(0, 1), ValueError, "exponents must be positive"),
     (lambda: classify_fm_exponent(2, 0), ValueError, "d must be a positive integer"),
+    (lambda: monomial_search(2, 0, 3), ValueError, "d must be a positive integer"),
     (lambda: mult_order(2, 0), ValueError, "denominator must be positive"),
     (lambda: digit_sum(-1, 2), ValueError, "non-negative integer"),
     (lambda: _as_class(1.5), TypeError, "cannot interpret 1.5"),
 ], ids=["theorem", "enumerate_family", "catalog_rows", "fm_pair_scan", "quotient_lemma_oracle",
-        "build_field", "power", "ExponentPair", "classify_fm_exponent", "mult_order",
-        "digit_sum", "_as_class"])
+        "build_field", "power", "ExponentPair", "classify_fm_exponent", "monomial_search",
+        "mult_order", "digit_sum", "_as_class"])
 def test_library_rejects_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -402,11 +396,19 @@ def readme_cli_examples() -> list[list[str]]:
             if line.startswith("monodromy ")]
 
 
+def readme_cli_example_ids(examples: list[list[str]]) -> list[str]:
+    """A command's first example is named by the command, a later one by its argv."""
+    firsts = {argv[0]: i for i, argv in reversed(list(enumerate(examples)))}
+    return [argv[0] if firsts[argv[0]] == i else " ".join(argv)
+            for i, argv in enumerate(examples)]
+
+
 def test_readme_cli_block_shows_every_command():
     assert len({argv[0] for argv in readme_cli_examples()}) == 10
 
 
-@pytest.mark.parametrize("argv", readme_cli_examples(), ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", readme_cli_examples(),
+                         ids=readme_cli_example_ids(readme_cli_examples()))
 def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path, argv):
     """The README's CLI examples run as written, exit 0, and print the same
     output twice apart from timing_ms; dump-catalog writes the same file."""

@@ -63,12 +63,6 @@ class TestWValue:
             assert all(0 <= t < 1 for t in terms)
             assert w_value(p, (d, e), x, y) == sum(terms) >= 0
 
-    def test_rejects_zero(self):
-        # (1, 1) is a final-list member; W at x = 0 or y = 0 is outside the criterion
-        for x, y in (("0", "1/7"), ("1/7", "0")):
-            with pytest.raises(ValueError, match="nonzero"):
-                w_value(2, (1, 1), x, y)
-
 
 class TestWitnessTable:
     def test_all_rows_reproduce(self):
@@ -94,10 +88,6 @@ class TestMonomialSide:
     def test_examples(self, p, pair, x, expected):
         assert belyi_monomial_side(p, pair, x) == expected
 
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            belyi_monomial_side(2, (1, 1), "0")
-
 
 class TestBinomialCheck:
     def test_middle_term_can_vanish(self):
@@ -110,9 +100,23 @@ class TestBinomialCheck:
     def test_half_integer(self):
         assert binomial_check(3, (2, 1), "1/2", "1/2") == Fraction(3, 2)
 
-    def test_rejects_both_zero(self):
-        with pytest.raises(ValueError):
-            binomial_check(2, (5, 3), "0", "0")
+
+@pytest.mark.parametrize("kind,call", [
+    ("belyi-pair", lambda x, y: w_value(2, (1, 1), x, y)),
+    ("belyi-monomial", lambda x, y: belyi_monomial_side(2, (1, 1), x)),
+    ("binomial", lambda x, y: binomial_check(2, (5, 3), x, y)),
+], ids=["w_value", "belyi_monomial_side", "binomial_check"])
+@pytest.mark.parametrize("x,y", [("0", "0"), ("0", "1/3"), ("1/3", "0"), ("1/3", "1/3")])
+def test_point_functions_keep_the_table_domain(kind, call, x, y):
+    """Each point function raises its row's exact text outside the row's
+    nonzero condition and returns a value inside it."""
+    _, _, nonzero, outside = criteria._CRITERIA[kind]
+    if nonzero(x != "0", y != "0"):
+        assert isinstance(call(x, y), Fraction)
+    else:
+        with pytest.raises(ValueError) as exc:
+            call(x, y)
+        assert str(exc.value) == outside
 
 
 # Each criterion's V-sum written out term by term, each V from its digit sums:
@@ -214,7 +218,7 @@ class TestCriterionEvaluator:
     def test_level_thresholds_read_the_bounds(self, p, r):
         # a V-sum at level r violates iff its digit sums total less than below[kind]
         level, h = _level_tables(p, r), r * (p - 1)
-        for kind, (_, bound, _) in criteria._CRITERIA.items():
+        for kind, (_, bound, *_) in criteria._CRITERIA.items():
             below = level.below[kind]
             assert Fraction(below - 1, h) < bound <= Fraction(below, h), kind
 

@@ -4,8 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from monodromy import fm_exponents
-from monodromy.criteria import _level_tables
+from monodromy import criteria
+from monodromy.criteria import _level_tables, monomial_search
 from monodromy.fm_exponents import (
     CYCLOTOMIC_QUOTIENT,
     FAMILY_ORDER,
@@ -15,10 +15,9 @@ from monodromy.fm_exponents import (
     SPORADIC_7_MOD_5,
     classify_fm_exponent,
     fm_exponent_set,
-    numeric_monomial_check,
     prime_to_p_part,
 )
-from monodromy.qz import QzClass, kubert_v
+from monodromy.qz import QzClass, kubert_v, mult_order
 
 
 class TestPrimeToPPart:
@@ -135,35 +134,36 @@ class TestFamilyValues:
 
 class TestNumericCheck:
     def test_violation_example(self):
-        res = numeric_monomial_check(2, 7, 3)
-        assert res.found and str(res.violation) == "1/7" and res.r_found == 3
+        res = monomial_search(2, 7, 3)
+        assert res.found and str(res.violation.x) == "1/7"
+        assert res.violation.w_value == Fraction(1, 3)
 
     def test_fm_exponents_pass(self):
-        assert not numeric_monomial_check(2, 3, 8).found
-        assert not numeric_monomial_check(5, 7, 4).found
+        assert not monomial_search(2, 3, 8).found
+        assert not monomial_search(5, 7, 4).found
 
     def test_rejects_bad_max_r(self):
         with pytest.raises(ValueError):
-            numeric_monomial_check(2, 3, 0)
+            monomial_search(2, 3, 0)
 
     def test_default_depth_is_reported(self):
         # max_r=None scans to default_max_r(p) and says so, as SearchResult does
-        assert numeric_monomial_check(2, 7, None).max_r == 13
-        res = numeric_monomial_check(2, 3, None)
+        assert monomial_search(2, 7, None).max_r == 13
+        res = monomial_search(2, 3, None)
         assert not res.found and res.max_r == 13
 
     def test_witness_failing_exact_recheck_raises(self, monkeypatch):
         # V_2(1/3) + V_2(2/3) = 1 >= 1/2, so a scan must never report x = 1/3 for d = 1
         first = (_level_tables(2, 2), 1, "monomial", None)
-        monkeypatch.setattr(fm_exponents, "_scan", lambda p, max_r, rows: (max_r, first, 1))
+        monkeypatch.setattr(criteria, "_scan", lambda p, max_r, rows: (max_r, first, 1))
         with pytest.raises(RuntimeError):
-            numeric_monomial_check(2, 1, 2)
+            monomial_search(2, 1, 2)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_classifier_numeric_consistency(self, p):
         for d in range(1, 21):
             is_fm = classify_fm_exponent(p, d).is_fm
-            res = numeric_monomial_check(p, d, 8)
+            res = monomial_search(p, d, 8)
             if is_fm:
                 assert not res.found, (p, d, res)
             else:
@@ -183,5 +183,6 @@ class TestNumericCheck:
             if hits:
                 want = hits[0]
                 break
-        res = numeric_monomial_check(2, d, 8)
-        assert (res.violation, res.v_sum, res.r_found) == want
+        w = monomial_search(2, d, 8).violation
+        got = (None, None, None) if w is None else (w.x, w.w_value, mult_order(2, w.x.den))
+        assert got == want
