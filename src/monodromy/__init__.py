@@ -42,7 +42,6 @@ from .charsums import (
     gauss_sum,
     jacobi_sum,
     mellin_sum,
-    switchsum_check,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "mult_order",
     "prime_to_p_part",
     "quotient_lemma_oracle",
-    "switchsum_check",
     "verify_witness_table",
     "w_value",
 ]

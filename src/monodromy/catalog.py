@@ -543,8 +543,10 @@ def crosscheck(p: int, bound: int, max_r: int | None = None) -> CrosscheckReport
 
 
 def write_catalog(path, primes=(2, 3, 5, 7), bound: int = 300) -> int:
-    """Serialize every family's members to JSON lines; returns the row count."""
-    rows = [row for theorem in THEOREMS for p in primes for row in catalog_rows(theorem, p, bound)]
+    """Serialize every family's members to JSON lines; returns the row count.
+    A prime given twice is written once."""
+    rows = [row for theorem in THEOREMS for p in set(primes)
+            for row in catalog_rows(theorem, p, bound)]
     rows.sort(key=lambda r: (r["theorem"], r["p"], r["item"], r["A"], r["B"]))
     with open(path, "w", encoding="utf-8") as fh:
         for row in rows:

@@ -57,10 +57,8 @@ __all__ = [
     "gauss_sum_raw",
     "gauss_sums_all",
     "jacobi_sum",
-    "mellin_closed_form",
     "mellin_suite",
     "mellin_sum",
-    "switchsum_check",
     "switchsum_exhaustive",
 ]
 
@@ -155,13 +153,9 @@ class FieldPresentation:
         return t
 
     def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
         return self.encode(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
         return self.encode(-c for c in self.coeffs(a))
 
     def sub(self, a: int, b: int) -> int:
@@ -184,9 +178,6 @@ class FieldPresentation:
     @property
     def elements(self) -> range:
         return range(self.q)
-
-    def units(self) -> range:
-        return range(1, self.q)
 
     # -- characters ----------------------------------------------------------
     # Derived tables are cached on the instance, so they are freed with the
@@ -443,15 +434,6 @@ def _case(a_chi: int, a_eta: int) -> str:
     return "chi-trivial-eta" if a_eta == 0 else "nontrivial"
 
 
-def mellin_closed_form(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> tuple[complex, str]:
-    """The predicted value of S(chi, eta) and which case produced it: one cell
-    of the table ``mellin_suite`` checks against (G is the unsigned Gauss
-    sum); guarded to q <= MELLIN_Q_GUARD."""
-    m = F.q - 1
-    a, b = a_chi % m, a_eta % m
-    return complex(_closed_forms(F, pair, _char_table(F, range(m)))[a, b]), _case(a, b)
-
-
 class MellinRow(NamedTuple):
     """One character pair of ``mellin_suite``: which closed-form case it
     falls in, S(chi_a_chi, chi_a_eta) by summation and by the closed form,
@@ -499,8 +481,6 @@ def _switchsum_sides(F: FieldPresentation):
     """A function of t giving both sides of the identity as integer vectors
     over every y: lhs[y] = sum of psi(t x) over x^2 + x = y, rhs[y] = sum of
     psi(u y) over u^2 + u = t^2.  Memory is O(q) per t."""
-    if F.p != 2:
-        raise ValueError("switchsum is a characteristic-2 identity")
     m = F.q - 1
     exp, log = F.exp, F.log
     unit = log >= 0
@@ -524,12 +504,6 @@ def _switchsum_sides(F: FieldPresentation):
         return lhs, rhs
 
     return sides
-
-
-def switchsum_check(F: FieldPresentation, t: int, y: int) -> bool:
-    """Exact-integer equality of the two root sums; p = 2 only."""
-    lhs, rhs = _switchsum_sides(F)(t)
-    return bool(lhs[y] == rhs[y])
 
 
 def switchsum_exhaustive(r: int) -> tuple[int, int]:

@@ -109,13 +109,8 @@ class ExponentPair:
     def __iter__(self):
         return iter((self.d, self.e))
 
-    def __str__(self) -> str:
-        return f"({self.d},{self.e})"
-
 
 def _as_pair(pair) -> ExponentPair:
-    if isinstance(pair, ExponentPair):
-        return pair
     d, e = pair
     return ExponentPair(int(d), int(e))
 
@@ -280,8 +275,10 @@ def _level_tables(p: int, r: int) -> _Level:
     E = np.roll(D[::-1], 1)
     pair_mask = {int(v): np.lcm(lev, v) == r for v in np.unique(lev) if v != r}
     below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound, *_) in _CRITERIA.items()}
-    return _Level(r, m, D, np.concatenate((D, D)), np.concatenate((E, E)), lev,
-                  orbits, rows, pair_mask, below)
+    DD, EE = np.concatenate((D, D)), np.concatenate((E, E))
+    for table in (D, DD, EE, lev, orbits, rows, *pair_mask.values()):
+        table.flags.writeable = False  # the cache hands the same arrays to every search
+    return _Level(r, m, D, DD, EE, lev, orbits, rows, pair_mask, below)
 
 
 def _scan(p: int, max_r: int | None, level_rows, stop_early=True):

@@ -94,13 +94,10 @@ class QzClass:
             raise ZeroDivisionError("zero denominator")
         if den < 0:
             num, den = -num, -den
-        g = math.gcd(num, den)
-        if g > 1:
-            num //= g
-            den //= g
+        g = math.gcd(num, den)  # den when num = 0, so every zero class is 0/1
+        num //= g
+        den //= g
         num %= den
-        if num == 0:
-            den = 1
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -216,7 +213,5 @@ def kubert_v(p: int, x: QzClass | Fraction | str | int) -> Fraction:
     """
     p = _as_prime_int(p)
     x = _as_class(x)
-    if x.is_zero():
-        return Fraction(0)
     r = mult_order(p, x.den)
     return Fraction(_orbit_sum(p, x.num, x.den, r), r * x.den)

@@ -73,8 +73,8 @@ def mellin_sum_naive(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> comp
     """The triple sum of ``mellin_sum`` with no regrouping at all (tiny q)."""
     d, e = pair
     total = 0j
-    for s in F.units():
-        for t in F.units():
+    for s in range(1, F.q):
+        for t in range(1, F.q):
             inner = 0j
             for x in F.elements:
                 fx = F.mul(F.power(x, d), F.power(F.sub(x, 1), e))

@@ -286,6 +286,15 @@ class TestDumpCatalog:
         assert rows and all(r["p"] == 5 for r in rows)
         assert lines[-1]["result"]["rows"] == len(rows)
 
+    def test_repeated_prime_is_written_once(self, capsys, tmp_path):
+        files = []
+        for primes in (["--p", "2"], ["--p", "2", "--p", "2"]):
+            out = tmp_path / f"cat{len(files)}.jsonl"
+            code, lines = run(capsys, ["dump-catalog", "--out", str(out), "--max", "10", *primes])
+            assert code == 0 and lines[-1]["result"]["rows"] == 79
+            files.append(out.read_bytes())
+        assert files[0] == files[1]
+
 
 @pytest.mark.parametrize(
     "argv",

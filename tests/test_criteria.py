@@ -271,6 +271,15 @@ class TestLevelScan:
             i for i in orbits if kubert_v(p, QzClass(i, m)) < Fraction(1, 2)
         ]
 
+    def test_tables_are_read_only(self):
+        # the cache shares these arrays with every later search at the level
+        level = _level_tables(2, 4)
+        assert level.pair_mask
+        tables = (level.D, level.DD, level.EE, level.lev, level.orbits, level.rows)
+        for table in (*tables, *level.pair_mask.values()):
+            with pytest.raises(ValueError):
+                table[0] = table[0]
+
     @pytest.mark.parametrize(
         "p,pair,max_r",
         [(2, (3, 10), 5), (2, (6, 1), 4), (3, (5, 2), 3), (5, (3, 4), 2), (7, (2, 2), 2)],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from monodromy.qz import QzClass, digit_sum, is_prime, kubert_v, mult_order
+from monodromy.qz import QzClass, _as_class, digit_sum, is_prime, kubert_v, mult_order
 
 
 def v_reference(p: int, num: int, den: int, blocks: int = 1) -> Fraction:
@@ -144,6 +144,14 @@ class TestKubertV:
     def test_examples(self, p, x, expected):
         assert kubert_v(p, x) == expected
 
+    @pytest.mark.parametrize("x", [0, 5, "0", "3/3", "-7/7", Fraction(2), QzClass(0, 5)])
+    @pytest.mark.parametrize("p", [2, 3, 5, 9001])
+    def test_zero_class(self, p, x):
+        # each spelling of 0 in Q/Z, through every branch of _as_class
+        zero = _as_class(x)
+        assert (zero.num, zero.den) == (0, 1)
+        assert kubert_v(p, x) == 0
+
     def test_rejects_p_in_denominator(self):
         with pytest.raises(ValueError):
             kubert_v(2, QzClass(1, 6))
@@ -278,3 +286,17 @@ def test_every_lru_cache_is_bounded():
     }
     assert {"monodromy.qz.mult_order", "monodromy.fm_exponents.classify_fm_exponent"} <= caches.keys()
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
+
+
+def test_every_all_resolves_without_duplicates():
+    """Each public __all__ names what its module binds, each name once, and
+    the package's star import binds exactly its __all__."""
+    package = import_module("monodromy")
+    mods = [package] + [import_module(f"monodromy.{m}")
+                        for m in ("qz", "fm_exponents", "criteria", "catalog", "charsums")]
+    for mod in mods:
+        assert len(set(mod.__all__)) == len(mod.__all__), mod.__name__
+        assert [n for n in mod.__all__ if not hasattr(mod, n)] == [], mod.__name__
+    namespace = {}
+    exec("from monodromy import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(package.__all__)
