@@ -10,6 +10,10 @@ against the closed-form identities they are supposed to satisfy.
 Elements are integer-encoded coefficient vectors in the power basis of the
 modulus, the constant coefficient being the least significant base-p digit.
 Fields are immutable once built and all sums are pure functions of them.
+A field is its tables: it has no element arithmetic.  A product is one
+exp/log read, and no sum needs field addition, because Tr is F_p-linear:
+psi(s f(x) + t x) is fixed by the traces of the monomials s c_i x^i and
+t x, summed mod p.  ``exp_sum`` rejects encodings outside [0, q).
 
 Field arithmetic is r x r matrices over F_p acting on digit rows.  Rabin's
 test on the companion matrix X picks the modulus, and a full-order test on
@@ -126,11 +130,13 @@ def _factor(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldPresentation:
-    """A concrete model of F_{p^r} with exp/log tables, as read-only arrays.
+    """A concrete model of F_{p^r}: its presentation, its exp/log/trace
+    tables as read-only arrays, and the tables cached from them.
 
     ``exp[k]`` is generator^k for 0 <= k < q-1 and ``log[t]`` inverts it on
     the units (log[0] is -1 and must not be used).  ``trace[t]`` is the
-    absolute trace into F_p.
+    absolute trace into F_p.  There is no element arithmetic: the sums read
+    the tables directly.
     """
 
     p: int
@@ -142,56 +148,19 @@ class FieldPresentation:
     log: np.ndarray = field(compare=False, repr=False)
     trace: np.ndarray = field(compare=False, repr=False)
 
-    # -- element arithmetic ------------------------------------------------
-    def coeffs(self, t: int) -> tuple[int, ...]:
-        return tuple(_decode_int(t, self.p, self.r))
-
-    def encode(self, coeffs) -> int:
-        t = 0
-        for c in reversed(list(coeffs)):
-            t = t * self.p + (c % self.p)
-        return t
-
-    def add(self, a: int, b: int) -> int:
-        return self.encode(x + y for x, y in zip(self.coeffs(a), self.coeffs(b)))
-
-    def neg(self, a: int) -> int:
-        return self.encode(-c for c in self.coeffs(a))
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp[(self.log[a] + self.log[b]) % (self.q - 1)])
-
-    def power(self, a: int, n: int) -> int:
-        if a == 0:
-            if n == 0:
-                return 1
-            if n < 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 0
-        return int(self.exp[int(self.log[a]) * n % (self.q - 1)])
-
-    @property
-    def elements(self) -> range:
-        return range(self.q)
-
-    # -- characters ----------------------------------------------------------
     # Derived tables are cached on the instance, so they are freed with the
-    # field.
-    def psi(self, t: int) -> complex:
-        return self._psi_table[t]
+    # field.  psi's p roots are not: in a prime field they would be a second
+    # q-entry table.
+    @property
+    def _psi_roots(self) -> np.ndarray:
+        """psi at trace k, indexed by k < p; exactly +-1 in characteristic 2."""
+        if self.p == 2:
+            return np.array([1.0 + 0j, -1.0 + 0j])
+        return np.exp(2j * np.pi * np.arange(self.p) / self.p)
 
     @cached_property
     def _psi_table(self) -> np.ndarray:
-        if self.p == 2:  # exactly +-1 in characteristic 2
-            roots = np.array([1.0 + 0j, -1.0 + 0j])
-        else:
-            roots = np.exp(2j * np.pi * np.arange(self.p) / self.p)
-        return roots[self.trace]
+        return self._psi_roots[self.trace]
 
     @cached_property
     def _unit_roots(self) -> np.ndarray:
@@ -203,15 +172,20 @@ class FieldPresentation:
         """psi(generator^k) indexed by k."""
         return self._psi_table[self.exp]
 
+    @property
+    def _log_minus_one(self) -> int:
+        """log(-1): (q-1)/2 for odd p, and 0 for p = 2, where -1 = 1."""
+        return (self.q - 1) // 2 if self.p > 2 else 0
+
     @cached_property
     def _log_one_minus(self) -> np.ndarray:
         """log(1 - generator^k) indexed by k; -1 at k = log(1) = 0.
 
-        -g^k is g^(k + (q-1)/2) for odd p and g^k for p = 2, and adding 1
-        changes only the constant base-p digit.
+        -g^k is g^(k + log(-1)), and adding 1 changes only the constant
+        base-p digit.
         """
         p = self.p
-        t = np.roll(self.exp, -((self.q - 1) // 2 if p > 2 else 0))
+        t = np.roll(self.exp, -self._log_minus_one)
         return self.log[t - t % p + (t + 1) % p]
 
     def as_json_dict(self) -> dict:
@@ -219,7 +193,7 @@ class FieldPresentation:
             "p": self.p,
             "r": self.r,
             "modulus": list(self.modulus),
-            "generator": list(self.coeffs(self.generator)),
+            "generator": _decode_int(self.generator, self.p, self.r),
         }
 
 
@@ -343,15 +317,23 @@ def jacobi_sum(F: FieldPresentation, a1: int, a2: int) -> complex:
 
 def exp_sum(F: FieldPresentation, f_coeffs, s: int, t: int) -> complex:
     """sum over x in F of psi(s*f(x) + t*x); coefficients are low-to-high
-    field-element encodings."""
+    field-element encodings, and they, s and t must lie in [0, q).
+
+    The trace of each monomial a*c*x^i (s*c_i*x^i, and t*x) is one read of
+    g^(log a + log c + i log x), 0 at x = 0 unless i = 0 (0^0 = 1); their
+    sum mod p, over every x at once, indexes the p roots of unity.
+    """
     coeffs = list(f_coeffs)
-    total = 0j
-    for x in F.elements:
-        v = 0
-        for c in reversed(coeffs):
-            v = F.add(F.mul(v, x), c)
-        total += F.psi(F.add(F.mul(s, v), F.mul(t, x)))
-    return total
+    if not all(0 <= v < F.q for v in (s, t, *coeffs)):
+        raise ValueError(f"field element encodings must lie in [0, {F.q})")
+    m = F.q - 1
+    trace = np.zeros(F.q, dtype=np.int64)
+    for a, c, i in [(s, c, i) for i, c in enumerate(coeffs)] + [(t, 1, 1)]:
+        if a and c:
+            monomial = F.trace[F.exp[(F.log[a] + F.log[c] + i * F.log) % m]]
+            monomial[0] *= i == 0
+            trace += monomial
+    return complex(F._psi_roots[trace % F.p].sum())
 
 
 def belyi_values(F: FieldPresentation, d: int, e: int) -> np.ndarray:
@@ -384,7 +366,7 @@ def _linear_sums(F: FieldPresentation, R: np.ndarray) -> np.ndarray:
     matrix of psi(g^k * v) = psi(g^(k + log v)), filled by one gather."""
     m = F.q - 1
     psi_prod = np.empty((m, F.q), dtype=complex)  # psi(g^k * v) as [k, v]
-    psi_prod[:, 0] = F.psi(0)
+    psi_prod[:, 0] = 1
     psi_prod[:, 1:] = F._psi_by_log[(np.arange(m)[:, None] + F.log[1:]) % m]
     return R @ psi_prod
 
@@ -420,7 +402,7 @@ def _closed_forms(F: FieldPresentation, pair, R: np.ndarray) -> np.ndarray:
     J = R @ C.T  # J(chi_a1, chi_a2) as [a1, a2]
     a = np.arange(m)[:, None]
     b = np.arange(m)
-    chibar_neg1_e = F._unit_roots[(-a * F.log[F.neg(1)] * e) % m]
+    chibar_neg1_e = F._unit_roots[(-a * F._log_minus_one * e) % m]
     G_eta = np.where(b == 0, -1, G)  # eta trivial: -G(chi) in place of G(chi) G(eta)
     out = G[:, None] * G_eta * chibar_neg1_e * J[(-d * a - b) % m, (-e * a) % m]
     out[0] = q * G
@@ -514,7 +496,7 @@ def switchsum_exhaustive(r: int) -> tuple[int, int]:
     F = build_field(2, r)
     sides = _switchsum_sides(F)
     checked = equal = 0
-    for t in F.elements:
+    for t in range(F.q):
         lhs, rhs = sides(t)
         checked += F.q
         equal += int(np.count_nonzero(lhs == rhs))

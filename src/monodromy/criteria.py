@@ -46,6 +46,7 @@ includes such x, undecided while the paper's text is not in the repository.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -112,7 +113,7 @@ class ExponentPair:
 
 def _as_pair(pair) -> ExponentPair:
     d, e = pair
-    return ExponentPair(int(d), int(e))
+    return ExponentPair(operator.index(d), operator.index(e))
 
 
 @dataclass(frozen=True)
@@ -403,7 +404,7 @@ def monomial_search(p: int, d: int, max_r: int | None = None) -> SearchResult:
     """Bounded exhaustive search for x != 0 with V(x) + V(-d*x) < 1/2, as the
     criterion "monomial" of the pair (d, 0).  A violation certifies that d
     is not an FM-exponent; a pass is evidence only."""
-    p = _as_prime_int(p)
+    p, d = _as_prime_int(p), operator.index(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
 

@@ -24,6 +24,7 @@ numerically by `criteria.monomial_search`, beside the other criteria.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -48,7 +49,7 @@ FAMILY_ORDER = (POWER_PLUS_ONE, HALF_POWER_PLUS_ONE, CYCLOTOMIC_QUOTIENT, SPORAD
 
 def prime_to_p_part(p: int, n: int) -> int:
     """n with all factors of p removed."""
-    p = _as_prime_int(p)
+    p, n = _as_prime_int(p), operator.index(n)
     if n < 1:
         raise ValueError("n must be a positive integer")
     while n % p == 0:
@@ -114,7 +115,7 @@ def _fm_values(p: int, bound: int):
         yield SPORADIC_7_MOD_5, None, 7
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # typed: a float d is refused, not served as an int's entry
 def classify_fm_exponent(p: int, d: int) -> FmExponentVerdict:
     """Decide whether d is an FM-exponent for p, with witnessing family.
 
@@ -122,7 +123,7 @@ def classify_fm_exponent(p: int, d: int) -> FmExponentVerdict:
     deterministically in the order PowerPlusOne, HalfPowerPlusOne,
     CyclotomicQuotient, Sporadic7mod5, then by least parameters.
     """
-    p = _as_prime_int(p)
+    p, d = _as_prime_int(p), operator.index(d)
     if d < 1:
         raise ValueError("d must be a positive integer")
     dp = prime_to_p_part(p, d)

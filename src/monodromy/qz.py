@@ -16,6 +16,7 @@ are reduced integer fractions and V values are ``fractions.Fraction``.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,7 +70,7 @@ def is_prime(n: int) -> bool:
 
 
 def _as_prime_int(p: int) -> int:
-    p = int(p)
+    p = operator.index(p)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     return p

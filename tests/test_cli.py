@@ -1,15 +1,18 @@
 """Tests for the command-line surface: outputs, determinism, exit codes."""
 
+import ast
 import contextlib
 import io
 import json
 import os
 import re
 import shlex
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from monodromy.catalog import (
@@ -20,11 +23,11 @@ from monodromy.catalog import (
     fm_pair_scan,
     quotient_lemma_oracle,
 )
-from monodromy.charsums import FIELD_SIZE_GUARD, build_field
+from monodromy.charsums import FIELD_SIZE_GUARD, build_field, exp_sum
 from monodromy.cli import _prime_powers_upto, main
-from monodromy.criteria import ExponentPair, monomial_search
-from monodromy.fm_exponents import classify_fm_exponent
-from monodromy.qz import _as_class, digit_sum, is_prime, mult_order
+from monodromy.criteria import ExponentPair, belyi_search, monomial_search
+from monodromy.fm_exponents import classify_fm_exponent, prime_to_p_part
+from monodromy.qz import QzClass, _as_class, digit_sum, is_prime, kubert_v, mult_order
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parents[1]
@@ -375,6 +378,9 @@ def test_pretty_prints_the_same_objects(capsys, argv):
     assert outputs[0] == outputs[1]
 
 
+NOT_AN_INT = "cannot be interpreted as an integer"
+
+
 @pytest.mark.parametrize("call,error,message", [
     (lambda: classify_pair(2, (1, 1), "bogus"), ValueError, "unknown theorem selector 'bogus'"),
     (lambda: enumerate_family(("final", 1), 2, 0), ValueError, "bound must be >= 1"),
@@ -382,19 +388,64 @@ def test_pretty_prints_the_same_objects(capsys, argv):
     (lambda: fm_pair_scan(2, 1), ValueError, "bound must be >= 2"),
     (lambda: quotient_lemma_oracle(2, 0, 1), ValueError, "max_exp must be >= 1"),
     (lambda: build_field(2, 0), ValueError, "degree must be >= 1"),
-    (lambda: build_field(2, 2).power(0, -1), ZeroDivisionError, "inverse of zero"),
     (lambda: ExponentPair(0, 1), ValueError, "exponents must be positive"),
     (lambda: classify_fm_exponent(2, 0), ValueError, "d must be a positive integer"),
     (lambda: monomial_search(2, 0, 3), ValueError, "d must be a positive integer"),
     (lambda: mult_order(2, 0), ValueError, "denominator must be positive"),
     (lambda: digit_sum(-1, 2), ValueError, "non-negative integer"),
     (lambda: _as_class(1.5), TypeError, "cannot interpret 1.5"),
+    (lambda: exp_sum(build_field(2, 3), [9], 1, 0), ValueError, r"must lie in \[0, 8\)"),
+    (lambda: exp_sum(build_field(2, 3), [-1], 1, 0), ValueError, r"must lie in \[0, 8\)"),
+    (lambda: exp_sum(build_field(2, 3), [1], 8, 0), ValueError, r"must lie in \[0, 8\)"),
+    (lambda: exp_sum(build_field(2, 3), [1], 1, 9), ValueError, r"must lie in \[0, 8\)"),
+    # a float or a string is refused, not truncated to an integer
+    (lambda: classify_pair(2, (1, 12.9)), TypeError, NOT_AN_INT),
+    (lambda: belyi_search(2.9, (3, 10)), TypeError, NOT_AN_INT),
+    (lambda: kubert_v(7.5, "1/3"), TypeError, NOT_AN_INT),
+    (lambda: belyi_search("7", (1, 1)), TypeError, NOT_AN_INT),
+    # with d = 3 cached first, so 3.0 is not served the cached entry
+    (lambda: [classify_fm_exponent(2, d) for d in (3, 3.0)], TypeError, NOT_AN_INT),
+    (lambda: monomial_search(2, 7.5), TypeError, NOT_AN_INT),
+    (lambda: prime_to_p_part(2, 4.0), TypeError, NOT_AN_INT),
 ], ids=["theorem", "enumerate_family", "catalog_rows", "fm_pair_scan", "quotient_lemma_oracle",
-        "build_field", "power", "ExponentPair", "classify_fm_exponent", "monomial_search",
-        "mult_order", "digit_sum", "_as_class"])
+        "build_field", "ExponentPair", "classify_fm_exponent", "monomial_search",
+        "mult_order", "digit_sum", "_as_class", "exp_sum-coefficient-9",
+        "exp_sum-coefficient--1", "exp_sum-s-8", "exp_sum-t-9", "classify_pair-float",
+        "belyi_search-float-p", "kubert_v-float-p", "belyi_search-str-p",
+        "classify_fm_exponent-float", "monomial_search-float", "prime_to_p_part-float"])
 def test_library_rejects_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_numpy_integers_read_as_ints():
+    """Control: numpy integers pass and give the results of plain ints."""
+    i = np.int64
+    assert classify_pair(i(2), (i(1), i(12))) == classify_pair(2, (1, 12))
+    assert belyi_search(i(2), (i(3), i(10)), max_r=5) == belyi_search(2, (3, 10), max_r=5)
+    assert kubert_v(i(7), "1/3") == kubert_v(7, "1/3")
+    assert classify_fm_exponent(i(2), i(11)) == classify_fm_exponent(2, 11)
+    assert monomial_search(i(2), i(7), 3) == monomial_search(2, 7, 3)
+    assert prime_to_p_part(i(2), i(12)) == prime_to_p_part(2, 12) == 3
+
+
+def test_readme_library_quick_start():
+    """README's "Library quick start" block runs as written, and each of
+    its expressions has the value that its comment states."""
+    block = README.read_text(encoding="utf-8").split("## Library quick start", 1)[1]
+    block = block.split("```python", 1)[1].split("```", 1)[0]
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README", "exec"), namespace)
+    v, w, violation, verdict, x = values
+    assert v == Fraction(1, 3) and w == Fraction(4, 3)
+    assert violation == {"p": 2, "d": 3, "e": 10, "criterion": "belyi-pair", "x": "3/31",
+                         "y": "8/31", "w": "7/5", "bound": "3/2", "verdict": "violation"}
+    assert (verdict.family, verdict.parameters) == ("CyclotomicQuotient", (1, 5))
+    assert x == QzClass(1, 7)
 
 
 def readme_cli_examples() -> list[list[str]]:
