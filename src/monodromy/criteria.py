@@ -21,11 +21,18 @@ at least V(x) and rows with V(x) >= 1/2 cannot violate.  The binomial
 search then skips the y scan of a row no y can violate (m = p^r - 1): with
 w the base-p digit sum of e mod m (1 if it is 0), V(ey) <= w V(y), as
 V(py) = V(y) and V is subadditive, so V(y) + V(-dx-ey) >= V(-dx)/w and the
-row is >= V(x) + V(-dx)/w.  The Belyi scan has no row bound, so its cost
-is the same for every pair of one prime; the analogous bound
-W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1)) holds, but would clear from every
-row of (1, 1) to about a third of those of (17, 17) at p = 2 (ROADMAP
-item 8).
+row is >= V(x) + V(-dx)/w.  The Belyi search prefilters each level of
+more than BLOCK_CELLS/16 cells (rows times m) with m <= BLOCK_CELLS/8: in
+blocks of BLOCK_CELLS/m whole rows it takes every row's least digit sum of
+V(y) + V(y-(d+e)x) + V(ex-y) over y != 0, and scans only the rows where
+that least, or the one-variable side, can violate.  The least ignores the
+pair mask, so it bounds the masked sums below and a dropped row holds no
+hit: the hits are those of a scan of every row.  Every row of such a level
+is reduced whatever the pair, so the prefilter costs the same for every
+pair of one prime, unlike the exact row bound
+W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1)), which would clear from every row
+of (1, 1) to about a third of those of (17, 17) at p = 2 (ROADMAP item 8).
+Other levels scan every row.
 
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:
@@ -53,6 +60,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .qz import QzClass, _as_class, _as_prime_int, _orbit_sum, mult_order
 
@@ -94,6 +102,7 @@ _CRITERIA = {
 
 DEFAULT_GRID_LIMIT = 10**8  # (x, y) grid points at the default depth, (p^r - 1)^2
 LEVEL_TABLE_GUARD = 2**20  # entries in the deepest level's tables, p^max_r
+BLOCK_CELLS = 2**17  # (x, y) cells in one block of the Belyi row prefilter
 
 
 @dataclass(frozen=True)
@@ -244,6 +253,9 @@ class _Level(NamedTuple):
     D: np.ndarray  # D[i] = digitsum_p(i)
     DD: np.ndarray  # D twice: DD[m-c : 2m-c][j] = D[(j - c) % m]
     EE: np.ndarray  # E[i] = D[-i] twice, sliced the same way
+    WD: np.ndarray  # the windows of DD: WD[c][j] = D[(j + c) % m], a view
+    WE: np.ndarray  # the windows of EE: WE[c][j] = E[(j + c) % m], a view
+    block: int  # rows per prefilter block, 0 on a level the Belyi search scans row by row
     lev: np.ndarray  # first-appearance level of i/m, which is i's orbit size
     orbits: np.ndarray  # the least element of each orbit of i -> p*i on 1..m-1
     rows: np.ndarray  # the orbit minima with 2*D[i] < r(p-1): V(i/m) < 1/2
@@ -255,13 +267,14 @@ class _Level(NamedTuple):
 def _level_tables(p: int, r: int) -> _Level:
     """Digit sums, first-appearance levels and Frobenius orbits mod p^r - 1.
 
-    Digit sums are int16 while 10*r*(p-1) fits: it bounds twice the five
-    digit sums of W, so it bounds every sum a search forms from them.  Pure
-    data behind a bounded read-through cache.
+    Digit sums are int16 while 10*r*(p-1) fits, else int32: it bounds twice
+    the five digit sums of W, so it bounds every sum a search forms from
+    them, and it stays below 2^24 while p^r <= LEVEL_TABLE_GUARD.  Pure data
+    behind a bounded read-through cache.
     """
     m = p**r - 1
     idx = np.arange(m, dtype=np.int64)
-    dtype = np.int16 if 10 * r * (p - 1) <= np.iinfo(np.int16).max else np.int64
+    dtype = np.int16 if 10 * r * (p - 1) <= np.iinfo(np.int16).max else np.int32
     D = np.zeros(1, dtype=dtype)
     for _ in range(r):  # digitsum(k*p + a) = digitsum(k) + a
         D = (D[:, None] + np.arange(p, dtype=dtype)).ravel()
@@ -279,7 +292,13 @@ def _level_tables(p: int, r: int) -> _Level:
     DD, EE = np.concatenate((D, D)), np.concatenate((E, E))
     for table in (D, DD, EE, lev, orbits, rows, *pair_mask.values()):
         table.flags.writeable = False  # the cache hands the same arrays to every search
-    return _Level(r, m, D, DD, EE, lev, orbits, rows, pair_mask, below)
+    WD, WE = sliding_window_view(DD, m), sliding_window_view(EE, m)  # read-only views
+    # a block's numpy calls cost about as much as scanning three rows, so it
+    # pays on levels of many rows; past m = BLOCK_CELLS/8 it holds under 8
+    # rows, and its gathers cost more than the row scan's slices
+    prefiltered = rows.size * m > BLOCK_CELLS // 16 and m <= BLOCK_CELLS // 8
+    block = BLOCK_CELLS // m if prefiltered else 0
+    return _Level(r, m, D, DD, EE, WD, WE, block, lev, orbits, rows, pair_mask, below)
 
 
 def _scan(p: int, max_r: int | None, level_rows, stop_early=True):
@@ -355,6 +374,21 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     def level_rows(level: _Level):
         r, m, D, DD, EE = level.r, level.m, level.D, level.DD, level.EE
         below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
+        rows, b = level.rows, level.block
+        if b:
+            # the least y-sum of every row over y != 0, unmasked, in blocks of
+            # b whole rows: it bounds the masked sums below, so a row where it
+            # meets the bound, and the one-variable side passes, holds no hit
+            ki, ei = -(K % m) * rows % m, -(e % m) * rows % m
+            least = np.empty(rows.size, D.dtype)
+            for k in range(0, rows.size, b):
+                sums = level.WD[ki[k:k + b], 1:]
+                sums += level.WE[ei[k:k + b], 1:]
+                sums += D[1:]
+                least[k:k + b] = sums.min(axis=1)
+            keep = least < below_xy - D[rows] - D[ei]
+            keep |= (level.lev[rows] == r) & (D[rows] + D[ki] < below_x)
+            rows = rows[keep]
 
         def row_hits(i):
             if level.lev[i] == r and int(D[i] + D[-K * i % m]) < below_x:
@@ -368,7 +402,7 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
             viol[0] = False
             yield "belyi-pair", viol
 
-        return level.rows, row_hits
+        return rows, row_hits
 
     return _search_result(p, pair, "belyi", *_scan(p, max_r, level_rows, stop_early))
 

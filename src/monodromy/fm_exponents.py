@@ -133,7 +133,7 @@ def classify_fm_exponent(p: int, d: int) -> FmExponentVerdict:
     return FmExponentVerdict(d, p, False, NOT_FM, None, dp)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # typed: a float p raises, as on a cold cache
 def fm_exponent_set(p: int, bound: int) -> frozenset[int]:
     """All FM-exponents n <= bound for p: the p-power multiples of the family values."""
     p = _as_prime_int(p)

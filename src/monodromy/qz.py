@@ -161,7 +161,7 @@ def _as_class(x: QzClass | Fraction | str | int) -> QzClass:
     raise TypeError(f"cannot interpret {x!r} as a class in Q/Z")
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=4096, typed=True)  # typed: a float p or den raises, as on a cold cache
 def mult_order(p: int, den: int, cap: int = MULT_ORDER_CAP) -> int:
     """Smallest r >= 1 with p^r == 1 (mod den); returns 1 for den == 1.
 

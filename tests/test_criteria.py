@@ -275,7 +275,8 @@ class TestLevelScan:
         # the cache shares these arrays with every later search at the level
         level = _level_tables(2, 4)
         assert level.pair_mask
-        tables = (level.D, level.DD, level.EE, level.lev, level.orbits, level.rows)
+        tables = (level.D, level.DD, level.EE, level.WD, level.WE, level.lev, level.orbits,
+                  level.rows)
         for table in (*tables, *level.pair_mask.values()):
             with pytest.raises(ValueError):
                 table[0] = table[0]
@@ -500,9 +501,46 @@ def binomial_row_cleared(p, r, pair, i, w_drop=0):
     return i != 0 and 2 * (w * V[i] + V[-d * i % m]) >= w * r * (p - 1)
 
 
-def scanned_rows(monkeypatch, search, p, pair):
+def force_prefilter(patch, block=None, mutate=lambda level: level):
+    """Send every level through the Belyi row prefilter, in blocks of `block`
+    rows or, by default, of as many rows as BLOCK_CELLS cells hold; `mutate`
+    alters each level after that.  The threshold reads BLOCK_CELLS on both
+    sides, so no one value of it reaches every level."""
+    tables = criteria._level_tables
+
+    def forced(p, r):
+        level = tables(p, r)
+        return mutate(level._replace(block=block or criteria.BLOCK_CELLS // level.m))
+
+    patch.setattr(criteria, "_level_tables", forced)
+
+
+def belyi_row_kept(p, r, pair, i):
+    """Whether the row x = i/(p^r - 1) can hold a Belyi hit, the pair mask
+    left out: a new x with V(x) + V(-(d+e)x) < 1/2, or a y != 0 with W < 3/2."""
+    d, e = pair
+    m, V, j = p**r - 1, v_numerators(p, r), np.arange(1, p**r - 1)
+    h = r * (p - 1)
+    if mult_order(p, QzClass(i, m).den) == r and 2 * (V[i] + V[-(d + e) * i % m]) < h:
+        return True
+    w = V[i] + V[j] + V[(j - (d + e) * i) % m] + V[(e * i - j) % m] + V[-e * i % m]
+    return bool((2 * w < 3 * h).any())
+
+
+def belyi_oracle_pairs(p):
+    return [(d, e) for d, e in ORACLE_PAIRS if d % p or e % p]
+
+
+def belyi_oracle_rows(p, pair):
+    """The (r, i) of every row up to ORACLE_DEPTH that belyi_row_kept keeps."""
+    return [(r, i) for r in range(1, ORACLE_DEPTH[p] + 1)
+            for i in _level_tables(p, r).rows.tolist() if belyi_row_kept(p, r, pair, i)]
+
+
+def scanned_rows(monkeypatch, search, p, pair, **forced):
     """(r, i, cleared) for every row a full sweep hands the level scan, where
-    cleared means the row function offers no y-candidates."""
+    cleared means the row function offers no y-candidates; keywords, if any,
+    go to force_prefilter."""
     seen, scan = {}, criteria._scan
 
     def recording(p, max_r, level_rows, stop_early=True):
@@ -514,6 +552,8 @@ def scanned_rows(monkeypatch, search, p, pair):
 
     with monkeypatch.context() as patch:
         patch.setattr(criteria, "_scan", recording)
+        if forced:
+            force_prefilter(patch, **forced)
         search(p, pair, max_r=ORACLE_DEPTH[p], stop_early=False)
     return [
         (r, i, all(viol is None for _, viol in row_hits(i)))
@@ -549,13 +589,77 @@ class TestRowBounds:
         )
         assert caught == 157
 
+
+class TestBelyiPrefilter:
+    """The Belyi search hands its y scan only the rows whose least unmasked
+    y-sum, or one-variable side, is below the bound, so that least must be
+    exact: the kept rows are exactly the rows an oracle finds a hit on."""
+
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
-    def test_belyi_scans_every_row(self, monkeypatch, p):
-        # no Belyi row bound: every row gets its y scan, whatever the pair,
-        # so a search costs the same for every pair of one prime
+    def test_kept_rows_are_the_rows_that_can_violate(self, monkeypatch, p):
+        # blocks of 2 rows: most levels split into several, the last one short
+        for pair in belyi_oracle_pairs(p):
+            kept = scanned_rows(monkeypatch, belyi_search, p, pair, block=2)
+            assert [(r, i) for r, i, _ in kept] == belyi_oracle_rows(p, pair), pair
+
+    @pytest.mark.parametrize("table,caught", [
+        pytest.param("WD", (992, 1805), id="WD"), pytest.param("WE", (723, 1205), id="WE"),
+    ])
+    def test_control_is_caught(self, monkeypatch, table, caught):
+        # WD[(K x) mod m] in place of WD[(-K x) mod m] reads y + (d+e)x for
+        # y - (d+e)x; WE[(e x) mod m] reads -ex - y for ex - y
+        def mutate(level):
+            m = level.m
+            return level._replace(**{table: getattr(level, table)[(m - np.arange(m + 1)) % m]})
+
+        dropped = kept = 0  # rows that can violate, dropped; rows that cannot, kept
+        for p in ORACLE_DEPTH:
+            for pair in belyi_oracle_pairs(p):
+                got = {(r, i) for r, i, _ in
+                       scanned_rows(monkeypatch, belyi_search, p, pair, block=2, mutate=mutate)}
+                want = set(belyi_oracle_rows(p, pair))
+                dropped, kept = dropped + len(want - got), kept + len(got - want)
+        assert (dropped, kept) == caught
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_prefilter_reduces_every_row(self, monkeypatch, p):
+        # every row of a prefiltered level gets its least y-sum, whatever the
+        # pair, in blocks of at most BLOCK_CELLS cells, so the prefilter costs
+        # the same for every pair of one prime
+        levels = [_level_tables(p, r) for r in range(1, default_max_r(p) + 1)]
+        prefiltered = {level.r: level for level in levels if level.block}
+        assert prefiltered
+        shifts = {}
+
+        class Gathers:  # WD, recording the row shifts of every gather
+            def __init__(self, level):
+                self.level = level
+
+            def __getitem__(self, key):
+                rows, m = key[0].size, self.level.m
+                assert rows <= self.level.block and rows * m <= criteria.BLOCK_CELLS
+                shifts.setdefault(self.level.r, []).append(key[0])
+                return self.level.WD[key]
+
+        tables = criteria._level_tables
+        monkeypatch.setattr(criteria, "_level_tables",
+                            lambda p, r: (lv := tables(p, r))._replace(WD=Gathers(lv)))
         for pair in [(1, 1), (1, 3), (11, 11), (1, 12)]:
-            rows = scanned_rows(monkeypatch, belyi_search, p, pair)
-            assert rows and not any(cleared for _, _, cleared in rows), pair
+            shifts.clear()
+            belyi_search(p, pair, stop_early=False)
+            assert shifts.keys() == prefiltered.keys(), pair
+            for r, level in prefiltered.items():
+                ki = -sum(pair) * level.rows % level.m
+                assert np.concatenate(shifts[r]).tolist() == ki.tolist(), (pair, r)
+
+
+class TestBelyiSearchPrefiltered(TestBelyiSearch):
+    """TestBelyiSearch with every level prefiltered: at the real threshold none
+    of its searches reaches a prefiltered level."""
+
+    @pytest.fixture(autouse=True)
+    def forced(self, monkeypatch):
+        force_prefilter(monkeypatch)
 
 
 class TestDefaultMaxR:
@@ -599,7 +703,7 @@ def golden_searches():
     """as_dict() of every search the golden file pins, in a fixed order: both
     searches at the default depth and as a full sweep at SWEEP_DEPTH, for
     d, e <= 12 at p <= 7 and a few pairs at primes with wide digit sums
-    (int16 tables at 3271, int64 at 9001, w up to 8999).  Regenerate with
+    (int16 tables at 3271, int32 at 9001, w up to 8999).  Regenerate with
     ``PYTHONPATH=src python tests/test_criteria.py`` only when a change is
     meant to alter search outputs."""
     cases = [(p, (d, e)) for p in (2, 3, 5, 7) for d in range(1, 13) for e in range(1, 13)]
@@ -622,6 +726,14 @@ def test_search_outputs_match_golden():
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_search_outputs_match_golden_with_prefilter_forced(monkeypatch):
+    """The same pinned outputs with every Belyi level prefiltered: at the real
+    threshold a pinned Belyi witness sits on a prefiltered level only for
+    p = 3, (9, 10) and (10, 9), and at p = 3271 and 9001."""
+    force_prefilter(monkeypatch)
+    test_search_outputs_match_golden()
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 """Tests for the exact (Q/Z) layer and the V-function."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -286,6 +290,42 @@ def test_every_lru_cache_is_bounded():
     }
     assert {"monodromy.qz.mult_order", "monodromy.fm_exponents.classify_fm_exponent"} <= caches.keys()
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
+
+
+# cached entry points: (module, function, int arguments, the same with one float)
+FLOAT_CALLS = [
+    ("qz", "mult_order", (2, 7), (2.0, 7)),
+    ("qz", "mult_order", (2, 7), (2, 7.0)),
+    ("fm_exponents", "fm_exponent_set", (2, 10), (2.0, 10)),
+    ("fm_exponents", "classify_fm_exponent", (2, 3), (2.0, 3)),
+]
+
+
+def test_cached_functions_refuse_floats_in_a_fresh_process():
+    script = (
+        "from importlib import import_module\n"
+        f"for module, name, _, args in {FLOAT_CALLS!r}:\n"
+        "    try:\n"
+        "        getattr(import_module('monodromy.' + module), name)(*args)\n"
+        "    except TypeError:\n"
+        "        print('refused')\n"
+        "    else:\n"
+        "        print('served')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert res.stdout.split() == ["refused"] * len(FLOAT_CALLS)
+
+
+@pytest.mark.parametrize("module,name,ints,floats", FLOAT_CALLS,
+                         ids=[f"{name}{floats}" for _, name, _, floats in FLOAT_CALLS])
+def test_cached_functions_refuse_floats_after_an_int_call(module, name, ints, floats):
+    # the int call fills the cache; a float must not be served from its entry
+    fn = getattr(import_module(f"monodromy.{module}"), name)
+    fn(*ints)
+    with pytest.raises(TypeError):
+        fn(*floats)
 
 
 def test_every_all_resolves_without_duplicates():
