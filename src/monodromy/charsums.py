@@ -26,9 +26,12 @@ log2(q) numpy matmuls build it.  ``log`` is one scatter of it, and
 read-only numpy arrays, which every sum reads directly.  Two fields are
 equal, and hash alike, when their presentations (p, r, q, modulus,
 generator) are, since those determine the tables.  Caches are bounded:
-``build_field`` keeps the 32 most recent fields, and the O(q) tables
-derived from a field (character values, psi by discrete log, log(1 - g^k))
-are cached on the field itself, so they are freed with it.
+``build_field`` keeps the 32 most recent fields, and each field caches one
+derived table, psi(g^k) by k, which the Gauss FFT, ``gauss_sum_raw`` and
+both Mellin paths re-read; it is freed with the field.  Every other table is
+computed by the sum that reads it: a character value chi_a(g^k) is
+exp(2 pi i (a k mod m) / m) from its integer index, and log(1 - g^k) is one
+gather of the exp and log tables.
 
 The Mellin and switch checks build their tables per call and keep none.
 ``mellin_suite`` makes one character table R[a, k] = chi_a(g^k), and it
@@ -131,7 +134,8 @@ def _factor(n: int) -> list[int]:
 @dataclass(frozen=True)
 class FieldPresentation:
     """A concrete model of F_{p^r}: its presentation, its exp/log/trace
-    tables as read-only arrays, and the tables cached from them.
+    tables as read-only arrays, and one table cached from them, psi(g^k)
+    by k.
 
     ``exp[k]`` is generator^k for 0 <= k < q-1 and ``log[t]`` inverts it on
     the units (log[0] is -1 and must not be used).  ``trace[t]`` is the
@@ -148,45 +152,11 @@ class FieldPresentation:
     log: np.ndarray = field(compare=False, repr=False)
     trace: np.ndarray = field(compare=False, repr=False)
 
-    # Derived tables are cached on the instance, so they are freed with the
-    # field.  psi's p roots are not: in a prime field they would be a second
-    # q-entry table.
-    @property
-    def _psi_roots(self) -> np.ndarray:
-        """psi at trace k, indexed by k < p; exactly +-1 in characteristic 2."""
-        if self.p == 2:
-            return np.array([1.0 + 0j, -1.0 + 0j])
-        return np.exp(2j * np.pi * np.arange(self.p) / self.p)
-
-    @cached_property
-    def _psi_table(self) -> np.ndarray:
-        return self._psi_roots[self.trace]
-
-    @cached_property
-    def _unit_roots(self) -> np.ndarray:
-        m = self.q - 1
-        return np.exp(2j * np.pi * np.arange(m) / m)
-
+    # cached on the instance, so it is freed with the field
     @cached_property
     def _psi_by_log(self) -> np.ndarray:
         """psi(generator^k) indexed by k."""
-        return self._psi_table[self.exp]
-
-    @property
-    def _log_minus_one(self) -> int:
-        """log(-1): (q-1)/2 for odd p, and 0 for p = 2, where -1 = 1."""
-        return (self.q - 1) // 2 if self.p > 2 else 0
-
-    @cached_property
-    def _log_one_minus(self) -> np.ndarray:
-        """log(1 - generator^k) indexed by k; -1 at k = log(1) = 0.
-
-        -g^k is g^(k + log(-1)), and adding 1 changes only the constant
-        base-p digit.
-        """
-        p = self.p
-        t = np.roll(self.exp, -self._log_minus_one)
-        return self.log[t - t % p + (t + 1) % p]
+        return _psi_roots(self.p)[self.trace[self.exp]]
 
     def as_json_dict(self) -> dict:
         return {
@@ -268,10 +238,28 @@ def build_field(p: int, r: int) -> FieldPresentation:
 # ---------------------------------------------------------------------------
 # characters and sums
 
-def _chi_vector(F: FieldPresentation, a: int) -> np.ndarray:
-    """chi_a(generator^k) for k = 0..q-2."""
-    m = F.q - 1
-    return F._unit_roots[(a % m) * np.arange(m) % m]
+def _psi_roots(p: int) -> np.ndarray:
+    """psi at trace k, indexed by k < p; exactly +-1 in characteristic 2."""
+    if p == 2:
+        return np.array([1.0 + 0j, -1.0 + 0j])
+    return np.exp(2j * np.pi * np.arange(p) / p)
+
+
+def _chars(m: int, a, k) -> np.ndarray:
+    """chi_a(g^k) = exp(2 pi i (a k mod m) / m) for m = q - 1, broadcast over
+    integer a and k.  Each value is a function of the reduced index alone,
+    so every table that holds it holds the same float."""
+    return np.exp(2j * np.pi * ((a % m) * k % m) / m)
+
+
+def _log_one_minus(F: FieldPresentation) -> np.ndarray:
+    """log(1 - generator^k) indexed by k; -1 at k = log(1) = 0.
+
+    -g^k is g^(k + log(-1)), and adding 1 changes only the constant base-p
+    digit.
+    """
+    t = np.roll(F.exp, -int(F.log[F.p - 1]))
+    return F.log[t - t % F.p + (t + 1) % F.p]
 
 
 def gauss_sum(F: FieldPresentation, a: int) -> complex:
@@ -286,7 +274,7 @@ def gauss_sum(F: FieldPresentation, a: int) -> complex:
 def gauss_sum_raw(F: FieldPresentation, a: int) -> complex:
     """sum over units of chi_a(t) psi(t) (the sign under which the classical
     Gauss/Jacobi factorizations hold verbatim)."""
-    return complex(np.dot(_chi_vector(F, a), F._psi_by_log))
+    return complex(np.dot(_chars(F.q - 1, a, np.arange(F.q - 1)), F._psi_by_log))
 
 
 def gauss_sums_all(F: FieldPresentation) -> np.ndarray:
@@ -307,12 +295,9 @@ def jacobi_sum(F: FieldPresentation, a1: int, a2: int) -> complex:
     value is q - 2.
     """
     m = F.q - 1
-    chi1 = _chi_vector(F, a1)
-    logs2 = F._log_one_minus
-    valid = logs2 >= 0
-    chi2 = np.zeros(m, dtype=complex)
-    chi2[valid] = F._unit_roots[(a2 % m) * logs2[valid] % m]
-    return complex(np.dot(chi1, chi2))
+    chi2 = _chars(m, a2, _log_one_minus(F))
+    chi2[0] = 0  # 1 - g^0 = 0
+    return complex(np.dot(_chars(m, a1, np.arange(m)), chi2))
 
 
 def exp_sum(F: FieldPresentation, f_coeffs, s: int, t: int) -> complex:
@@ -333,7 +318,7 @@ def exp_sum(F: FieldPresentation, f_coeffs, s: int, t: int) -> complex:
             monomial = F.trace[F.exp[(F.log[a] + F.log[c] + i * F.log) % m]]
             monomial[0] *= i == 0
             trace += monomial
-    return complex(F._psi_roots[trace % F.p].sum())
+    return complex(_psi_roots(F.p)[trace % F.p].sum())
 
 
 def belyi_values(F: FieldPresentation, d: int, e: int) -> np.ndarray:
@@ -356,8 +341,7 @@ def _char_table(F: FieldPresentation, chars) -> np.ndarray:
     O(q^3)."""
     if F.q > MELLIN_Q_GUARD:
         raise ValueError(f"q={F.q} exceeds the Mellin guard {MELLIN_Q_GUARD}")
-    m = F.q - 1
-    return F._unit_roots[np.outer(np.asarray(chars) % m, np.arange(m)) % m]
+    return _chars(F.q - 1, np.asarray(chars)[:, None], np.arange(F.q - 1))
 
 
 def _linear_sums(F: FieldPresentation, R: np.ndarray) -> np.ndarray:
@@ -397,12 +381,12 @@ def _closed_forms(F: FieldPresentation, pair, R: np.ndarray) -> np.ndarray:
     d, e = pair
     q, m = F.q, F.q - 1
     G = R @ F._psi_by_log
-    C = R[:, F._log_one_minus]
+    C = R[:, _log_one_minus(F)]
     C[:, 0] = 0
     J = R @ C.T  # J(chi_a1, chi_a2) as [a1, a2]
     a = np.arange(m)[:, None]
     b = np.arange(m)
-    chibar_neg1_e = F._unit_roots[(-a * F._log_minus_one * e) % m]
+    chibar_neg1_e = R[:, [-e * int(F.log[F.p - 1]) % m]]  # chi_a(g^(-e log(-1)))
     G_eta = np.where(b == 0, -1, G)  # eta trivial: -G(chi) in place of G(chi) G(eta)
     out = G[:, None] * G_eta * chibar_neg1_e * J[(-d * a - b) % m, (-e * a) % m]
     out[0] = q * G

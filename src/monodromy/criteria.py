@@ -251,10 +251,8 @@ class _Level(NamedTuple):
     r: int
     m: int
     D: np.ndarray  # D[i] = digitsum_p(i)
-    DD: np.ndarray  # D twice: DD[m-c : 2m-c][j] = D[(j - c) % m]
-    EE: np.ndarray  # E[i] = D[-i] twice, sliced the same way
-    WD: np.ndarray  # the windows of DD: WD[c][j] = D[(j + c) % m], a view
-    WE: np.ndarray  # the windows of EE: WE[c][j] = E[(j + c) % m], a view
+    WD: np.ndarray  # the windows of D twice: WD[c][j] = D[(j + c) % m], a view
+    WE: np.ndarray  # the same windows of E[i] = D[-i]: WE[c][j] = E[(j + c) % m]
     block: int  # rows per prefilter block, 0 on a level the Belyi search scans row by row
     lev: np.ndarray  # first-appearance level of i/m, which is i's orbit size
     orbits: np.ndarray  # the least element of each orbit of i -> p*i on 1..m-1
@@ -289,16 +287,15 @@ def _level_tables(p: int, r: int) -> _Level:
     E = np.roll(D[::-1], 1)
     pair_mask = {int(v): np.lcm(lev, v) == r for v in np.unique(lev) if v != r}
     below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound, *_) in _CRITERIA.items()}
-    DD, EE = np.concatenate((D, D)), np.concatenate((E, E))
-    for table in (D, DD, EE, lev, orbits, rows, *pair_mask.values()):
+    for table in (D, lev, orbits, rows, *pair_mask.values()):
         table.flags.writeable = False  # the cache hands the same arrays to every search
-    WD, WE = sliding_window_view(DD, m), sliding_window_view(EE, m)  # read-only views
+    WD, WE = (sliding_window_view(np.concatenate((T, T)), m) for T in (D, E))  # read-only views
     # a block's numpy calls cost about as much as scanning three rows, so it
     # pays on levels of many rows; past m = BLOCK_CELLS/8 it holds under 8
     # rows, and its gathers cost more than the row scan's slices
     prefiltered = rows.size * m > BLOCK_CELLS // 16 and m <= BLOCK_CELLS // 8
     block = BLOCK_CELLS // m if prefiltered else 0
-    return _Level(r, m, D, DD, EE, WD, WE, block, lev, orbits, rows, pair_mask, below)
+    return _Level(r, m, D, WD, WE, block, lev, orbits, rows, pair_mask, below)
 
 
 def _scan(p: int, max_r: int | None, level_rows, stop_early=True):
@@ -372,7 +369,7 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     K = d + e
 
     def level_rows(level: _Level):
-        r, m, D, DD, EE = level.r, level.m, level.D, level.DD, level.EE
+        r, m, D, WD, WE = level.r, level.m, level.D, level.WD, level.WE
         below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
         rows, b = level.rows, level.block
         if b:
@@ -382,8 +379,8 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
             ki, ei = -(K % m) * rows % m, -(e % m) * rows % m
             least = np.empty(rows.size, D.dtype)
             for k in range(0, rows.size, b):
-                sums = level.WD[ki[k:k + b], 1:]
-                sums += level.WE[ei[k:k + b], 1:]
+                sums = WD[ki[k:k + b], 1:]
+                sums += WE[ei[k:k + b], 1:]
                 sums += D[1:]
                 least[k:k + b] = sums.min(axis=1)
             keep = least < below_xy - D[rows] - D[ei]
@@ -396,8 +393,8 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
             # W violates iff D[j] + D[j - Ki] + D[ei - j] < below_xy - const
             const = int(D[i] + D[-e * i % m])
             c3, c4 = m - K * i % m, m - e * i % m
-            s = D + DD[c3:c3 + m]
-            s += EE[c4:c4 + m]
+            s = D + WD[c3]
+            s += WE[c4]
             viol = s < below_xy - const
             viol[0] = False
             yield "belyi-pair", viol
@@ -414,7 +411,7 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
     d, e = pair.d, pair.e
 
     def level_rows(level: _Level):
-        m, D, DD = level.m, level.D, level.DD
+        m, D, WD = level.m, level.D, level.WD
         half, below = level.r * (p - 1), level.below["binomial"]
         dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
         neg_e = -em * np.arange(m) % m
@@ -425,7 +422,7 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
             # V(x) + V(-dx)/w >= 1/2 (never at x = 0)
             if 2 * (w * int(D[i]) + int(D[-dm * i % m])) >= w * half:
                 return
-            viol = D + DD[neg_e + (m - dm * i % m)] < below - int(D[i])
+            viol = D + WD[m - dm * i % m][neg_e] < below - int(D[i])
             viol[0] &= i > 0  # (x, y) = (0, 0) is excluded
             yield "binomial", viol
 

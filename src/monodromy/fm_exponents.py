@@ -136,7 +136,7 @@ def classify_fm_exponent(p: int, d: int) -> FmExponentVerdict:
 @lru_cache(maxsize=32, typed=True)  # typed: a float p raises, as on a cold cache
 def fm_exponent_set(p: int, bound: int) -> frozenset[int]:
     """All FM-exponents n <= bound for p: the p-power multiples of the family values."""
-    p = _as_prime_int(p)
+    p, bound = _as_prime_int(p), operator.index(bound)
     out = set()
     for _, _, n in _fm_values(p, bound):
         while n <= bound:

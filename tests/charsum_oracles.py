@@ -14,6 +14,8 @@ import cmath
 from functools import lru_cache
 from itertools import product, zip_longest
 
+import numpy as np
+
 from monodromy.charsums import FieldPresentation
 
 
@@ -124,8 +126,8 @@ def mult_char(F: FieldPresentation, a: int, t: int) -> complex:
     """chi_a(t) = exp(2*pi*i * a*log(t) / (q-1)) for a unit t; rejects t = 0."""
     if t == 0:
         raise ValueError("multiplicative characters are defined on units; t=0 rejected")
-    a %= F.q - 1
-    return complex(F._unit_roots[(a * F.log[t]) % (F.q - 1)])
+    m = F.q - 1
+    return complex(np.exp(2j * np.pi * (a % m * int(F.log[t]) % m) / m))
 
 
 def exp_sum_naive(F: FieldPresentation, f_coeffs, s: int, t: int, linear: bool = True) -> complex:

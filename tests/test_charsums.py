@@ -1,6 +1,7 @@
 """Tests for the finite-field layer and the character-sum identities."""
 
 import cmath
+import functools
 import gc
 import math
 import random
@@ -195,6 +196,22 @@ class TestBuildField:
         gc.collect()
         assert build_field.cache_info().currsize <= 32
         assert evicted() is None
+
+    def test_field_caches_only_psi_by_log(self):
+        # the one derived table the sums re-read at size; the rest are per call
+        cached = [name for name, v in vars(charsums.FieldPresentation).items()
+                  if isinstance(v, functools.cached_property)]
+        assert cached == ["_psi_by_log"]
+
+    def test_sums_leave_at_most_36_bytes_per_element(self):
+        # exp (int32), log and trace (int64) are 20 bytes per element, and
+        # psi by log (complex128) 16 more; no sum may leave another table
+        F = build_field(2, 16)
+        gauss_sums_all(F)
+        gauss_sum_raw(F, 3)
+        jacobi_sum(F, 3, 5)
+        held = sum(v.nbytes for v in vars(F).values() if isinstance(v, np.ndarray))
+        assert held <= 36 * F.q
 
     def test_tables_are_read_only(self):
         F = build_field(3, 2)

@@ -511,6 +511,7 @@ CLI_GOLDEN_COMMANDS = (
     "crosscheck --p 3 --max 30",
     "crosscheck --p 2 --max 1",
     "charsums --max-q 9 --switch-max-r 2",
+    "charsums --max-q 1024 --switch-max-r 2",
     "--help",
     "classify --help",
     "crosscheck --help",

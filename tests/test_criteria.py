@@ -275,8 +275,7 @@ class TestLevelScan:
         # the cache shares these arrays with every later search at the level
         level = _level_tables(2, 4)
         assert level.pair_mask
-        tables = (level.D, level.DD, level.EE, level.WD, level.WE, level.lev, level.orbits,
-                  level.rows)
+        tables = (level.D, level.WD, level.WE, level.lev, level.orbits, level.rows)
         for table in (*tables, *level.pair_mask.values()):
             with pytest.raises(ValueError):
                 table[0] = table[0]
@@ -607,10 +606,17 @@ class TestBelyiPrefilter:
     ])
     def test_control_is_caught(self, monkeypatch, table, caught):
         # WD[(K x) mod m] in place of WD[(-K x) mod m] reads y + (d+e)x for
-        # y - (d+e)x; WE[(e x) mod m] reads -ex - y for ex - y
+        # y - (d+e)x; WE[(e x) mod m] reads -ex - y for ex - y.  Only the
+        # block gathers are mutated: the row scan reads one true window.
         def mutate(level):
-            m = level.m
-            return level._replace(**{table: getattr(level, table)[(m - np.arange(m + 1)) % m]})
+            m, true = level.m, getattr(level, table)
+            wrong = true[(m - np.arange(m + 1)) % m]
+
+            class BlockGathersMutated:
+                def __getitem__(self, key):
+                    return (wrong if isinstance(key, tuple) else true)[key]
+
+            return level._replace(**{table: BlockGathersMutated()})
 
         dropped = kept = 0  # rows that can violate, dropped; rows that cannot, kept
         for p in ORACLE_DEPTH:
@@ -636,9 +642,10 @@ class TestBelyiPrefilter:
                 self.level = level
 
             def __getitem__(self, key):
-                rows, m = key[0].size, self.level.m
-                assert rows <= self.level.block and rows * m <= criteria.BLOCK_CELLS
-                shifts.setdefault(self.level.r, []).append(key[0])
+                if isinstance(key, tuple):  # a block gather; the row scan reads one window
+                    rows, m = key[0].size, self.level.m
+                    assert rows <= self.level.block and rows * m <= criteria.BLOCK_CELLS
+                    shifts.setdefault(self.level.r, []).append(key[0])
                 return self.level.WD[key]
 
         tables = criteria._level_tables

@@ -2,6 +2,7 @@
 
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -278,9 +279,10 @@ class TestVFunctionClosedForms:
 
 
 def test_every_lru_cache_is_bounded():
-    """Every lru_cache in the package's modules, on functions or on classes."""
-    mods = [import_module(f"monodromy.{m}")
-            for m in ("qz", "fm_exponents", "criteria", "charsums", "catalog", "cli")]
+    """Every lru_cache in every module of the package, on functions or on classes."""
+    package = import_module("monodromy")
+    mods = [package] + [import_module(f"monodromy.{info.name}")
+                        for info in pkgutil.iter_modules(package.__path__)]
     owners = mods + [v for mod in mods for v in vars(mod).values() if isinstance(v, type)]
     caches = {
         f"{owner.__name__}.{name}": fn
@@ -288,7 +290,9 @@ def test_every_lru_cache_is_bounded():
         for name, fn in vars(owner).items()
         if callable(getattr(fn, "cache_info", None))
     }
-    assert {"monodromy.qz.mult_order", "monodromy.fm_exponents.classify_fm_exponent"} <= caches.keys()
+    assert {"monodromy.qz.mult_order", "monodromy.fm_exponents.classify_fm_exponent",
+            "monodromy.fm_exponents.fm_exponent_set", "monodromy.criteria._level_tables",
+            "monodromy.charsums.build_field"} <= caches.keys()
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
 
 
@@ -297,6 +301,7 @@ FLOAT_CALLS = [
     ("qz", "mult_order", (2, 7), (2.0, 7)),
     ("qz", "mult_order", (2, 7), (2, 7.0)),
     ("fm_exponents", "fm_exponent_set", (2, 10), (2.0, 10)),
+    ("fm_exponents", "fm_exponent_set", (2, 10), (2, 10.5)),
     ("fm_exponents", "classify_fm_exponent", (2, 3), (2.0, 3)),
 ]
 
