@@ -36,6 +36,7 @@ solution loop.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
@@ -344,7 +345,7 @@ def enumerate_family(family: FamilyId | tuple[str, int], p: int, bound: int) -> 
     Raises ValueError when the family does not apply to p.
     """
     theorem, index = (family.theorem, family.index) if isinstance(family, FamilyId) else family
-    p = _as_prime_int(p)
+    p, bound = _as_prime_int(p), operator.index(bound)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     fams = _families(theorem)
@@ -360,7 +361,7 @@ def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
     """The JSON row of every member of the theorem's families for p, with
     max(A, B) <= bound, by item and then (A, B)."""
     fams = _families(theorem)
-    p = _as_prime_int(p)
+    p, bound = _as_prime_int(p), operator.index(bound)
     if bound < 1:
         raise ValueError("bound must be >= 1")
     for fam in fams:

@@ -46,6 +46,7 @@ Jacobi sums hold for the unsigned sum, available as ``gauss_sum_raw``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import starmap
@@ -167,7 +168,7 @@ class FieldPresentation:
         }
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)  # typed: a float p or r raises, as on a cold cache
 def build_field(p: int, r: int) -> FieldPresentation:
     """Deterministic presentation of F_{p^r} (guarded at p^r <= 2^20).
 
@@ -176,7 +177,7 @@ def build_field(p: int, r: int) -> FieldPresentation:
     significant), is smallest; the generator is the unit of full order with
     the smallest element encoding.
     """
-    p = _as_prime_int(p)
+    p, r = _as_prime_int(p), operator.index(r)
     if r < 1:
         raise ValueError("degree must be >= 1")
     # p >= 2, so p^r passes the guard once r passes its bit length

@@ -25,11 +25,9 @@ row is >= V(x) + V(-dx)/w.  The Belyi search prefilters each level of
 more than BLOCK_CELLS/16 cells (rows times m) with m <= BLOCK_CELLS/8: in
 blocks of BLOCK_CELLS/m whole rows it takes every row's least digit sum of
 V(y) + V(y-(d+e)x) + V(ex-y) over y != 0, and scans only the rows where
-that least, or the one-variable side, can violate.  The least ignores the
-pair mask, so it bounds the masked sums below and a dropped row holds no
-hit: the hits are those of a scan of every row.  Every row of such a level
-is reduced whatever the pair, so the prefilter costs the same for every
-pair of one prime, unlike the exact row bound
+that least, or the one-variable side, can violate.  Every row of such a
+level is reduced whatever the pair, so the prefilter costs the same for
+every pair of one prime, unlike the exact row bound
 W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1)), which would clear from every row
 of (1, 1) to about a third of those of (17, 17) at p = 2 (ROADMAP item 8).
 Other levels scan every row.
@@ -37,10 +35,11 @@ Other levels scan every row.
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:
 r ascending, then x numerator, then y numerator, with the one-variable
-check preceding the y scan at each x.
-A full sweep weights each row's count by its orbit size, so
-violations_total still counts every (x, y).  Classes already covered at a
-divisor level s | r are not re-tested, and a reported witness is always
+check preceding the y scan at each x.  Each level rescans the classes of
+its divisor levels s | r, which cannot hold the first hit: every lower
+level was scanned first and held none.  A full sweep weights each row's
+count by its orbit size and subtracts the hits of the divisor levels, so
+violations_total counts every (x, y) once.  A reported witness is always
 rechecked exactly, both its value and its row's nonzero condition.
 
 A violation certifies non-integrality; a bounded pass is evidence only, never
@@ -246,7 +245,8 @@ def _resolve_max_r(p: int, max_r: int | None) -> int:
 
 
 class _Level(NamedTuple):
-    """Search tables for the classes with denominator dividing m = p^r - 1."""
+    """Search tables for the classes with denominator dividing m = p^r - 1,
+    which include again every class of a divisor level s | r."""
 
     r: int
     m: int
@@ -254,16 +254,13 @@ class _Level(NamedTuple):
     WD: np.ndarray  # the windows of D twice: WD[c][j] = D[(j + c) % m], a view
     WE: np.ndarray  # the same windows of E[i] = D[-i]: WE[c][j] = E[(j + c) % m]
     block: int  # rows per prefilter block, 0 on a level the Belyi search scans row by row
-    lev: np.ndarray  # first-appearance level of i/m, which is i's orbit size
-    orbits: np.ndarray  # the least element of each orbit of i -> p*i on 1..m-1
-    rows: np.ndarray  # the orbit minima with 2*D[i] < r(p-1): V(i/m) < 1/2
-    pair_mask: dict  # v -> (lcm(lev, v) == r) for each level v < r in lev
+    rows: np.ndarray  # the least i of each orbit of i -> p*i on 1..m-1 with V(i/m) < 1/2
     below: dict  # kind -> ceil(bound * r(p-1)): a V-sum violates iff its digit sums total less
 
 
 @lru_cache(maxsize=32)
 def _level_tables(p: int, r: int) -> _Level:
-    """Digit sums, first-appearance levels and Frobenius orbits mod p^r - 1.
+    """Digit sums and the scanned orbit minima mod p^r - 1.
 
     Digit sums are int16 while 10*r*(p-1) fits, else int32: it bounds twice
     the five digit sums of W, so it bounds every sum a search forms from
@@ -271,23 +268,25 @@ def _level_tables(p: int, r: int) -> _Level:
     behind a bounded read-through cache.
     """
     m = p**r - 1
-    idx = np.arange(m, dtype=np.int64)
     dtype = np.int16 if 10 * r * (p - 1) <= np.iinfo(np.int16).max else np.int32
     D = np.zeros(1, dtype=dtype)
     for _ in range(r):  # digitsum(k*p + a) = digitsum(k) + a
         D = (D[:, None] + np.arange(p, dtype=dtype)).ravel()
     D = D[:m]
-    least, t, lev = idx.copy(), idx, np.full(m, r, dtype=np.int16)
-    for k in range(1, r):
+    t = least = np.arange(m, dtype=np.int64)
+    for _ in range(1, r):
         t = t * p % m
         np.minimum(least, t, out=least)
-        lev[(t == idx) & (lev == r)] = k
-    orbits = np.flatnonzero(least == idx)[1:]
+    # np.unique, not np.flatnonzero(least == arange(m)), must stay: the ~1.2 MB
+    # it allocates and frees at m = 2^13 - 1 raises glibc's mmap and trim
+    # thresholds past the prefilter's ~256 KB block temporaries, which then
+    # come from the heap with no page faults (a quarter of a deep search's
+    # time without it; test_searches_take_no_page_faults_when_warm)
+    orbits = np.unique(least)[1:]
     rows = orbits[2 * D[orbits] < r * (p - 1)]
     E = np.roll(D[::-1], 1)
-    pair_mask = {int(v): np.lcm(lev, v) == r for v in np.unique(lev) if v != r}
     below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound, *_) in _CRITERIA.items()}
-    for table in (D, lev, orbits, rows, *pair_mask.values()):
+    for table in (D, rows):
         table.flags.writeable = False  # the cache hands the same arrays to every search
     WD, WE = (sliding_window_view(np.concatenate((T, T)), m) for T in (D, E))  # read-only views
     # a block's numpy calls cost about as much as scanning three rows, so it
@@ -295,42 +294,42 @@ def _level_tables(p: int, r: int) -> _Level:
     # rows, and its gathers cost more than the row scan's slices
     prefiltered = rows.size * m > BLOCK_CELLS // 16 and m <= BLOCK_CELLS // 8
     block = BLOCK_CELLS // m if prefiltered else 0
-    return _Level(r, m, D, WD, WE, block, lev, orbits, rows, pair_mask, below)
+    return _Level(r, m, D, WD, WE, block, rows, below)
 
 
-def _scan(p: int, max_r: int | None, level_rows, stop_early=True):
+def _scan(p: int, max_r: int | None, level_hits, stop_early=True):
     """The one level scan behind every inequality search.
 
     For r = 1..max_r, with max_r from `_resolve_max_r` (so a bad depth is
-    rejected before any table is built), ``level_rows(level)`` returns the
-    rows to visit, ascending, and their row function: ``row_hits(i)`` yields
-    (kind, None) for a one-variable hit and (kind, y-candidates) for a y
-    scan, and nothing for a row its exact lower bound clears.  Returns
-    max_r, (level, i, kind, j) of the first hit or None, and the hit count:
-    the first row's with stop_early, else each row's times its orbit size.
+    rejected before any table is built), ``level_hits(level)`` yields
+    (i, kind, viol) in search order: viol is None for a one-variable hit on
+    row i, else the row's y-candidates; a row its exact lower bound clears
+    yields nothing.  Each level rescans the classes of its divisor levels
+    s | r, which cannot hold the first hit: every lower level was scanned
+    first and held none.  Returns max_r, (level, i, kind, j) of the first
+    hit or None, and the hit count: the first row's with stop_early, else
+    every level's new hits, which are its own hits, each row's times its
+    orbit size, less the new hits of its divisor levels.
     """
     max_r = _resolve_max_r(p, max_r)
-    first, total = None, 0
+    first, new = None, {}
     for r in range(1, max_r + 1):
         level = _level_tables(p, r)
-        rows, row_hits = level_rows(level)
-        for i in rows.tolist():
-            for kind, viol in row_hits(i):
-                count, j = 1, None
-                if viol is not None:
-                    mask = level.pair_mask.get(int(level.lev[i]))
-                    if mask is not None:
-                        viol &= mask
-                    count = int(np.count_nonzero(viol))
-                    if not count:
-                        continue
-                    j = int(viol.argmax())
-                if first is None:
-                    first = (level, i, kind, j)
-                if stop_early:
-                    return max_r, first, count
-                total += count * int(level.lev[i])
-    return max_r, first, total
+        hits = 0
+        for i, kind, viol in level_hits(level):
+            count, j = 1, None
+            if viol is not None:
+                count = int(np.count_nonzero(viol))
+                if not count:
+                    continue
+                j = int(viol.argmax())
+            if first is None:
+                first = (level, i, kind, j)
+            if stop_early:
+                return max_r, first, count
+            hits += count * mult_order(p, level.m // math.gcd(i, level.m))
+        new[r] = hits - sum(new[s] for s in range(1, r) if r % s == 0)
+    return max_r, first, sum(new.values())
 
 
 def _search_result(p, pair, criterion, max_r, first, total) -> SearchResult:
@@ -356,8 +355,8 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     """Bounded exhaustive search for a violation of either Belyi inequality.
 
     Enumerates classes with denominator dividing p^r - 1 for r <= max_r
-    (default per the cost guard), deduplicating classes already seen at
-    divisor levels.  Rejects pairs with both exponents divisible by p.
+    (default per the cost guard), rescanning the classes of divisor levels.
+    Rejects pairs with both exponents divisible by p.
     With stop_early=False the whole range is swept and violations are
     counted; the reported witness is still the first one in search order.
     """
@@ -368,14 +367,14 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
         raise ValueError(f"d={d} and e={e} are both multiples of p={p}")
     K = d + e
 
-    def level_rows(level: _Level):
-        r, m, D, WD, WE = level.r, level.m, level.D, level.WD, level.WE
+    def level_hits(level: _Level):
+        m, D, WD, WE = level.m, level.D, level.WD, level.WE
         below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
         rows, b = level.rows, level.block
         if b:
-            # the least y-sum of every row over y != 0, unmasked, in blocks of
-            # b whole rows: it bounds the masked sums below, so a row where it
-            # meets the bound, and the one-variable side passes, holds no hit
+            # the least y-sum of every row over y != 0, in blocks of b whole
+            # rows: a row where it meets the bound, and the one-variable side
+            # passes, holds no hit
             ki, ei = -(K % m) * rows % m, -(e % m) * rows % m
             least = np.empty(rows.size, D.dtype)
             for k in range(0, rows.size, b):
@@ -384,12 +383,11 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
                 sums += D[1:]
                 least[k:k + b] = sums.min(axis=1)
             keep = least < below_xy - D[rows] - D[ei]
-            keep |= (level.lev[rows] == r) & (D[rows] + D[ki] < below_x)
+            keep |= D[rows] + D[ki] < below_x
             rows = rows[keep]
-
-        def row_hits(i):
-            if level.lev[i] == r and int(D[i] + D[-K * i % m]) < below_x:
-                yield "belyi-monomial", None
+        for i in rows.tolist():
+            if int(D[i] + D[-K * i % m]) < below_x:
+                yield i, "belyi-monomial", None
             # W violates iff D[j] + D[j - Ki] + D[ei - j] < below_xy - const
             const = int(D[i] + D[-e * i % m])
             c3, c4 = m - K * i % m, m - e * i % m
@@ -397,11 +395,9 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
             s += WE[c4]
             viol = s < below_xy - const
             viol[0] = False
-            yield "belyi-pair", viol
+            yield i, "belyi-pair", viol
 
-        return rows, row_hits
-
-    return _search_result(p, pair, "belyi", *_scan(p, max_r, level_rows, stop_early))
+    return _search_result(p, pair, "belyi", *_scan(p, max_r, level_hits, stop_early))
 
 
 def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = True) -> SearchResult:
@@ -410,25 +406,22 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
     pair = _as_pair(pair)
     d, e = pair.d, pair.e
 
-    def level_rows(level: _Level):
+    def level_hits(level: _Level):
         m, D, WD = level.m, level.D, level.WD
         half, below = level.r * (p - 1), level.below["binomial"]
         dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
         neg_e = -em * np.arange(m) % m
         w = int(D[em]) or 1  # V(ey) <= w V(y): V(py) = V(y) and V is subadditive
-
-        def row_hits(i):
+        for i in [0, *level.rows.tolist()]:
             # V(y) + V(-dx-ey) >= V(-dx)/w on the row, so no y violates when
             # V(x) + V(-dx)/w >= 1/2 (never at x = 0)
             if 2 * (w * int(D[i]) + int(D[-dm * i % m])) >= w * half:
-                return
+                continue
             viol = D + WD[m - dm * i % m][neg_e] < below - int(D[i])
             viol[0] &= i > 0  # (x, y) = (0, 0) is excluded
-            yield "binomial", viol
+            yield i, "binomial", viol
 
-        return np.concatenate(([0], level.rows)), row_hits
-
-    return _search_result(p, pair, "binomial", *_scan(p, max_r, level_rows, stop_early))
+    return _search_result(p, pair, "binomial", *_scan(p, max_r, level_hits, stop_early))
 
 
 def monomial_search(p: int, d: int, max_r: int | None = None) -> SearchResult:
@@ -439,12 +432,12 @@ def monomial_search(p: int, d: int, max_r: int | None = None) -> SearchResult:
     if d < 1:
         raise ValueError("d must be a positive integer")
 
-    def level_rows(level: _Level):
+    def level_hits(level: _Level):
         m, D, rows = level.m, level.D, level.rows
-        hits = rows[D[rows] + D[-(d % m) * rows % m] < level.below["monomial"]]
-        return hits, lambda i: (("monomial", None),)
+        for i in rows[D[rows] + D[-(d % m) * rows % m] < level.below["monomial"]].tolist():
+            yield i, "monomial", None
 
-    return _search_result(p, (d, 0), "monomial", *_scan(p, max_r, level_rows))
+    return _search_result(p, (d, 0), "monomial", *_scan(p, max_r, level_hits))
 
 
 # The W values quoted in the classification's case-by-case elimination,

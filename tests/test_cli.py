@@ -407,12 +407,16 @@ NOT_AN_INT = "cannot be interpreted as an integer"
     (lambda: [classify_fm_exponent(2, d) for d in (3, 3.0)], TypeError, NOT_AN_INT),
     (lambda: monomial_search(2, 7.5), TypeError, NOT_AN_INT),
     (lambda: prime_to_p_part(2, 4.0), TypeError, NOT_AN_INT),
+    # a float bound is refused before any row, by every family alike
+    (lambda: enumerate_family(("final", 1), 2, 10.5), TypeError, NOT_AN_INT),
+    (lambda: list(catalog_rows("final", 2, 10.5)), TypeError, NOT_AN_INT),
 ], ids=["theorem", "enumerate_family", "catalog_rows", "fm_pair_scan", "quotient_lemma_oracle",
         "build_field", "ExponentPair", "classify_fm_exponent", "monomial_search",
         "mult_order", "digit_sum", "_as_class", "exp_sum-coefficient-9",
         "exp_sum-coefficient--1", "exp_sum-s-8", "exp_sum-t-9", "classify_pair-float",
         "belyi_search-float-p", "kubert_v-float-p", "belyi_search-str-p",
-        "classify_fm_exponent-float", "monomial_search-float", "prime_to_p_part-float"])
+        "classify_fm_exponent-float", "monomial_search-float", "prime_to_p_part-float",
+        "enumerate_family-float", "catalog_rows-float"])
 def test_library_rejects_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -103,6 +103,19 @@ class TestQzClass:
     def test_str(self):
         assert str(QzClass(3, 31)) == "3/31"
 
+    def test_other_operands_are_not_classes(self):
+        # an int or a string is not read as a class: + and - refuse it, == is false
+        x = QzClass(1, 7)
+        with pytest.raises(TypeError):
+            x + 1
+        with pytest.raises(TypeError):
+            x - 1
+        assert x != "1/7" and not x == "1/7"
+
+    def test_repr_round_trips(self):
+        x = QzClass(-3, 31)
+        assert repr(x) == "QzClass(28, 31)" and eval(repr(x)) == x
+
 
 class TestMultOrder:
     @pytest.mark.parametrize("p,den,expected", [(2, 7, 3), (2, 1, 1), (3, 8, 2)])
@@ -303,6 +316,9 @@ FLOAT_CALLS = [
     ("fm_exponents", "fm_exponent_set", (2, 10), (2.0, 10)),
     ("fm_exponents", "fm_exponent_set", (2, 10), (2, 10.5)),
     ("fm_exponents", "classify_fm_exponent", (2, 3), (2.0, 3)),
+    ("charsums", "build_field", (2, 2), (2, 2.0)),
+    ("charsums", "build_field", (2, 2), (2.0, 2)),
+    ("charsums", "switchsum_exhaustive", (2,), (2.0,)),
 ]
 
 
