@@ -461,7 +461,7 @@ def quotient_lemma_oracle(p: int, max_exp: int, case: int) -> list[tuple[int, ..
 
     Returns the sorted solution tuples of the one case asked for.
     """
-    p = _as_prime_int(p)
+    p, max_exp, case = _as_prime_int(p), operator.index(max_exp), operator.index(case)
     if max_exp < 1:
         raise ValueError("max_exp must be >= 1")
     if case not in (1, 2, 3, 4, 5):

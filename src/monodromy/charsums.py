@@ -275,7 +275,7 @@ def gauss_sum(F: FieldPresentation, a: int) -> complex:
 def gauss_sum_raw(F: FieldPresentation, a: int) -> complex:
     """sum over units of chi_a(t) psi(t) (the sign under which the classical
     Gauss/Jacobi factorizations hold verbatim)."""
-    return complex(np.dot(_chars(F.q - 1, a, np.arange(F.q - 1)), F._psi_by_log))
+    return complex(np.dot(_chars(F.q - 1, operator.index(a), np.arange(F.q - 1)), F._psi_by_log))
 
 
 def gauss_sums_all(F: FieldPresentation) -> np.ndarray:
@@ -295,7 +295,7 @@ def jacobi_sum(F: FieldPresentation, a1: int, a2: int) -> complex:
     Characters are extended by zero at 0; for both characters trivial the
     value is q - 2.
     """
-    m = F.q - 1
+    m, a1, a2 = F.q - 1, operator.index(a1), operator.index(a2)
     chi2 = _chars(m, a2, _log_one_minus(F))
     chi2[0] = 0  # 1 - g^0 = 0
     return complex(np.dot(_chars(m, a1, np.arange(m)), chi2))
@@ -309,7 +309,7 @@ def exp_sum(F: FieldPresentation, f_coeffs, s: int, t: int) -> complex:
     g^(log a + log c + i log x), 0 at x = 0 unless i = 0 (0^0 = 1); their
     sum mod p, over every x at once, indexes the p roots of unity.
     """
-    coeffs = list(f_coeffs)
+    s, t, *coeffs = map(operator.index, (s, t, *f_coeffs))
     if not all(0 <= v < F.q for v in (s, t, *coeffs)):
         raise ValueError(f"field element encodings must lie in [0, {F.q})")
     m = F.q - 1
@@ -328,6 +328,9 @@ def belyi_values(F: FieldPresentation, d: int, e: int) -> np.ndarray:
     positive exponent.  x - 1 differs from x only in the constant base-p
     digit, and log 0 = -1 drops out of a zero exponent.  The exponents are
     reduced mod q - 1 first, so the int64 products cannot overflow."""
+    d, e = operator.index(d), operator.index(e)
+    if d < 0 or e < 0:
+        raise ValueError("exponents must be >= 0")
     m = F.q - 1
     x = np.arange(F.q)
     out = F.exp[(d % m * F.log + e % m * F.log[x - x % F.p + (x - 1) % F.p]) % m]
@@ -364,7 +367,8 @@ def mellin_sum(F: FieldPresentation, pair, a_chi: int, a_eta: int) -> complex:
     finitely many terms); guarded to q <= MELLIN_Q_GUARD.
     """
     d, e = pair
-    T_chi, T_eta = _linear_sums(F, _char_table(F, [a_chi, a_eta]))
+    chars = [operator.index(a_chi), operator.index(a_eta)]
+    T_chi, T_eta = _linear_sums(F, _char_table(F, chars))
     fvals = belyi_values(F, d, e)
     return complex(np.sum(T_chi[fvals] * T_eta))
 

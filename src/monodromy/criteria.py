@@ -262,13 +262,14 @@ class _Level(NamedTuple):
 def _level_tables(p: int, r: int) -> _Level:
     """Digit sums and the scanned orbit minima mod p^r - 1.
 
-    Digit sums are int16 while 10*r*(p-1) fits, else int32: it bounds twice
-    the five digit sums of W, so it bounds every sum a search forms from
-    them, and it stays below 2^24 while p^r <= LEVEL_TABLE_GUARD.  Pure data
-    behind a bounded read-through cache.
+    With h = r(p-1), every array a search forms from D is at most three
+    digit sums (<= 3h) or a threshold less two digit sums (>= -h), so D
+    takes the narrowest signed type holding -3h, which also holds 3h (3h is
+    never a power of two): int8 at every level of p <= 7, int16 while
+    h <= 10922, else int32.  Pure data behind a bounded read-through cache.
     """
-    m = p**r - 1
-    dtype = np.int16 if 10 * r * (p - 1) <= np.iinfo(np.int16).max else np.int32
+    m, h = p**r - 1, r * (p - 1)
+    dtype = np.min_scalar_type(-3 * h)
     D = np.zeros(1, dtype=dtype)
     for _ in range(r):  # digitsum(k*p + a) = digitsum(k) + a
         D = (D[:, None] + np.arange(p, dtype=dtype)).ravel()
@@ -277,15 +278,10 @@ def _level_tables(p: int, r: int) -> _Level:
     for _ in range(1, r):
         t = t * p % m
         np.minimum(least, t, out=least)
-    # np.unique, not np.flatnonzero(least == arange(m)), must stay: the ~1.2 MB
-    # it allocates and frees at m = 2^13 - 1 raises glibc's mmap and trim
-    # thresholds past the prefilter's ~256 KB block temporaries, which then
-    # come from the heap with no page faults (a quarter of a deep search's
-    # time without it; test_searches_take_no_page_faults_when_warm)
-    orbits = np.unique(least)[1:]
-    rows = orbits[2 * D[orbits] < r * (p - 1)]
+    orbits = np.flatnonzero(least == np.arange(m))[1:]
+    rows = orbits[2 * D[orbits] < h]
     E = np.roll(D[::-1], 1)
-    below = {kind: math.ceil(bound * (r * (p - 1))) for kind, (_, bound, *_) in _CRITERIA.items()}
+    below = {kind: math.ceil(bound * h) for kind, (_, bound, *_) in _CRITERIA.items()}
     for table in (D, rows):
         table.flags.writeable = False  # the cache hands the same arrays to every search
     WD, WE = (sliding_window_view(np.concatenate((T, T)), m) for T in (D, E))  # read-only views

@@ -162,10 +162,10 @@ def _as_class(x: QzClass | Fraction | str | int) -> QzClass:
 
 
 @lru_cache(maxsize=4096, typed=True)  # typed: a float p or den raises, as on a cold cache
-def mult_order(p: int, den: int, cap: int = MULT_ORDER_CAP) -> int:
+def mult_order(p: int, den: int) -> int:
     """Smallest r >= 1 with p^r == 1 (mod den); returns 1 for den == 1.
 
-    Computed by multiply-until-one, capped at ``cap`` iterations so a
+    Computed by multiply-until-one, capped at MULT_ORDER_CAP iterations so a
     pathological denominator fails loudly (OrderCapError) instead of spinning.
     """
     p = _as_prime_int(p)
@@ -180,15 +180,19 @@ def mult_order(p: int, den: int, cap: int = MULT_ORDER_CAP) -> int:
     while acc != 1:
         acc = (acc * p) % den
         r += 1
-        if r > cap:
-            raise OrderCapError(f"multiplicative order of {p} mod {den} exceeds cap {cap}")
+        if r > MULT_ORDER_CAP:
+            raise OrderCapError(
+                f"multiplicative order of {p} mod {den} exceeds cap {MULT_ORDER_CAP}")
     return r
 
 
 def digit_sum(n: int, base: int) -> int:
-    """Sum of the base-``base`` digits of a non-negative integer."""
+    """Sum of the base-``base`` digits of a non-negative integer, base >= 2."""
+    n, base = operator.index(n), operator.index(base)
     if n < 0:
         raise ValueError("digit_sum expects a non-negative integer")
+    if base < 2:
+        raise ValueError("digit_sum expects a base >= 2")
     s = 0
     while n:
         s += n % base

@@ -23,7 +23,16 @@ from monodromy.catalog import (
     fm_pair_scan,
     quotient_lemma_oracle,
 )
-from monodromy.charsums import FIELD_SIZE_GUARD, build_field, exp_sum
+from monodromy.charsums import (
+    FIELD_SIZE_GUARD,
+    build_field,
+    exp_sum,
+    gauss_sum,
+    gauss_sum_raw,
+    jacobi_sum,
+    mellin_suite,
+    mellin_sum,
+)
 from monodromy.cli import _prime_powers_upto, main
 from monodromy.criteria import ExponentPair, belyi_search, monomial_search
 from monodromy.fm_exponents import classify_fm_exponent, prime_to_p_part
@@ -410,13 +419,25 @@ NOT_AN_INT = "cannot be interpreted as an integer"
     # a float bound is refused before any row, by every family alike
     (lambda: enumerate_family(("final", 1), 2, 10.5), TypeError, NOT_AN_INT),
     (lambda: list(catalog_rows("final", 2, 10.5)), TypeError, NOT_AN_INT),
+    (lambda: quotient_lemma_oracle(2, 4, 1.0), TypeError, NOT_AN_INT),
+    # a character index, an encoding or an exponent is an integer, and an
+    # exponent of f(x) = x^d (x-1)^e is >= 0, on both Mellin paths
+    (lambda: gauss_sum(build_field(2, 3), 0.5), TypeError, NOT_AN_INT),
+    (lambda: gauss_sum_raw(build_field(2, 3), 0.5), TypeError, NOT_AN_INT),
+    (lambda: jacobi_sum(build_field(2, 3), 0.5, 1), TypeError, NOT_AN_INT),
+    (lambda: mellin_sum(build_field(2, 3), (1, 1), 0.5, 1), TypeError, NOT_AN_INT),
+    (lambda: exp_sum(build_field(2, 3), [1], 1.0, 0), TypeError, NOT_AN_INT),
+    (lambda: mellin_sum(build_field(2, 3), (-1, 2), 1, 1), ValueError, "exponents must be >= 0"),
+    (lambda: mellin_suite(build_field(2, 3), (1, -2)), ValueError, "exponents must be >= 0"),
 ], ids=["theorem", "enumerate_family", "catalog_rows", "fm_pair_scan", "quotient_lemma_oracle",
         "build_field", "ExponentPair", "classify_fm_exponent", "monomial_search",
         "mult_order", "digit_sum", "_as_class", "exp_sum-coefficient-9",
         "exp_sum-coefficient--1", "exp_sum-s-8", "exp_sum-t-9", "classify_pair-float",
         "belyi_search-float-p", "kubert_v-float-p", "belyi_search-str-p",
         "classify_fm_exponent-float", "monomial_search-float", "prime_to_p_part-float",
-        "enumerate_family-float", "catalog_rows-float"])
+        "enumerate_family-float", "catalog_rows-float", "quotient_lemma_oracle-float",
+        "gauss_sum-float", "gauss_sum_raw-float", "jacobi_sum-float", "mellin_sum-float",
+        "exp_sum-float", "mellin_sum-negative", "mellin_suite-negative"])
 def test_library_rejects_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -279,11 +279,31 @@ class TestLevelScan:
             with pytest.raises(ValueError):
                 table[0] = table[0]
 
+    def test_digit_sums_are_int8_at_every_level_of_small_primes(self):
+        # three digit sums, at most 3r(p-1) <= 126, fit in int8 up to the guard
+        for p in (2, 3, 5, 7):
+            for r in range(1, criteria.LEVEL_TABLE_GUARD.bit_length()):
+                if p**r <= criteria.LEVEL_TABLE_GUARD:
+                    assert _level_tables.__wrapped__(p, r).D.dtype == np.int8, (p, r)
+
+    @pytest.mark.parametrize("p,dtype,narrower", [
+        (43, np.int8, None), (47, np.int16, np.int8),
+        (10909, np.int16, np.int8), (10937, np.int32, np.int16),
+    ])
+    def test_digit_sums_widen_exactly_where_three_sums_overflow(self, p, dtype, narrower):
+        # 3h = 126, 138, 32724, 32808 at r = 1: the type holds [-3h, 3h], and
+        # the next narrower signed type does not hold 3h
+        h = p - 1
+        assert _level_tables(p, 1).D.dtype == dtype
+        assert np.iinfo(dtype).min <= -3 * h and 3 * h <= np.iinfo(dtype).max
+        assert narrower is None or 3 * h > np.iinfo(narrower).max
+
     @pytest.mark.parametrize(
         "p,pair,max_r",
-        # at max_r = 6 levels 2 and 3 both divide 6, so both are subtracted there
+        # at max_r = 6 levels 2 and 3 both divide 6, so both are subtracted there;
+        # p = 43 and 47 have int8 and int16 tables (3h = 126 and 138)
         [(2, (3, 10), 5), (2, (6, 1), 4), (3, (5, 2), 3), (5, (3, 4), 2), (7, (2, 2), 2),
-         (2, (5, 3), 6)],
+         (2, (5, 3), 6), (43, (3, 5), 1), (47, (3, 5), 1), (47, (5, 8), 1)],
     )
     def test_belyi_total_matches_fraction_count(self, p, pair, max_r):
         res = belyi_search(p, pair, max_r=max_r, stop_early=False)
@@ -291,7 +311,8 @@ class TestLevelScan:
 
     @pytest.mark.parametrize(
         "p,pair,max_r",
-        [(2, (7, 3), 5), (3, (2, 8), 3), (5, (2, 4), 2), (7, (2, 3), 2), (2, (7, 3), 6)],
+        [(2, (7, 3), 5), (3, (2, 8), 3), (5, (2, 4), 2), (7, (2, 3), 2), (2, (7, 3), 6),
+         (43, (3, 5), 1), (47, (3, 5), 1)],
     )
     def test_binomial_total_matches_fraction_count(self, p, pair, max_r):
         res = binomial_search(p, pair, max_r=max_r, stop_early=False)
@@ -299,8 +320,8 @@ class TestLevelScan:
 
     @pytest.mark.parametrize("p", [9001, 16411])
     def test_large_prime_digit_sums_do_not_overflow(self, p):
-        # int16 sums wrapped into false violations at p = 9001; at p = 16411
-        # even two level-1 digit sums can pass 32767
+        # at p = 9001 three level-1 digit sums reach 27000, inside int16; at
+        # p = 16411 even two of them can pass 32767, so the tables are int32
         assert not binomial_search(p, (1, 1)).found
         assert not belyi_search(p, (1, 1)).found
 
@@ -663,9 +684,10 @@ class TestBelyiPrefilter:
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="counts the page faults of glibc's malloc")
 def test_searches_take_no_page_faults_when_warm():
-    # the prefilter's block temporaries, about 256 KB each, come from the
-    # heap only while glibc's mmap threshold sits above them; _level_tables
-    # raises it (see its np.unique), else each block maps and faults anew
+    # at p <= 7 the tables are int8, so the prefilter's block temporaries,
+    # under BLOCK_CELLS cells, stay under glibc's default 128 KiB mmap
+    # threshold: they come from the heap with no earlier free raising it,
+    # also with it held at its default (which turns off its dynamic rise)
     script = (
         "import resource\n"
         "from monodromy.criteria import belyi_search\n"
@@ -679,9 +701,10 @@ def test_searches_take_no_page_faults_when_warm():
         "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert int(res.stdout) < 100
+    for held in ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"}):
+        res = subprocess.run([sys.executable, "-c", script], env=env | held,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert int(res.stdout) < 100, held
 
 
 class TestBelyiSearchPrefiltered(TestBelyiSearch):
@@ -734,7 +757,7 @@ def golden_searches():
     """as_dict() of every search the golden file pins, in a fixed order: both
     searches at the default depth and as a full sweep at SWEEP_DEPTH, for
     d, e <= 12 at p <= 7 and a few pairs at primes with wide digit sums
-    (int16 tables at 3271, int32 at 9001, w up to 8999).  Regenerate with
+    (int16 tables at 3271 and 9001, w up to 8999).  Regenerate with
     ``PYTHONPATH=src python tests/test_criteria.py`` only when a change is
     meant to alter search outputs."""
     cases = [(p, (d, e)) for p in (2, 3, 5, 7) for d in range(1, 13) for e in range(1, 13)]

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from monodromy import qz
 from monodromy.qz import QzClass, _as_class, digit_sum, is_prime, kubert_v, mult_order
 
 
@@ -126,14 +127,22 @@ class TestMultOrder:
         with pytest.raises(ValueError):
             mult_order(2, 6)
 
-    def test_cap(self):
-        with pytest.raises(ArithmeticError):
-            mult_order(2, 11, 3)  # true order is 10
+    @pytest.fixture
+    def cap_3(self, monkeypatch):
+        # the cap is read at call time; the cache must not serve an uncapped order
+        mult_order.cache_clear()
+        monkeypatch.setattr(qz, "MULT_ORDER_CAP", 3)
+        yield
+        mult_order.cache_clear()
 
-    def test_cap_is_also_a_value_error(self):
+    def test_cap(self, cap_3):
+        with pytest.raises(ArithmeticError):
+            mult_order(2, 11)  # true order is 10
+
+    def test_cap_is_also_a_value_error(self, cap_3):
         # the CLI's error boundary turns ValueError into exit 2
         with pytest.raises(ValueError, match="exceeds cap 3"):
-            mult_order(2, 13, 3)
+            mult_order(2, 13)
 
     def test_agrees_with_search(self):
         for p in (2, 3, 5, 7):
@@ -144,6 +153,31 @@ class TestMultOrder:
                 while pow(p, r, den) != 1 % den:
                     r += 1
                 assert mult_order(p, den) == r
+
+
+class TestDigitSum:
+    @pytest.mark.parametrize("n,base,expected", [(0, 2, 0), (5, 2, 2), (255, 16, 30), (80, 3, 8)])
+    def test_examples(self, n, base, expected):
+        assert digit_sum(n, base) == expected
+
+    def test_bad_bases_are_refused_before_the_loop(self):
+        # in a subprocess, so that a base that never ends the loop fails the
+        # test instead of hanging it
+        script = (
+            "from monodromy.qz import digit_sum\n"
+            "for n, base in [(5, 1), (5, 1.0), (5, 0), (5, -2), (5.0, 2)]:\n"
+            "    try:\n"
+            "        digit_sum(n, base)\n"
+            "    except (TypeError, ValueError) as exc:\n"
+            "        print(type(exc).__name__)\n"
+            "    else:\n"
+            "        print('served')\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        res = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=30, check=True)
+        assert res.stdout.split() == ["ValueError", "TypeError", "ValueError", "ValueError",
+                                      "TypeError"]
 
 
 class TestKubertV:
