@@ -1,8 +1,8 @@
 """Symbolic catalogs of exponent pairs: candidate families, the final
 integrality classification, and the binomial classification.
 
-Three theorem-shaped lists are encoded as data, each entry keeping its
-1-based index so reports can cite "final item 7" directly:
+Three theorem-shaped lists are encoded as data, each entry numbered by
+position, so reports can cite "final item 7" directly:
 
 * ``candidates`` - 37 families of pairs (A, B) such that A, B and A+B are
   all FM-exponents (two generic families, per-prime parametric families and
@@ -25,8 +25,8 @@ candidate items 2 and 6, binomial item 5 and the FM-exponent values read
 them a-list by a-list from the one walker ``fm_exponents._quotient_lists``,
 and candidate item 1, whose bound shrinks with a, steps them directly.
 Binomial items 4 and 6 are the squares of p^a + 1 and (p^a + 1)/2, both
-built by ``_square``.  Final items 3-9 and 11-13 are candidate items 5-8,
-13-15 and 25-27 under their final numbers.  ``fm_pair_scan``, a brute
+built by ``_square``.  Final items 3-9 and 11-13 are the rows of candidate
+items 5-8, 13-15 and 25-27 themselves.  ``fm_pair_scan``, a brute
 force over the FM set, is the counterpart of the candidate list, and
 ``quotient_lemma_oracle`` brute-forces the exponential-quotient equations
 used throughout the case analysis with one quotient lister and one
@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .criteria import ExponentPair, SearchResult, _as_pair, _resolve_max_r, belyi_search
 from .fm_exponents import _cyclotomic_quotients, _quotient_lists, fm_exponent_set, prime_to_p_part
@@ -189,13 +189,8 @@ SPORADIC_CANDIDATES_P5: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class _Family:
-    index: int
-    constraint: str
-    p_ok: Callable[[int], bool]
-    gen: Callable[[int, int], Iterable[tuple[int, int, tuple]]]
-
+# Each list holds one row (p-constraint text, p test, generator of
+# (A, B, params) triples) per item, in the order of the theorem's list.
 
 _ANY = ("p>=2", lambda p: True)
 _GE3 = ("p>=3", lambda p: p >= 3)
@@ -205,71 +200,70 @@ def _eq(q: int):
     return (f"p={q}", lambda p, q=q: p == q)
 
 
-_CANDIDATE_FAMILIES: tuple[_Family, ...] = (
-    _Family(1, *_ANY, _gen_cand_1),
-    _Family(2, *_ANY, _gen_cand_2),
-    _Family(3, *_GE3, _single_param(lambda p, a: ((p**a + 1) // 2,) * 2)),
-    _Family(4, *_eq(2), _sporadic(SPORADIC_CANDIDATES_P2)),
-    _Family(5, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a + 1), start=1)),
-    _Family(6, *_eq(2), _gen_cand_6),
-    _Family(7, *_eq(2), _single_param(lambda p, a: (1, 2**a + 1), start=1)),
-    _Family(8, *_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a), start=1)),
-    _Family(9, *_eq(2), _single_param(lambda p, a: (3, 2**a + 1), start=1)),
-    _Family(10, *_eq(2), _single_param(lambda p, a: (2**a + 1, 3 * 2**a), start=1)),
-    _Family(11, *_eq(2), _single_param(
+_CANDIDATE_FAMILIES = (
+    (*_ANY, _gen_cand_1),
+    (*_ANY, _gen_cand_2),
+    (*_GE3, _single_param(lambda p, a: ((p**a + 1) // 2,) * 2)),
+    (*_eq(2), _sporadic(SPORADIC_CANDIDATES_P2)),
+    (*_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a + 1), start=1)),
+    (*_eq(2), _gen_cand_6),
+    (*_eq(2), _single_param(lambda p, a: (1, 2**a + 1), start=1)),
+    (*_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a), start=1)),
+    (*_eq(2), _single_param(lambda p, a: (3, 2**a + 1), start=1)),
+    (*_eq(2), _single_param(lambda p, a: (2**a + 1, 3 * 2**a), start=1)),
+    (*_eq(2), _single_param(
         lambda p, a: (2**a + 1, (2 ** (3 * a) + 1) // (2**a + 1)), start=1)),
-    _Family(12, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: ((2 ** (3 * a) + 1) // (2**a + 1), 2**a * (2**a + 1)), start=1)),
-    _Family(13, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: (2**a + 1, (2**a + 1) // 3), start=1, step=2)),
-    _Family(14, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: (1, (2**a + 1) // 3), start=1, step=2)),
-    _Family(15, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: ((2**a + 1) // 3, 2**a), start=1, step=2)),
-    _Family(16, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: (3, (2 ** (2 * a) + 1) // 5), start=1, step=2)),
-    _Family(17, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: ((2 ** (2 * a) + 1) // 5, 3 * 2 ** (2 * a)), start=1, step=2)),
-    _Family(18, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: (5, (2**a + 1) // 3), start=1, step=2)),
-    _Family(19, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: ((2**a + 1) // 3, 5 * 2**a), start=1, step=2)),
-    _Family(20, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: ((2 ** (3 * a) + 1) // 9, (2 ** (3 * a) + 1) // 3), start=1, step=2)),
-    _Family(21, *_eq(2), _single_param(
+    (*_eq(2), _single_param(
         lambda p, a: ((2 ** (3 * a) + 1) // 9, 2 * (2 ** (3 * a) + 1) // 9), start=1, step=2)),
-    _Family(22, *_eq(3), _sporadic(SPORADIC_CANDIDATES_P3)),
-    _Family(23, *_eq(3), _single_param(lambda p, a: (2, 3**a + 1))),
-    _Family(24, *_eq(3), _single_param(lambda p, a: (3**a + 1, 2 * 3**a))),
-    _Family(25, *_eq(3), _single_param(lambda p, a: (3**a + 1, (3**a + 1) // 2))),
-    _Family(26, *_eq(3), _single_param(lambda p, a: (1, (3**a + 1) // 2))),
-    _Family(27, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 3**a))),
-    _Family(28, *_eq(3), _single_param(lambda p, a: (4, (3**a + 1) // 2))),
-    _Family(29, *_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 4 * 3**a))),
-    _Family(30, *_eq(3), _single_param(
+    (*_eq(3), _sporadic(SPORADIC_CANDIDATES_P3)),
+    (*_eq(3), _single_param(lambda p, a: (2, 3**a + 1))),
+    (*_eq(3), _single_param(lambda p, a: (3**a + 1, 2 * 3**a))),
+    (*_eq(3), _single_param(lambda p, a: (3**a + 1, (3**a + 1) // 2))),
+    (*_eq(3), _single_param(lambda p, a: (1, (3**a + 1) // 2))),
+    (*_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 3**a))),
+    (*_eq(3), _single_param(lambda p, a: (4, (3**a + 1) // 2))),
+    (*_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 4 * 3**a))),
+    (*_eq(3), _single_param(
         lambda p, a: ((3**a + 1) // 2, (3**a + 1) // 4), start=1, step=2)),
-    _Family(31, *_eq(3), _single_param(
+    (*_eq(3), _single_param(
         lambda p, a: ((3**a + 1) // 4, (3**a + 1) // 4), start=1, step=2)),
-    _Family(32, *_eq(3), _single_param(
+    (*_eq(3), _single_param(
         lambda p, a: (2, (3**a + 1) // 4), start=1, step=2)),
-    _Family(33, *_eq(3), _single_param(
+    (*_eq(3), _single_param(
         lambda p, a: ((3**a + 1) // 4, 2 * 3**a), start=1, step=2)),
-    _Family(34, *_eq(5), _sporadic(SPORADIC_CANDIDATES_P5)),
-    _Family(35, *_eq(5), _single_param(lambda p, a: (2, (5**a + 1) // 2))),
-    _Family(36, *_eq(5), _single_param(lambda p, a: ((5**a + 1) // 2, 2 * 5**a))),
-    _Family(37, *_eq(7), _sporadic(((2, 2),))),
+    (*_eq(5), _sporadic(SPORADIC_CANDIDATES_P5)),
+    (*_eq(5), _single_param(lambda p, a: (2, (5**a + 1) // 2))),
+    (*_eq(5), _single_param(lambda p, a: ((5**a + 1) // 2, 2 * 5**a))),
+    (*_eq(7), _sporadic(((2, 2),))),
 )
 
 
-_FINAL_FAMILIES: tuple[_Family, ...] = (
-    _Family(1, *_ANY, _single_param(lambda p, a: (1, p**a))),
-    _Family(2, *_eq(2), _sporadic(((1, 12),))),
-    # final items 3-9 and 11-13 are candidate items, renumbered
-    *(replace(_CANDIDATE_FAMILIES[c - 1], index=i)
-      for i, c in zip(range(3, 10), (5, 6, 7, 8, 13, 14, 15))),
-    _Family(10, *_eq(3), _sporadic(((1, 4), (1, 6), (2, 2), (4, 3)))),
-    *(replace(_CANDIDATE_FAMILIES[c - 1], index=i) for i, c in ((11, 25), (12, 26), (13, 27))),
-    _Family(14, *_eq(5), _sporadic(((2, 1),))),
+_FINAL_FAMILIES = (
+    (*_ANY, _single_param(lambda p, a: (1, p**a))),
+    (*_eq(2), _sporadic(((1, 12),))),
+    *_CANDIDATE_FAMILIES[4:8],  # final items 3-9 are candidate items 5-8, 13-15
+    *_CANDIDATE_FAMILIES[12:15],
+    (*_eq(3), _sporadic(((1, 4), (1, 6), (2, 2), (4, 3)))),
+    *_CANDIDATE_FAMILIES[24:27],  # final items 11-13 are candidate items 25-27
+    (*_eq(5), _sporadic(((2, 1),))),
 )
 
 
@@ -298,26 +292,28 @@ def _gen_bin_5(p: int, bound: int):
                 yield qd, qe, _pk(a=a, b=b, c=c)
 
 
-_BINOMIAL_FAMILIES: tuple[_Family, ...] = (
-    _Family(1, *_ANY, _sporadic(((1, 1),))),
-    _Family(2, *_ANY, _gen_bin_2),
-    _Family(3, *_ANY, _gen_bin_3),
-    _Family(4, *_ANY, _square(lambda p, a: p**a + 1, lambda p: 1 if p == 2 else 0)),
-    _Family(5, *_ANY, _gen_bin_5),
-    _Family(6, *_GE3, _square(lambda p, a: (p**a + 1) // 2, lambda p: 0)),
-    _Family(7, *_eq(2), _sporadic(((13, 3),))),
-    _Family(8, *_eq(3), _sporadic(((7, 4), (7, 2), (5, 4), (5, 2)))),
-    _Family(9, *_eq(5), _sporadic(((3, 2), (7, 7)))),
+_BINOMIAL_FAMILIES = (
+    (*_ANY, _sporadic(((1, 1),))),
+    (*_ANY, _gen_bin_2),
+    (*_ANY, _gen_bin_3),
+    (*_ANY, _square(lambda p, a: p**a + 1, lambda p: 1 if p == 2 else 0)),
+    (*_ANY, _gen_bin_5),
+    (*_GE3, _square(lambda p, a: (p**a + 1) // 2, lambda p: 0)),
+    (*_eq(2), _sporadic(((13, 3),))),
+    (*_eq(3), _sporadic(((7, 4), (7, 2), (5, 4), (5, 2)))),
+    (*_eq(5), _sporadic(((3, 2), (7, 7)))),
 )
 
-_REGISTRY: dict[str, tuple[_Family, ...]] = {
-    CANDIDATES: _CANDIDATE_FAMILIES,
-    FINAL: _FINAL_FAMILIES,
-    BINOMIAL: _BINOMIAL_FAMILIES,
+# (FamilyId, p test, generator) per item, numbered here once by position, so
+# every reader reports the number that enumerate_family finds the item by.
+_REGISTRY: dict[str, tuple[tuple, ...]] = {
+    theorem: tuple((FamilyId(theorem, index, constraint), p_ok, gen)
+                   for index, (constraint, p_ok, gen) in enumerate(fams, 1))
+    for theorem, fams in zip(THEOREMS, (_CANDIDATE_FAMILIES, _FINAL_FAMILIES, _BINOMIAL_FAMILIES))
 }
 
 
-def _families(theorem: str) -> tuple[_Family, ...]:
+def _families(theorem: str) -> tuple[tuple, ...]:
     if theorem not in _REGISTRY:
         raise ValueError(f"unknown theorem selector {theorem!r}; expected one of {THEOREMS}")
     return _REGISTRY[theorem]
@@ -326,15 +322,14 @@ def _families(theorem: str) -> tuple[_Family, ...]:
 def family_ids(theorem: str, p: int) -> list[FamilyId]:
     """The items of a theorem's list that apply to p, by item number."""
     p = _as_prime_int(p)
-    return [FamilyId(theorem, fam.index, fam.constraint) for fam in _families(theorem)
-            if fam.p_ok(p)]
+    return [fid for fid, p_ok, _ in _families(theorem) if p_ok(p)]
 
 
-def _rows(fam: _Family, p: int, bound: int) -> dict[tuple[int, int], tuple]:
-    """{(A, B): params} of one family, keeping the params that first produce
-    each pair in generator order."""
+def _rows(gen, p: int, bound: int) -> dict[tuple[int, int], tuple]:
+    """{(A, B): params} of one family's generator, keeping the params that
+    first produce each pair in generator order."""
     rows: dict[tuple[int, int], tuple] = {}
-    for A, B, params in fam.gen(p, bound):
+    for A, B, params in gen(p, bound):
         rows.setdefault((A, B), params)
     return rows
 
@@ -351,10 +346,10 @@ def enumerate_family(family: FamilyId | tuple[str, int], p: int, bound: int) -> 
     fams = _families(theorem)
     if not 1 <= index <= len(fams):
         raise ValueError(f"{theorem} has items 1..{len(fams)}, not {index}")
-    fam = fams[index - 1]
-    if not fam.p_ok(p):
-        raise ValueError(f"{theorem} item {index} applies to {fam.constraint}, not p={p}")
-    return [ExponentPair(A, B) for A, B in sorted(_rows(fam, p, bound))]
+    fid, p_ok, gen = fams[index - 1]
+    if not p_ok(p):
+        raise ValueError(f"{theorem} item {index} applies to {fid.p_constraint}, not p={p}")
+    return [ExponentPair(A, B) for A, B in sorted(_rows(gen, p, bound))]
 
 
 def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
@@ -364,24 +359,22 @@ def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
     p, bound = _as_prime_int(p), operator.index(bound)
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    for fam in fams:
-        if fam.p_ok(p):
-            fid = FamilyId(theorem, fam.index, fam.constraint)
-            for (A, B), params in sorted(_rows(fam, p, bound).items()):
+    for fid, p_ok, gen in fams:
+        if p_ok(p):
+            for (A, B), params in sorted(_rows(gen, p, bound).items()):
                 yield {"theorem": theorem, "p": p, "A": A, "B": B,
                        **Membership(fid, params, False).as_dict()}
 
 
 def _memberships(p: int, A: int, B: int, theorem: str) -> list[Membership]:
     found = []
-    for fam in _families(theorem):
-        if not fam.p_ok(p):
+    for fid, p_ok, gen in _families(theorem):
+        if not p_ok(p):
             continue
-        rows = _rows(fam, p, max(A, B))
+        rows = _rows(gen, p, max(A, B))
         for pair, reverse in (((A, B), False), ((B, A), True)):
             if pair in rows:
-                found.append(Membership(FamilyId(theorem, fam.index, fam.constraint),
-                                        rows[pair], reverse))
+                found.append(Membership(fid, rows[pair], reverse))
                 break
     return found
 
@@ -546,7 +539,7 @@ def crosscheck(p: int, bound: int, max_r: int | None = None) -> CrosscheckReport
 def write_catalog(path, primes=(2, 3, 5, 7), bound: int = 300) -> int:
     """Serialize every family's members to JSON lines; returns the row count.
     A prime given twice is written once."""
-    rows = [row for theorem in THEOREMS for p in set(primes)
+    rows = [row for theorem in THEOREMS for p in {_as_prime_int(p) for p in primes}
             for row in catalog_rows(theorem, p, bound)]
     rows.sort(key=lambda r: (r["theorem"], r["p"], r["item"], r["A"], r["B"]))
     with open(path, "w", encoding="utf-8") as fh:

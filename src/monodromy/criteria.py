@@ -280,7 +280,7 @@ def _level_tables(p: int, r: int) -> _Level:
         np.minimum(least, t, out=least)
     orbits = np.flatnonzero(least == np.arange(m))[1:]
     rows = orbits[2 * D[orbits] < h]
-    E = np.roll(D[::-1], 1)
+    E = np.roll(D[::-1], 1)  # ex - y as forward windows: negative-stride gathers run 2x slower
     below = {kind: math.ceil(bound * h) for kind, (_, bound, *_) in _CRITERIA.items()}
     for table in (D, rows):
         table.flags.writeable = False  # the cache hands the same arrays to every search

@@ -167,11 +167,10 @@ class TestTheoremCrossValidation:
         (3, 5), (4, 6), (5, 7), (6, 8), (7, 13), (8, 14), (9, 15), (11, 25), (12, 26), (13, 27),
     ])
     def test_reused_final_item_is_its_candidate_item(self, final_item, candidate_item):
-        final = _FINAL_FAMILIES[final_item - 1]
         cand = _CANDIDATE_FAMILIES[candidate_item - 1]
-        assert (final.index, final.constraint) == (final_item, cand.constraint)
+        assert _FINAL_FAMILIES[final_item - 1] is cand
         p = 2 if final_item < 10 else 3
-        assert list(final.gen(p, 10**4)) == list(cand.gen(p, 10**4))
+        assert FamilyId(FINAL, final_item, cand[0]) in family_ids(FINAL, p)
 
     @pytest.mark.parametrize("p", [11, 13])
     def test_general_families_match_formulas(self, p):
@@ -230,8 +229,16 @@ class TestTheoremCrossValidation:
 @pytest.mark.parametrize("theorem", THEOREMS)
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_catalog_rows_agree_with_classify(theorem, p):
-    """Every catalog row's membership is one that classify reports for its pair."""
-    for row in catalog_rows(theorem, p, 60):
+    """The catalog's readers agree on item numbers: every catalog row's item
+    is a family_ids index, each family enumerates exactly the pairs of its
+    rows, and the row's membership is one that classify reports for its pair."""
+    rows = list(catalog_rows(theorem, p, 60))
+    fids = family_ids(theorem, p)
+    assert {row["item"] for row in rows} <= {fid.index for fid in fids}
+    for fid in fids:
+        assert [(q.d, q.e) for q in enumerate_family(fid, p, 60)] == sorted(
+            (row["A"], row["B"]) for row in rows if row["item"] == fid.index), fid
+    for row in rows:
         A, B = row["A"], row["B"]
         assert A % p or B % p  # so classify_pair strips no power of p
         if theorem == BINOMIAL:

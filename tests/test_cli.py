@@ -22,6 +22,7 @@ from monodromy.catalog import (
     enumerate_family,
     fm_pair_scan,
     quotient_lemma_oracle,
+    write_catalog,
 )
 from monodromy.charsums import (
     FIELD_SIZE_GUARD,
@@ -420,6 +421,9 @@ NOT_AN_INT = "cannot be interpreted as an integer"
     (lambda: enumerate_family(("final", 1), 2, 10.5), TypeError, NOT_AN_INT),
     (lambda: list(catalog_rows("final", 2, 10.5)), TypeError, NOT_AN_INT),
     (lambda: quotient_lemma_oracle(2, 4, 1.0), TypeError, NOT_AN_INT),
+    # in either order, a float prime equal to an int one is not dropped as a repeat
+    (lambda: write_catalog(os.devnull, (2, 2.0), 10), TypeError, NOT_AN_INT),
+    (lambda: write_catalog(os.devnull, (2.0, 2), 10), TypeError, NOT_AN_INT),
     # a character index, an encoding or an exponent is an integer, and an
     # exponent of f(x) = x^d (x-1)^e is >= 0, on both Mellin paths
     (lambda: gauss_sum(build_field(2, 3), 0.5), TypeError, NOT_AN_INT),
@@ -436,6 +440,7 @@ NOT_AN_INT = "cannot be interpreted as an integer"
         "belyi_search-float-p", "kubert_v-float-p", "belyi_search-str-p",
         "classify_fm_exponent-float", "monomial_search-float", "prime_to_p_part-float",
         "enumerate_family-float", "catalog_rows-float", "quotient_lemma_oracle-float",
+        "write_catalog-int-float", "write_catalog-float-int",
         "gauss_sum-float", "gauss_sum_raw-float", "jacobi_sum-float", "mellin_sum-float",
         "exp_sum-float", "mellin_sum-negative", "mellin_suite-negative"])
 def test_library_rejects_out_of_range_input(call, error, message):
