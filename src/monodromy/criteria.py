@@ -14,23 +14,40 @@ its nonzero condition and the error raised outside it, which every point
 value and every witness recheck read.  Every form's denominator divides
 N = lcm(den x, den y), and V(c/(p^r - 1)) = digitsum_p(c)/(r(p-1)), so one
 evaluator reads all forms at r = ord_N(p) as one Fraction, and a search
-compares level-r digit sums with ceil(bound * r(p-1)).  One level scan serves every search and skips rows by
-two exact reductions: V(px) = V(x), so only the least x of each orbit
-under x -> px is scanned, and V(a) + V(b) >= V(a+b), so every criterion is
-at least V(x) and rows with V(x) >= 1/2 cannot violate.  The binomial
-search then skips the y scan of a row no y can violate (m = p^r - 1): with
-w the base-p digit sum of e mod m (1 if it is 0), V(ey) <= w V(y), as
-V(py) = V(y) and V is subadditive, so V(y) + V(-dx-ey) >= V(-dx)/w and the
-row is >= V(x) + V(-dx)/w.  The Belyi search prefilters each level of
-more than BLOCK_CELLS/16 cells (rows times m) with m <= BLOCK_CELLS/8: in
-blocks of BLOCK_CELLS/m whole rows it takes every row's least digit sum of
-V(y) + V(y-(d+e)x) + V(ex-y) over y != 0, and scans only the rows where
-that least, or the one-variable side, can violate.  Every row of such a
-level is reduced whatever the pair, so the prefilter costs the same for
-every pair of one prime, unlike the exact row bound
-W >= V(x) + V(-ex) + V(-dx) + 1/(r(p-1)), which would clear from every row
-of (1, 1) to about a third of those of (17, 17) at p = 2 (ROADMAP item 8).
-Other levels scan every row.
+compares level-r digit sums D with ceil(bound * h), h = r(p-1).  One level
+scan serves every search and skips rows by two exact reductions:
+V(px) = V(x), so only the least x of each orbit under x -> px is scanned,
+and V(a) + V(b) >= V(a+b), so every criterion is at least V(x) and rows
+with V(x) >= 1/2 cannot violate.  The binomial search then skips the y
+scan of a row no y can violate (m = p^r - 1): with w the base-p digit sum
+of e mod m (1 if it is 0), V(ey) <= w V(y), as V(py) = V(y) and V is
+subadditive, so V(y) + V(-dx-ey) >= V(-dx)/w and the row is
+>= V(x) + V(-dx)/w.
+
+Levels of more than BLOCK_CELLS/16 cells (rows times m) are filtered
+before any row is scanned.  For y != 0, V(y) + V(ex-y) >= V(ex) and
+V(ex) + V(-ex) = 1 (V(y) + V(-y) = 1 when ex = 0), so
+W >= V(x) + 1 + V(y-(d+e)x); the binomial sum is >= V(x) + V(y).  A
+violating cell thus has D[z] < ceil(h/2) - D[x], with z = y - (d+e)x for
+Belyi and z = y for binomial.  Those z depend on D[x] alone, never on the
+pair, so a level at r >= 2 lists them once, row by row, in a candidate
+table, if it holds at most BLOCK_CELLS entries and an eighth of the cells
+(about 1% of them on the deep levels of p <= 7; at r = 1, where a quarter
+of the cells are candidates, none is built).  Each
+search sums its forms over the table's cells alone, in chunks, and scans
+only the rows where a cell violates, or, for Belyi, the one-variable side
+does; the binomial search first applies its row bound to the level as one
+mask.  The cost is the table's length: the same for every pair of one
+prime, unlike the exact row bound W >= V(x) + V(-ex) + V(-dx) + 1/h,
+which would clear from every row of (1, 1) to about a third of those of
+(17, 17) at p = 2 (ROADMAP item 8).  A candidate costs the Belyi search
+about as much as 30 cells of its dense int8 blocks, so on int8 levels
+whose table holds over a 32nd of the cells, and on filtered levels
+without one, it takes instead each row's least y-sum over y != 0, in
+blocks of BLOCK_CELLS/m whole rows while m <= BLOCK_CELLS/8; that too
+reads every row whatever the pair.  Wider blocks pass glibc's 128 KiB mmap
+threshold, so the table serves every wider level that holds one.  Other
+levels scan every row.
 
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:
@@ -251,19 +268,61 @@ class _Level(NamedTuple):
     r: int
     m: int
     D: np.ndarray  # D[i] = digitsum_p(i)
-    WD: np.ndarray  # the windows of D twice: WD[c][j] = D[(j + c) % m], a view
-    WE: np.ndarray  # the same windows of E[i] = D[-i]: WE[c][j] = E[(j + c) % m]
-    block: int  # rows per prefilter block, 0 on a level the Belyi search scans row by row
+    DD: np.ndarray  # D twice: DD[j] = D[j % m] for 0 <= j < 2m
+    EE: np.ndarray  # E[i] = D[-i] twice: EE[j] = D[-j % m]
+    WD: np.ndarray  # the windows of DD: WD[c][j] = D[(j + c) % m], a view
+    WE: np.ndarray  # the same windows of EE: WE[c][j] = E[(j + c) % m]
+    block: int  # rows per dense prefilter block, 0 on a level without one
+    table: tuple | None  # (row slot, z, D[z] + D[x]) of every candidate, None on an untabled level
     rows: np.ndarray  # the least i of each orbit of i -> p*i on 1..m-1 with V(i/m) < 1/2
     below: dict  # kind -> ceil(bound * r(p-1)): a V-sum violates iff its digit sums total less
 
 
+def _candidate_table(D: np.ndarray, rows: np.ndarray, h: int, most: int) -> tuple | None:
+    """Every (x, z) with D[z] < ceil(h/2) - D[x], x a row, or None if there
+    are more than `most`.  Row by row in `rows` order, and in each row z by
+    (D[z], z), as three arrays: the row's slot in `rows` and z, each in the
+    narrowest signed type that holds it, and D[z] + D[x] in D's type.  A
+    function of (p, r) alone."""
+    order = np.argsort(D, kind="stable").astype(np.min_scalar_type(-D.size))  # z by (D[z], z)
+    ds = D[order]  # ascending, so the z of a row are a prefix of `order`
+    counts = np.searchsorted(ds, (h + 1) // 2 - D[rows])
+    n = int(counts.sum())
+    if n > most:
+        return None
+    first = (counts.cumsum() - counts).astype(np.int32)  # int32 keeps the n-long index small
+    place = np.arange(n, dtype=np.int32) - np.repeat(first, counts)  # each z's place in its row
+    table = (np.repeat(np.arange(rows.size, dtype=np.min_scalar_type(-rows.size)), counts),
+             order[place], ds[place] + np.repeat(D[rows], counts))
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _chunks(table):
+    """The candidate table in chunks of BLOCK_CELLS/16 candidates: each
+    chunk's row slots and z as intp, its D[z] + D[x], and a spare intp
+    buffer.  The three intp buffers, 64 KiB each, serve every chunk of the
+    level in place, so no chunk allocates one: a temporary of glibc's mmap or
+    trim threshold, 128 KiB, would take page faults on every search.  Gathers
+    into them take mode="wrap" (every index is in range): mode="raise" copies
+    through a temporary."""
+    slot, z, base = table
+    n = BLOCK_CELLS // 16
+    buffers = [np.empty(n, np.intp) for _ in range(3)]
+    for k in range(0, slot.size, n):
+        s, t, i = (b[:slot[k:k + n].size] for b in buffers)
+        s[:], t[:] = slot[k:k + n], z[k:k + n]
+        yield s, t, base[k:k + n], i
+
+
 @lru_cache(maxsize=32)
 def _level_tables(p: int, r: int) -> _Level:
-    """Digit sums and the scanned orbit minima mod p^r - 1.
+    """Digit sums, the scanned orbit minima and the candidate table mod p^r - 1.
 
     With h = r(p-1), every array a search forms from D is at most three
-    digit sums (<= 3h) or a threshold less two digit sums (>= -h), so D
+    digit sums (<= 3h; a candidate's D[z] + D[x] is under h/2) or a
+    threshold less two digit sums (>= -h), so D
     takes the narrowest signed type holding -3h, which also holds 3h (3h is
     never a power of two): int8 at every level of p <= 7, int16 while
     h <= 10922, else int32.  Pure data behind a bounded read-through cache.
@@ -282,15 +341,26 @@ def _level_tables(p: int, r: int) -> _Level:
     rows = orbits[2 * D[orbits] < h]
     E = np.roll(D[::-1], 1)  # ex - y as forward windows: negative-stride gathers run 2x slower
     below = {kind: math.ceil(bound * h) for kind, (_, bound, *_) in _CRITERIA.items()}
-    for table in (D, rows):
+    DD, EE = np.concatenate((D, D)), np.concatenate((E, E))
+    for table in (D, DD, EE, rows):
         table.flags.writeable = False  # the cache hands the same arrays to every search
-    WD, WE = (sliding_window_view(np.concatenate((T, T)), m) for T in (D, E))  # read-only views
-    # a block's numpy calls cost about as much as scanning three rows, so it
-    # pays on levels of many rows; past m = BLOCK_CELLS/8 it holds under 8
-    # rows, and its gathers cost more than the row scan's slices
-    prefiltered = rows.size * m > BLOCK_CELLS // 16 and m <= BLOCK_CELLS // 8
-    block = BLOCK_CELLS // m if prefiltered else 0
-    return _Level(r, m, D, WD, WE, block, rows, below)
+    WD, WE = sliding_window_view(DD, m), sliding_window_view(EE, m)  # read-only views
+    # a filter's numpy calls cost about as much as scanning three rows, so it
+    # pays on levels of many rows.  The candidate table serves those where it
+    # holds at most BLOCK_CELLS entries and an eighth of the cells (at r = 1 a
+    # quarter are candidates, so none is counted).  A candidate costs the
+    # Belyi search about 30 cells of a dense int8 block, so it keeps those
+    # blocks where the table holds over a 32nd of the cells; wider blocks pass
+    # glibc's 128 KiB mmap threshold, and the table replaces them.  Blocks pay
+    # while they hold 8 rows: past that their gathers cost more than row scans
+    table, block = None, 0
+    if rows.size * m > BLOCK_CELLS // 16:
+        if r > 1:
+            table = _candidate_table(D, rows, h, min(BLOCK_CELLS, rows.size * m // 8))
+        dense = table is None or (D.itemsize == 1 and 32 * table[0].size > rows.size * m)
+        if dense and m <= BLOCK_CELLS // 8:
+            block = BLOCK_CELLS // m
+    return _Level(r, m, D, DD, EE, WD, WE, block, table, rows, below)
 
 
 def _scan(p: int, max_r: int | None, level_hits, stop_early=True):
@@ -364,7 +434,7 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     K = d + e
 
     def level_hits(level: _Level):
-        m, D, WD, WE = level.m, level.D, level.WD, level.WE
+        m, D, DD, EE, WD, WE = level.m, level.D, level.DD, level.EE, level.WD, level.WE
         below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
         rows, b = level.rows, level.block
         if b:
@@ -381,6 +451,25 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
             keep = least < below_xy - D[rows] - D[ei]
             keep |= D[rows] + D[ki] < below_x
             rows = rows[keep]
+        elif level.table is not None:
+            # W >= V(x) + 1 + V(y - (d+e)x) for y != 0, so only the candidates
+            # z = y - (d+e)x of the table can violate; a row is kept when one
+            # does, or when its one-variable side does.  y = 0 needs no test:
+            # its z = -(d+e)x is a candidate only where D[x] + D[z] < ceil(h/2),
+            # that is where the one-variable side violates and keeps the row
+            ki, di = K % m * rows % m, d % m * rows % m
+            limit = below_xy - D[-(e % m) * rows % m]  # for D[y] + D[ex-y] + D[z] + D[x]
+            keep = D[rows] + D[(m - ki) % m] < below_x
+            for s, z, base, i in _chunks(level.table):
+                ki.take(s, out=i, mode="wrap")
+                i += z
+                sums = DD.take(i, mode="wrap")  # D[y], y = (d+e)x + z
+                di.take(s, out=i, mode="wrap")
+                i += z
+                sums += EE.take(i, mode="wrap")  # D[ex - y] = D[-(dx + z)]
+                sums += base
+                keep[s[sums < limit.take(s, mode="wrap")]] = True
+            rows = rows[keep]
         for i in rows.tolist():
             if int(D[i] + D[-K * i % m]) < below_x:
                 yield i, "belyi-monomial", None
@@ -396,6 +485,14 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     return _search_result(p, pair, "belyi", *_scan(p, max_r, level_hits, stop_early))
 
 
+def _binomial_row_bound(level: _Level, dm: int, w: int, h: int) -> np.ndarray:
+    """Whether each row x of the level escapes the binomial row bound, that
+    is 2 (w D[x] + D[-dx]) < w h, evaluated as one mask: widened to int64, as
+    w D[x] passes int8 (the left side reaches 2 * 91 at p = 2, r = 13)."""
+    D, rows = level.D, level.rows
+    return 2 * (w * D[rows].astype(np.int64) + D[-dm * rows % level.m]) < w * h
+
+
 def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = True) -> SearchResult:
     """Bounded exhaustive search for V(x)+V(y)+V(-dx-ey) < 1/2, (x,y) != (0,0)."""
     p = _as_prime_int(p)
@@ -403,12 +500,26 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
     d, e = pair.d, pair.e
 
     def level_hits(level: _Level):
-        m, D, WD = level.m, level.D, level.WD
+        m, D, DD, WD = level.m, level.D, level.DD, level.WD
         half, below = level.r * (p - 1), level.below["binomial"]
         dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
         neg_e = -em * np.arange(m) % m
         w = int(D[em]) or 1  # V(ey) <= w V(y): V(py) = V(y) and V is subadditive
-        for i in [0, *level.rows.tolist()]:
+        rows = level.rows
+        if level.table is not None:
+            # the sum is >= V(x) + V(y), so only the candidates z = y of the
+            # table can violate; chunks of rows the row bound clears are skipped
+            alive, di = _binomial_row_bound(level, dm, w, half), -dm * rows % m
+            keep = np.zeros(rows.size, bool)
+            for s, z, base, i in _chunks(level.table):
+                if alive[s[0]:s[-1] + 1].any():
+                    neg_e.take(z, out=i, mode="wrap")
+                    i += di.take(s, out=z, mode="wrap")  # z is read: its buffer is free
+                    sums = DD.take(i, mode="wrap")  # D[-dx - ey], y = z
+                    sums += base
+                    keep[s[sums < below]] = True
+            rows = rows[keep]
+        for i in [0, *rows.tolist()]:
             # V(y) + V(-dx-ey) >= V(-dx)/w on the row, so no y violates when
             # V(x) + V(-dx)/w >= 1/2 (never at x = 0)
             if 2 * (w * int(D[i]) + int(D[-dm * i % m])) >= w * half:

@@ -1,5 +1,6 @@
 """Tests for the W functional, the inequality checks, and the searches."""
 
+import itertools
 import json
 import math
 import os
@@ -537,6 +538,20 @@ def force_prefilter(patch, block=None, mutate=lambda level: level):
     patch.setattr(criteria, "_level_tables", forced)
 
 
+def force_table(patch, mutate=lambda table, h: table):
+    """Send every level of both searches through the candidate table, built
+    whatever its size, with no dense block; `mutate` alters each table,
+    given h = r(p-1)."""
+    tables = criteria._level_tables
+
+    def forced(p, r):
+        level, h = tables(p, r), r * (p - 1)
+        table = criteria._candidate_table(level.D, level.rows, h, math.inf)
+        return level._replace(block=0, table=mutate(table, h))
+
+    patch.setattr(criteria, "_level_tables", forced)
+
+
 def belyi_row_kept(p, r, pair, i):
     """Whether the row x = i/(p^r - 1) can hold a Belyi hit: V(x) + V(-(d+e)x)
     < 1/2, or a y != 0 with W < 3/2."""
@@ -559,9 +574,10 @@ def belyi_oracle_rows(p, pair):
             for i in _level_tables(p, r).rows.tolist() if belyi_row_kept(p, r, pair, i)]
 
 
-def scanned_rows(monkeypatch, search, p, pair, **forced):
+def scanned_rows(monkeypatch, search, p, pair, force=None, **forced):
     """The (r, i) of every row on which a full sweep's level_hits yields, in
-    order; keywords, if any, go to force_prefilter."""
+    order; `force`, if given, patches the level tables, else keywords, if
+    any, go to force_prefilter."""
     seen, scan = [], criteria._scan
 
     def recording(p, max_r, level_hits, stop_early=True):
@@ -574,7 +590,9 @@ def scanned_rows(monkeypatch, search, p, pair, **forced):
 
     with monkeypatch.context() as patch:
         patch.setattr(criteria, "_scan", recording)
-        if forced:
+        if force:
+            force(patch)
+        elif forced:
             force_prefilter(patch, **forced)
         search(p, pair, max_r=ORACLE_DEPTH[p], stop_early=False)
     return list(dict.fromkeys(seen))
@@ -597,6 +615,21 @@ class TestRowBounds:
             assert violated <= set(yielded), pair
             n_cleared += len(rows) - len(yielded)
         assert n_cleared > 0
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_row_bound_mask_is_the_python_int_bound(self, p):
+        # on a tabled level the bound is one numpy mask; 2 (w D[x] + D[-dx])
+        # passes int8 when w, the digit sum of e mod m, is large (up to 2 * 91
+        # at p = 2, r = 13 with e = m - 1), so the mask must widen first
+        levels = tabled_levels(p)
+        assert levels
+        for level in levels:
+            r, m, D = level.r, level.m, level.D
+            for pair in [(d, e) for d in (1, 2, 3) for e in (1, 3, m - 2, m - 1)]:
+                w = int(D[pair[1] % m]) or 1
+                got = criteria._binomial_row_bound(level, pair[0] % m, w, r * (p - 1))
+                want = [not binomial_row_cleared(p, r, pair, i) for i in level.rows.tolist()]
+                assert got.tolist() == want, (r, pair)
 
     def test_control_is_caught(self):
         # w - 1 in place of w (where w > 1) undercounts V(ey), and the oracle sees it
@@ -648,11 +681,14 @@ class TestBelyiPrefilter:
                 dropped, kept = dropped + len(want - got), kept + len(got - want)
         assert (dropped, kept) == caught
 
-    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    @pytest.mark.parametrize("p", [17, 1021, 5, 7])
     def test_prefilter_reduces_every_row(self, monkeypatch, p):
         # every row of a prefiltered level gets its least y-sum, whatever the
         # pair, in blocks of at most BLOCK_CELLS cells, so the prefilter costs
-        # the same for every pair of one prime
+        # the same for every pair of one prime.  Its levels at the default
+        # depth: r = 2 and 3 at p = 17, r = 1 at p = 1021, and the small int8
+        # levels whose candidate table holds over a 32nd of the cells, r = 4
+        # at p = 5 and r = 3 at p = 7
         levels = [_level_tables(p, r) for r in range(1, default_max_r(p) + 1)]
         prefiltered = {level.r: level for level in levels if level.block}
         assert prefiltered
@@ -681,30 +717,153 @@ class TestBelyiPrefilter:
                 assert np.concatenate(shifts[r]).tolist() == ki.tolist(), (pair, r)
 
 
-@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
-                    reason="counts the page faults of glibc's malloc")
+def tabled_levels(p):
+    """The levels of p up to its default depth that hold a candidate table."""
+    return [level for r in range(1, default_max_r(p) + 1)
+            if (level := _level_tables(p, r)).table is not None]
+
+
+def binomial_oracle_rows(p, pair):
+    """The (r, i) of every row up to ORACLE_DEPTH that a tabled binomial
+    search must scan: x = 0, and each row the row bound leaves where a y
+    violates."""
+    return [(r, i) for r in range(1, ORACLE_DEPTH[p] + 1)
+            for i in [0, *_level_tables(p, r).rows.tolist()]
+            if i == 0 or (not binomial_row_cleared(p, r, pair, i)
+                          and binomial_row_violated(p, r, pair, i))]
+
+
+def drop_edge(table, h):
+    """force_table's control: the threshold tightened by one, dropping the
+    candidates with D[z] + D[x] = ceil(h/2) - 1."""
+    inside = table[2] < (h + 1) // 2 - 1
+    return tuple(column[inside] for column in table)
+
+
+class TestCandidateTable:
+    """On a tabled level the searches scan only the rows where a candidate
+    cell violates (or, for Belyi, the one-variable side does).  W >= V(x) +
+    1 + V(y - (d+e)x) for y != 0 and the binomial sum is >= V(x) + V(y), so
+    every violating cell has D[z] < ceil(h/2) - D[x] with z = y - (d+e)x or
+    z = y: the table must list exactly those z, and the kept rows must be
+    exactly the rows an oracle finds a hit on."""
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_table_is_a_function_of_the_level(self, p):
+        # every tabled level at the default depth, against Fraction digit sums
+        levels = tabled_levels(p)
+        assert levels
+        for level in levels:
+            h, V = level.r * (p - 1), v_numerators(p, level.r).tolist()
+            by_sum = sorted(range(level.m), key=lambda z: (V[z], z))
+            want = [(k, z, V[z] + V[x]) for k, x in enumerate(level.rows.tolist())
+                    for z in itertools.takewhile(lambda z: V[z] < (h + 1) // 2 - V[x], by_sum)]
+            slot, z, base = level.table
+            assert list(zip(slot.tolist(), z.tolist(), base.tolist())) == want, level.r
+            assert slot.dtype in (np.int8, np.int16) and z.dtype == np.int16, level.r
+            assert base.dtype == level.D.dtype == np.int8, level.r
+            assert slot.size <= min(criteria.BLOCK_CELLS, level.rows.size * level.m // 8), level.r
+            assert not any(column.flags.writeable for column in level.table), level.r
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_kept_rows_are_the_rows_that_can_violate(self, monkeypatch, p):
+        # a Belyi row kept by its cell at y = 0 alone would differ from
+        # belyi_row_kept, which reads y != 0
+        for pair in belyi_oracle_pairs(p):
+            kept = scanned_rows(monkeypatch, belyi_search, p, pair, force=force_table)
+            assert kept == belyi_oracle_rows(p, pair), pair
+        for pair in ORACLE_PAIRS:
+            kept = scanned_rows(monkeypatch, binomial_search, p, pair, force=force_table)
+            assert kept == binomial_oracle_rows(p, pair), pair
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_y_zero_is_a_candidate_only_where_the_one_variable_side_violates(self, p):
+        # so the Belyi filter need not exclude y = 0: its cell, z = -(d+e)x, is
+        # listed only on rows that the one-variable side keeps anyway
+        seen = 0
+        for level in tabled_levels(p):
+            m, V, h = level.m, v_numerators(p, level.r), level.r * (p - 1)
+            slot, z, _ = level.table
+            for K in range(2, 41):
+                x = level.rows[slot][(K * level.rows[slot] + z) % m == 0]
+                assert (2 * (V[x] + V[-K * x % m]) < h).all(), (level.r, K)
+                seen += x.size
+        assert seen
+
+    def test_control_is_caught(self, monkeypatch):
+        # a table one short of the bound loses rows that violate only on its edge
+        def tightened(patch):
+            force_table(patch, drop_edge)
+
+        dropped = {"belyi": 0, "binomial": 0}
+        for p in ORACLE_DEPTH:
+            for search, name, pairs, oracle in (
+                (belyi_search, "belyi", belyi_oracle_pairs(p), belyi_oracle_rows),
+                (binomial_search, "binomial", ORACLE_PAIRS, binomial_oracle_rows),
+            ):
+                for pair in pairs:
+                    got = scanned_rows(monkeypatch, search, p, pair, force=tightened)
+                    want = oracle(p, pair)
+                    assert set(got) <= set(want), (name, p, pair)
+                    dropped[name] += len(want) - len(got)
+        assert dropped == {"belyi": 1310, "binomial": 323}
+
+
+GLIBC_ONLY = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                                reason="counts the page faults of glibc's malloc")
+
+
+def warm_search_faults(cases, held):
+    """Minor page faults of four more rounds of `cases`, (search, p, pair)
+    triples, in a fresh interpreter that ran each once, with the environment
+    `held` added."""
+    script = (
+        "import resource\n"
+        "from monodromy.criteria import belyi_search, binomial_search\n"
+        f"cases = {cases}\n"
+        "for search, p, pair in cases:\n"
+        "    globals()[search](p, pair)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "for _ in range(4):\n"
+        "    for search, p, pair in cases:\n"
+        "        globals()[search](p, pair)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src")) | held
+    res = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    return int(res.stdout)
+
+
+HELD_THRESHOLDS = ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"})
+
+
+@GLIBC_ONLY
 def test_searches_take_no_page_faults_when_warm():
     # at p <= 7 the tables are int8, so the prefilter's block temporaries,
     # under BLOCK_CELLS cells, stay under glibc's default 128 KiB mmap
-    # threshold: they come from the heap with no earlier free raising it,
-    # also with it held at its default (which turns off its dynamic rise)
-    script = (
-        "import resource\n"
-        "from monodromy.criteria import belyi_search\n"
-        "cases = [(2, (1, 16)), (2, (8, 3)), (3, (4, 1)), (5, (1, 25)), (7, (1, 7))]\n"
-        "for p, pair in cases:\n"
-        "    belyi_search(p, pair)\n"
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "for _ in range(4):\n"
-        "    for p, pair in cases:\n"
-        "        belyi_search(p, pair)\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
-    )
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    for held in ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"}):
-        res = subprocess.run([sys.executable, "-c", script], env=env | held,
-                             capture_output=True, text=True, timeout=120, check=True)
-        assert int(res.stdout) < 100, held
+    # threshold, and the candidate chunks reuse three 64 KiB buffers: they
+    # come from the heap with no earlier free raising it, also with it held
+    # at its default (which turns off its dynamic rise).  The 30 levels of
+    # p <= 7 fit the level cache's 32 entries.
+    cases = [("belyi_search", 2, (1, 16)), ("belyi_search", 2, (8, 3)), ("belyi_search", 3, (4, 1)),
+             ("belyi_search", 5, (1, 25)), ("belyi_search", 7, (1, 7)),
+             ("binomial_search", 2, (1, 1)), ("binomial_search", 3, (7, 4)),
+             ("binomial_search", 5, (1, 7)), ("binomial_search", 7, (4, 4))]
+    for held in HELD_THRESHOLDS:
+        assert warm_search_faults(cases, held) < 100, held
+
+
+@GLIBC_ONLY
+def test_int16_tabled_level_takes_no_page_faults_when_warm():
+    # p = 31, r = 2 has int16 digit sums: its dense blocks would hold 256 KiB,
+    # past the mmap threshold, and the candidate table replaces them
+    level = _level_tables(31, 2)
+    assert level.D.dtype == np.int16 and level.table is not None and not level.block
+    cases = [("belyi_search", 31, (1, 1)), ("binomial_search", 31, (1, 1)),
+             ("binomial_search", 31, (1, 30))]
+    for held in HELD_THRESHOLDS:
+        assert warm_search_faults(cases, held) < 100, held
 
 
 class TestBelyiSearchPrefiltered(TestBelyiSearch):
@@ -714,6 +873,24 @@ class TestBelyiSearchPrefiltered(TestBelyiSearch):
     @pytest.fixture(autouse=True)
     def forced(self, monkeypatch):
         force_prefilter(monkeypatch)
+
+
+class TestBelyiSearchTabled(TestBelyiSearch):
+    """TestBelyiSearch with a candidate table on every level, read in place
+    of the dense blocks: at the real threshold none of its searches reaches
+    a tabled level."""
+
+    @pytest.fixture(autouse=True)
+    def forced(self, monkeypatch):
+        force_table(monkeypatch)
+
+
+class TestBinomialSearchTabled(TestBinomialSearch):
+    """TestBinomialSearch with a candidate table on every level."""
+
+    @pytest.fixture(autouse=True)
+    def forced(self, monkeypatch):
+        force_table(monkeypatch)
 
 
 class TestDefaultMaxR:
