@@ -14,11 +14,20 @@ position, so reports can cite "final item 7" directly:
 
 Every family is a generator of (A, B, params) triples, and one helper,
 ``_rows``, turns it into a {pair: params} map that keeps the params that
-first produce each pair.  Enumeration, membership and the JSON rows of
-``catalog_rows`` all read that map.  One function, ``classify_pair``,
-reports membership under all three theorems: it reduces a binomial pair to
-its prime-to-p parts and any other pair by a common power of p.  Membership checks always test both
-orientations of a pair; enumeration emits the orientation as printed in the
+first produce each pair.  Enumeration and the JSON rows of
+``catalog_rows`` read that map at their exact bound.  Membership reads
+``_index(theorem, p, bits)``: the maps of every family that applies to p,
+built once at the bucket's bound 2^bits - 1, with bits the bit length of
+max(A, B).  Every generator is prefix-stable (its rows at a bound are its
+rows at any larger bound cut to that bound, params included, which the
+tests check), so the bucket answers every pair in it exactly as a build at
+max(A, B) would.  ``_index`` keeps at most 64 entries, and buckets past
+``_INDEX_CAP_BITS`` (pairs of 2^32 and above) are built per call and not
+kept; the largest kept entry, binomial at p = 2 and 2^32, holds 1515
+rows in about 0.4 MB.  One function, ``classify_pair``, reports
+membership under all three theorems: it reduces a binomial pair to its
+prime-to-p parts and any other pair by a common power of p.  Membership
+checks always test both orientations of a pair; enumeration emits the orientation as printed in the
 source lists.  Each family is written once.  The quotients
 (p^(ab)+1)/(p^a+1), b odd, are stepped by ``fm_exponents._cyclotomic_quotients``;
 candidate items 2 and 6, binomial item 5 and the FM-exponent values read
@@ -38,6 +47,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .criteria import ExponentPair, SearchResult, _as_pair, _resolve_max_r, belyi_search
@@ -366,12 +376,24 @@ def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
                        **Membership(fid, params, False).as_dict()}
 
 
+# Buckets up to this bit length are kept by _index; larger ones, whose
+# _square grids grow with bits^2, are built per call.
+_INDEX_CAP_BITS = 32
+
+
+@lru_cache(maxsize=64)
+def _index(theorem: str, p: int, bits: int) -> tuple[tuple[FamilyId, dict], ...]:
+    """(FamilyId, {(A, B): params}) of every family of the theorem that
+    applies to p, at bound 2^bits - 1."""
+    return tuple((fid, _rows(gen, p, 2**bits - 1))
+                 for fid, p_ok, gen in _families(theorem) if p_ok(p))
+
+
 def _memberships(p: int, A: int, B: int, theorem: str) -> list[Membership]:
+    bits = max(A, B).bit_length()
+    index = _index if bits <= _INDEX_CAP_BITS else _index.__wrapped__
     found = []
-    for fid, p_ok, gen in _families(theorem):
-        if not p_ok(p):
-            continue
-        rows = _rows(gen, p, max(A, B))
+    for fid, rows in index(theorem, p, bits):
         for pair, reverse in (((A, B), False), ((B, A), True)):
             if pair in rows:
                 found.append(Membership(fid, rows[pair], reverse))

@@ -422,13 +422,18 @@ class MellinRow(NamedTuple):
 def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
     """S(chi, eta) for every character pair, against the closed forms.
 
-    One character table R[a, k] = chi_a(g^k), built per call, serves both
-    sides: the full S-matrix, by the same per-x regrouping as ``mellin_sum``
-    batched over all characters, and the Gauss vector G and Jacobi table J
-    that the closed forms are assembled from.  The errors are taken as arrays
-    too, and each row is read off the raveled tables.
+    The closed forms hold for d, e >= 1, so an exponent below 1 raises
+    ValueError before any table is built (``mellin_sum`` and
+    ``belyi_values`` take d, e >= 0).  One character table
+    R[a, k] = chi_a(g^k), built per call, serves both sides: the full
+    S-matrix, by the same per-x regrouping as ``mellin_sum`` batched over
+    all characters, and the Gauss vector G and Jacobi table J that the
+    closed forms are assembled from.  The errors are taken as arrays too,
+    and each row is read off the raveled tables.
     """
-    d, e = pair
+    d, e = pair = tuple(map(operator.index, pair))
+    if d < 1 or e < 1:
+        raise ValueError("exponents must be >= 1")
     m = F.q - 1
     R = _char_table(F, range(m))
     A = _linear_sums(F, R)  # T_a(v) as [a, v]

@@ -247,10 +247,10 @@ def default_max_r(p: int) -> int:
 
 
 def _resolve_max_r(p: int, max_r: int | None) -> int:
-    """The search depth: default_max_r(p) when None; a depth below 1 or with
-    p^max_r > LEVEL_TABLE_GUARD raises ValueError before any work."""
-    if max_r is None:
-        max_r = default_max_r(p)
+    """The search depth as an int: default_max_r(p) when None; a depth that
+    is not an integer raises TypeError, and one below 1 or with
+    p^max_r > LEVEL_TABLE_GUARD raises ValueError, before any work."""
+    max_r = default_max_r(p) if max_r is None else operator.index(max_r)
     if max_r < 1:
         raise ValueError("max_r must be >= 1")
     # p >= 2, so p^max_r passes the guard once max_r passes its bit length

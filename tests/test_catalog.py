@@ -5,15 +5,21 @@ from importlib import resources
 
 import pytest
 
+from monodromy import catalog
 from monodromy.catalog import (
     BINOMIAL,
     CANDIDATES,
     FINAL,
     THEOREMS,
     FamilyId,
+    Membership,
     _CANDIDATE_FAMILIES,
     _FINAL_FAMILIES,
+    _INDEX_CAP_BITS,
     _canonical,
+    _families,
+    _index,
+    _rows,
     catalog_rows,
     candidate_union,
     classify_binomial,
@@ -112,6 +118,94 @@ class TestClassifyBinomial:
 
     def test_non_member(self):
         assert not classify_binomial(2, (7, 3)).is_member
+
+
+def _memberships_per_call(p, A, B, theorem):
+    """The membership oracle: every family's rows rebuilt at max(A, B) for
+    each query, as classify_pair read them before the index."""
+    found = []
+    for fid, p_ok, gen in _families(theorem):
+        if not p_ok(p):
+            continue
+        rows = _rows(gen, p, max(A, B))
+        for pair, reverse in (((A, B), False), ((B, A), True)):
+            if pair in rows:
+                found.append(Membership(fid, rows[pair], reverse))
+                break
+    return found
+
+
+def _disagreements(theorem, p, pairs):
+    """The pairs whose classify_pair memberships differ from the oracle's."""
+    bad = []
+    for pair in pairs:
+        cls = classify_pair(p, pair, theorem)
+        A, B = cls.reduced_pair
+        if list(cls.memberships) != _memberships_per_call(p, A, B, theorem):
+            bad.append(pair)
+    return bad
+
+
+SMALL_PAIRS = [(d, e) for d in range(1, 61) for e in range(1, 61)]
+# max(A, B) on both sides of the index's bucket edges, the cap included
+EDGES = (31, 32, 63, 64, 255, 256, 2**32 - 1, 2**32, 2**32 + 1)
+EDGE_PAIRS = [pair for n in EDGES for pair in ((1, n), (n, 1), (n, n), (n, n - 1), (n - 1, n), (3, n))]
+# one member per theorem past the cap, each in a bucket of its own
+ABOVE_CAP = {CANDIDATES: (2**40 + 1, 2**40), FINAL: (1, 2**41), BINOMIAL: (1, 2**42 + 1)}
+
+
+class TestMembershipIndex:
+    """classify_pair reads one index per (theorem, p, bit length of max(A, B))."""
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 101])
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_rows_are_prefix_stable(self, theorem, p):
+        """A family's rows at a bound are its rows at the bound's bucket,
+        2^bits - 1, cut to the bound, params included: what lets one
+        index answer every pair of its bucket."""
+        for fid, p_ok, gen in _families(theorem):
+            if not p_ok(p):
+                continue
+            bucket = {}
+            for bound in range(1, 301):
+                bits = bound.bit_length()
+                if bits not in bucket:
+                    bucket[bits] = _rows(gen, p, 2**bits - 1)
+                cut = {pair: params for pair, params in bucket[bits].items() if max(pair) <= bound}
+                assert _rows(gen, p, bound) == cut, (fid, bound)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_agrees_with_per_call_rows(self, theorem, p):
+        pairs = SMALL_PAIRS + EDGE_PAIRS
+        assert _disagreements(theorem, p, pairs) == []
+        assert any(classify_pair(p, pair, theorem).is_member for pair in pairs)
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_above_the_cap_is_built_per_call(self, theorem):
+        pair = ABOVE_CAP[theorem]
+        assert max(pair).bit_length() > _INDEX_CAP_BITS
+        before = _index.cache_info()
+        cls = classify_pair(2, pair, theorem)
+        assert _index.cache_info() == before
+        assert cls.is_member
+        assert _disagreements(theorem, 2, [pair]) == []
+
+    def test_an_index_one_bit_too_small_is_caught(self, monkeypatch):
+        def small(theorem, p, bits):
+            return tuple((fid, _rows(gen, p, 2 ** (bits - 1) - 1))
+                         for fid, p_ok, gen in _families(theorem) if p_ok(p))
+
+        monkeypatch.setattr(catalog, "_index", small)
+        assert _disagreements(FINAL, 2, SMALL_PAIRS)
+
+    def test_a_lookup_without_the_reversed_orientation_is_caught(self, monkeypatch):
+        def forward_only(p, A, B, theorem):
+            return [Membership(fid, rows[A, B], False)
+                    for fid, rows in _index(theorem, p, max(A, B).bit_length()) if (A, B) in rows]
+
+        monkeypatch.setattr(catalog, "_memberships", forward_only)
+        assert _disagreements(FINAL, 2, SMALL_PAIRS)
 
 
 class TestFmPairScan:

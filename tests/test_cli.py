@@ -19,6 +19,7 @@ from monodromy.catalog import (
     THEOREMS,
     catalog_rows,
     classify_pair,
+    crosscheck,
     enumerate_family,
     fm_pair_scan,
     quotient_lemma_oracle,
@@ -35,7 +36,7 @@ from monodromy.charsums import (
     mellin_sum,
 )
 from monodromy.cli import _prime_powers_upto, main
-from monodromy.criteria import ExponentPair, belyi_search, monomial_search
+from monodromy.criteria import ExponentPair, belyi_search, binomial_search, monomial_search
 from monodromy.fm_exponents import classify_fm_exponent, prime_to_p_part
 from monodromy.qz import QzClass, _as_class, digit_sum, is_prime, kubert_v, mult_order
 
@@ -432,7 +433,14 @@ NOT_AN_INT = "cannot be interpreted as an integer"
     (lambda: mellin_sum(build_field(2, 3), (1, 1), 0.5, 1), TypeError, NOT_AN_INT),
     (lambda: exp_sum(build_field(2, 3), [1], 1.0, 0), TypeError, NOT_AN_INT),
     (lambda: mellin_sum(build_field(2, 3), (-1, 2), 1, 1), ValueError, "exponents must be >= 0"),
-    (lambda: mellin_suite(build_field(2, 3), (1, -2)), ValueError, "exponents must be >= 0"),
+    # the closed forms of mellin_suite cover d, e >= 1 only
+    (lambda: mellin_suite(build_field(2, 3), (1, -2)), ValueError, "exponents must be >= 1"),
+    (lambda: mellin_suite(build_field(5, 1), (0, 1)), ValueError, "exponents must be >= 1"),
+    (lambda: mellin_suite(build_field(5, 1), (1, 0)), ValueError, "exponents must be >= 1"),
+    (lambda: mellin_suite(build_field(5, 1), (0, 0)), ValueError, "exponents must be >= 1"),
+    # a search depth is an integer too
+    (lambda: belyi_search(2, (1, 2), max_r=3.0), TypeError, NOT_AN_INT),
+    (lambda: crosscheck(2, 10, max_r=3.0), TypeError, NOT_AN_INT),
 ], ids=["theorem", "enumerate_family", "catalog_rows", "fm_pair_scan", "quotient_lemma_oracle",
         "build_field", "ExponentPair", "classify_fm_exponent", "monomial_search",
         "mult_order", "digit_sum", "_as_class", "exp_sum-coefficient-9",
@@ -442,10 +450,28 @@ NOT_AN_INT = "cannot be interpreted as an integer"
         "enumerate_family-float", "catalog_rows-float", "quotient_lemma_oracle-float",
         "write_catalog-int-float", "write_catalog-float-int",
         "gauss_sum-float", "gauss_sum_raw-float", "jacobi_sum-float", "mellin_sum-float",
-        "exp_sum-float", "mellin_sum-negative", "mellin_suite-negative"])
+        "exp_sum-float", "mellin_sum-negative", "mellin_suite-negative",
+        "mellin_suite-0-1", "mellin_suite-1-0", "mellin_suite-0-0",
+        "belyi_search-float-max_r", "crosscheck-float-max_r"])
 def test_library_rejects_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("max_r", [True, np.int64(3), np.uint8(2)], ids=repr)
+@pytest.mark.parametrize("search", [
+    lambda max_r: belyi_search(2, (1, 2), max_r=max_r),
+    lambda max_r: binomial_search(2, (1, 2), max_r=max_r),
+    lambda max_r: monomial_search(2, 7, max_r=max_r),
+    lambda max_r: crosscheck(2, 10, max_r=max_r),
+], ids=["belyi_search", "binomial_search", "monomial_search", "crosscheck"])
+def test_max_r_comes_back_as_an_int(search, max_r):
+    """A bool or numpy-integer depth is read as the int it equals, so the
+    result reports a plain int and its JSON round trip gives it back."""
+    res = search(max_r)
+    assert type(res.max_r) is int and res.max_r == max_r
+    as_dict = res.as_dict() if hasattr(res, "as_dict") else {"max_r": res.max_r}
+    assert json.loads(json.dumps(as_dict))["max_r"] == int(max_r)
 
 
 def test_numpy_integers_read_as_ints():

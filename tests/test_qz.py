@@ -339,7 +339,7 @@ def test_every_lru_cache_is_bounded():
     }
     assert {"monodromy.qz.mult_order", "monodromy.fm_exponents.classify_fm_exponent",
             "monodromy.fm_exponents.fm_exponent_set", "monodromy.criteria._level_tables",
-            "monodromy.charsums.build_field"} <= caches.keys()
+            "monodromy.charsums.build_field", "monodromy.catalog._index"} <= caches.keys()
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
 
 
