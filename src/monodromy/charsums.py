@@ -15,14 +15,18 @@ exp/log read, and no sum needs field addition, because Tr is F_p-linear:
 psi(s f(x) + t x) is fixed by the traces of the monomials s c_i x^i and
 t x, summed mod p.  ``exp_sum`` rejects encodings outside [0, q).
 
-Field arithmetic is r x r matrices over F_p acting on digit rows.  Rabin's
-test on the companion matrix X picks the modulus, and a full-order test on
-element matrices the generator (integer ``pow`` in prime fields).  The
-powers X^0 .. X^(r-1) give every element's matrix and the basis traces
-Tr(x^i) = trace(X^i).  The exp table is filled by doubling: rows [n, 2n)
-are rows [0, n) times the n-th power of the generator's matrix, so about
-log2(q) numpy matmuls build it.  ``log`` is one scatter of it, and
-``trace`` the digit rows times the basis traces.  The tables are
+Prime fields are built from residues: the modulus is x, each element is
+its own residue and its own trace, the generator is the least primitive
+root (integer ``pow`` against one factorization of p - 1), and the exp
+table is filled by doubling, entries [n, 2n) being entries [0, n) times
+g^n mod p.  When r >= 2 field arithmetic is r x r matrices over F_p acting
+on digit rows.  Rabin's test on the companion matrix X picks the modulus,
+and a full-order test on element matrices the generator.  The powers
+X^0 .. X^(r-1) give every element's matrix and the basis traces
+Tr(x^i) = trace(X^i).  The exp table is filled by doubling too: rows
+[n, 2n) are rows [0, n) times the n-th power of the generator's matrix, so
+about log2(q) numpy matmuls build it, and ``trace`` is the digit rows
+times the basis traces.  ``log`` is one scatter of exp.  The tables are
 read-only numpy arrays, which every sum reads directly.  Two fields are
 equal, and hash alike, when their presentations (p, r, q, modulus,
 generator) are, since those determine the tables.  Caches are bounded:
@@ -48,8 +52,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from itertools import starmap
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -175,7 +178,8 @@ def build_field(p: int, r: int) -> FieldPresentation:
     The modulus is the monic irreducible of degree r whose non-leading
     coefficient vector, read as a base-p integer (constant term least
     significant), is smallest; the generator is the unit of full order with
-    the smallest element encoding.
+    the smallest element encoding.  Prime fields are built from residues
+    (the modulus is x); r >= 2 builds the tables from r x r matrices.
     """
     p, r = _as_prime_int(p), operator.index(r)
     if r < 1:
@@ -183,6 +187,44 @@ def build_field(p: int, r: int) -> FieldPresentation:
     # p >= 2, so p^r passes the guard once r passes its bit length
     if r >= FIELD_SIZE_GUARD.bit_length() or p**r > FIELD_SIZE_GUARD:
         raise ValueError(f"field size {p}^{r} exceeds guard {FIELD_SIZE_GUARD}")
+    q, m = p**r, p**r - 1
+    # a unit g generates iff g^(m/l) != 1 for every prime l | m
+    cofactors = [m // f for f in _factor(m)]
+    modulus, generator, exp, trace = (_residue_tables(p, cofactors) if r == 1
+                                      else _matrix_tables(p, r, cofactors))
+    log = np.full(q, -1, dtype=np.int64)
+    log[exp] = np.arange(m)
+    for table in (exp, log, trace):
+        table.flags.writeable = False
+    return FieldPresentation(p=p, r=r, q=q, modulus=tuple(modulus), generator=generator,
+                             exp=exp, log=log, trace=trace)
+
+
+def _residue_tables(p: int, cofactors: list[int]):
+    """Modulus, generator, exp and trace of F_p, whose modulus x makes each
+    element its own residue and its own trace; the generator is the least
+    primitive root."""
+    generator = next(g for g in range(1, p) if all(pow(g, c, p) != 1 for c in cofactors))
+    # exp[n + k] = g^n exp[k] by doubling.  The products reach (p-1)^2, so
+    # they are formed in int64; the table is int32 while (p-1)^2 < 2^31.
+    m = p - 1
+    exp = np.empty(m, dtype=np.int64)
+    exp[0] = 1
+    step, n = generator, 1
+    while n < m:
+        k = min(n, m - n)
+        np.multiply(exp[:k], step, out=exp[n:n + k])
+        exp[n:n + k] %= p
+        step = step * step % p
+        n += k
+    if m * m < 2**31:
+        exp = exp.astype(np.int32)
+    return [0, 1], generator, exp, np.arange(p, dtype=np.int64)
+
+
+def _matrix_tables(p: int, r: int, cofactors: list[int]):
+    """Modulus, generator, exp and trace of F_{p^r} for r >= 2, from r x r
+    matrices over F_p acting on digit rows."""
     q, m = p**r, p**r - 1
     modulus = next(c for c in (_decode_int(k, p, r) + [1] for k in range(q))
                    if _is_irreducible(c, p))
@@ -195,24 +237,17 @@ def build_field(p: int, r: int) -> FieldPresentation:
     def matrix(t: int) -> np.ndarray:
         return (np.dot(_decode_int(t, p, r), powers.reshape(r, -1)) % p).reshape(r, r)
 
-    def is_one(g: int, n: int) -> bool:
-        """Whether g^n = 1; by integer pow when r = 1, where the modulus is x
-        and elements are residues mod p."""
-        return (pow(g, n, p) == 1 if r == 1
-                else np.array_equal(_mat_pow(matrix(g), n, p), powers[0]))
-
-    # When r >= 2 the encodings below p are the constants, whose order
-    # divides p - 1 < m, so the search for a unit of order m starts at p.
-    generator = next(g for g in range(1 if r == 1 else p, q)
-                     if not any(is_one(g, m // f) for f in _factor(m)))
+    # The encodings below p are the constants, whose order divides
+    # p - 1 < m, so the search for a unit of order m starts at p.
+    generator = next(g for g in range(p, q) if not any(
+        np.array_equal(_mat_pow(matrix(g), c, p), powers[0]) for c in cofactors))
 
     # Row i of ``step`` holds the digits of x^i * generator, so row k of
     # ``digits`` (generator^k) times step^n is row k + n.  Matmul entries
-    # stay below r*(p-1)^2: int64 suffices for every q <= FIELD_SIZE_GUARD,
-    # and int32 (always when r >= 2) halves the m x r digit matrix.
-    dtype = np.int32 if r * (p - 1) ** 2 < 2**31 else np.int64
-    step = matrix(generator).astype(dtype)
-    digits = np.zeros((m, r), dtype=dtype)
+    # stay below r*(p-1)^2 <= 2*1020^2 when r >= 2 and p^r <= 2^20, so
+    # int32 holds them.
+    step = matrix(generator).astype(np.int32)
+    digits = np.zeros((m, r), dtype=np.int32)
     digits[0, 0] = 1
     n = 1
     while n < m:
@@ -221,19 +256,13 @@ def build_field(p: int, r: int) -> FieldPresentation:
         digits[n:n + k] %= p
         step = step @ step % p
         n += k
-    exp = digits @ p ** np.arange(r, dtype=dtype)
-    log = np.full(q, -1, dtype=np.int64)
-    log[exp] = np.arange(m)
+    exp = digits @ p ** np.arange(r, dtype=np.int32)
 
     # The absolute trace is F_p-linear, so Tr(t) for arbitrary t is a digit
     # dot-product against the basis traces Tr(x^i).
     trace = np.zeros(q, dtype=np.int64)
-    trace[exp] = digits @ (np.trace(powers, axis1=1, axis2=2) % p).astype(dtype) % p
-    for table in (exp, log, trace):
-        table.flags.writeable = False
-
-    return FieldPresentation(p=p, r=r, q=q, modulus=tuple(modulus), generator=generator,
-                             exp=exp, log=log, trace=trace)
+    trace[exp] = digits @ (np.trace(powers, axis1=1, axis2=2) % p).astype(np.int32) % p
+    return modulus, generator, exp, trace
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +428,8 @@ def _closed_forms(F: FieldPresentation, pair, R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _case(a_chi: int, a_eta: int) -> str:
-    if a_chi == 0:
-        return "trivial-trivial" if a_eta == 0 else "trivial-eta"
-    return "chi-trivial-eta" if a_eta == 0 else "nontrivial"
+# the closed-form case of (a_chi, a_eta), at 2 * (a_chi != 0) + (a_eta != 0)
+_CASES = ("trivial-trivial", "trivial-eta", "chi-trivial-eta", "nontrivial")
 
 
 class MellinRow(NamedTuple):
@@ -443,9 +470,10 @@ def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
     diff = S - expected
     abs_error = np.hypot(diff.real, diff.imag)
     rel_error = abs_error / np.maximum(np.hypot(expected.real, expected.imag), 1.0)
-    a, b = (v.tolist() for v in np.divmod(np.arange(m * m), m))
-    return list(starmap(MellinRow, zip(
-        a, b, map(_case, a, b),
+    a, b = np.divmod(np.arange(m * m), m)
+    cases = map(_CASES.__getitem__, (2 * (a != 0) + (b != 0)).tolist())
+    return list(map(partial(tuple.__new__, MellinRow), zip(
+        a.tolist(), b.tolist(), cases,
         *(v.ravel().tolist() for v in (S, expected, abs_error, rel_error)))))
 
 

@@ -175,10 +175,14 @@ class TestBuildField:
     def test_tables_match_per_element_oracle(self):
         fields = [(p, r) for p in range(2, 2049) if is_prime(p)
                   for r in range(1, 12) if p**r <= 2048]
-        for p, r in fields + [(2, 16), (1021, 1)]:
+        # 46337 and 46349 straddle the step of exp from int32 to int64; at
+        # 65521 the doubling's products g^n * exp[k] pass 2^31
+        for p, r in fields + [(2, 16), (1021, 1), (46337, 1), (46349, 1), (65521, 1)]:
             F = build_field(p, r)
             got = (F.modulus, F.generator, *(tuple(t.tolist()) for t in (F.exp, F.log, F.trace)))
             assert got == oracle_field(p, r), (p, r)
+            exp_dtype = np.int64 if r == 1 and (p - 1) ** 2 >= 2**31 else np.int32
+            assert (F.exp.dtype, F.log.dtype, F.trace.dtype) == (exp_dtype, np.int64, np.int64)
 
     def test_cache_is_bounded_and_releases_fields(self):
         build_field.cache_clear()
@@ -507,6 +511,17 @@ def test_mellin_row_errors_match_python_abs(q):
             err = abs(row.computed - row.expected)
             assert row.abs_error == err
             assert row.rel_error == err / max(abs(row.expected), 1.0)
+
+
+@pytest.mark.parametrize("q", [4, 27, 64])
+def test_mellin_rows_hold_python_scalars(q):
+    """Rows are MellinRows of Python scalars, not numpy ones, which the CLI's
+    JSON would print alike."""
+    F = _mellin_field(q)
+    types = (int, int, str, complex, complex, float, float)
+    for row in mellin_suite(F, MELLIN_PAIRS[0]):
+        assert type(row) is charsums.MellinRow
+        assert tuple(map(type, row)) == types, row
 
 
 def closed_form_oracle(F, pair, a_chi, a_eta):
