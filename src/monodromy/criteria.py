@@ -18,11 +18,13 @@ compares level-r digit sums D with ceil(bound * h), h = r(p-1).  One level
 scan serves every search and skips rows by two exact reductions:
 V(px) = V(x), so only the least x of each orbit under x -> px is scanned,
 and V(a) + V(b) >= V(a+b), so every criterion is at least V(x) and rows
-with V(x) >= 1/2 cannot violate.  The binomial search then skips the y
-scan of a row no y can violate (m = p^r - 1): with w the base-p digit sum
-of e mod m (1 if it is 0), V(ey) <= w V(y), as V(py) = V(y) and V is
-subadditive, so V(y) + V(-dx-ey) >= V(-dx)/w and the row is
->= V(x) + V(-dx)/w.
+with V(x) >= 1/2 cannot violate.  Each search then skips the y scan of
+a row no y can violate (m = p^r - 1).  Belyi: V(y-(d+e)x) +
+V(ex-y) >= V(-dx), so W >= V(x) + V(y) + V(-dx) + V(-ex), and V(y) >= 1/h
+for y != 0, so the row is >= V(x) + V(-dx) + V(-ex) + 1/h.  Binomial: with
+w the base-p digit sum of e mod m (1 if it is 0), V(ey) <= w V(y), as
+V(py) = V(y) and V is subadditive, so V(y) + V(-dx-ey) >= V(-dx)/w and
+the row is >= V(x) + V(-dx)/w.
 
 Levels of more than BLOCK_CELLS/16 cells (rows times m) are filtered
 before any row is scanned.  For y != 0, V(y) + V(ex-y) >= V(ex) and
@@ -33,21 +35,23 @@ Belyi and z = y for binomial.  Those z depend on D[x] alone, never on the
 pair, so a level at r >= 2 lists them once, row by row, in a candidate
 table, if it holds at most BLOCK_CELLS entries and an eighth of the cells
 (about 1% of them on the deep levels of p <= 7; at r = 1, where a quarter
-of the cells are candidates, none is built).  Each
-search sums its forms over the table's cells alone, in chunks, and scans
-only the rows where a cell violates, or, for Belyi, the one-variable side
-does; the binomial search first applies its row bound to the level as one
-mask.  The cost is the table's length: the same for every pair of one
-prime, unlike the exact row bound W >= V(x) + V(-ex) + V(-dx) + 1/h,
-which would clear from every row of (1, 1) to about a third of those of
-(17, 17) at p = 2 (ROADMAP item 8).  A candidate costs the Belyi search
-about as much as 30 cells of its dense int8 blocks, so on int8 levels
-whose table holds over a 32nd of the cells, and on filtered levels
+of the cells are candidates, none is built).  In each row z runs by
+(D[z], z), so every row lists a prefix of one order of the level, whose
+first entry is 0.  The binomial search applies its row bound to the level
+as one mask and sums its forms over the table in chunks.  The Belyi
+search reads, of each row, the shorter of two prefixes of that order: its
+table entries as z, or, past the first, its y with D[y] < ceil(3h/2) -
+D[x] - D[-dx] - D[-ex], which by the row bound hold every violating y.  So
+no pair reads more than the table holds, and a row the bound clears reads
+nothing.  Each search scans only the rows where a cell read violates, or,
+for Belyi, the one-variable side does.  A candidate costs the Belyi
+search about as much as 30 cells of its dense int8 blocks, so on int8
+levels whose table holds over a 32nd of the cells, and on filtered levels
 without one, it takes instead each row's least y-sum over y != 0, in
-blocks of BLOCK_CELLS/m whole rows while m <= BLOCK_CELLS/8; that too
-reads every row whatever the pair.  Wider blocks pass glibc's 128 KiB mmap
+blocks of BLOCK_CELLS/m whole rows while m <= BLOCK_CELLS/8; that reads
+every row whatever the pair.  Wider blocks pass glibc's 128 KiB mmap
 threshold, so the table serves every wider level that holds one.  Other
-levels scan every row.
+levels test each row's bound in turn.
 
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:
@@ -261,6 +265,19 @@ def _resolve_max_r(p: int, max_r: int | None) -> int:
     return max_r
 
 
+class _Table(NamedTuple):
+    """Every (x, z) with D[z] < ceil(h/2) - D[x], x a row: row by row in
+    `rows` order, and in each row z by (D[z], z), so that every row lists a
+    prefix of one order of the level, whose first z is 0."""
+
+    slot: np.ndarray  # each entry's row slot in `rows`
+    z: np.ndarray
+    base: np.ndarray  # D[z] + D[x], in D's type
+    first: np.ndarray  # each row's first entry
+    count: np.ndarray  # each row's number of entries
+    sums: np.ndarray  # D in that order, ascending
+
+
 class _Level(NamedTuple):
     """Search tables for the classes with denominator dividing m = p^r - 1,
     which include again every class of a divisor level s | r."""
@@ -273,33 +290,32 @@ class _Level(NamedTuple):
     WD: np.ndarray  # the windows of DD: WD[c][j] = D[(j + c) % m], a view
     WE: np.ndarray  # the same windows of EE: WE[c][j] = E[(j + c) % m]
     block: int  # rows per dense prefilter block, 0 on a level without one
-    table: tuple | None  # (row slot, z, D[z] + D[x]) of every candidate, None on an untabled level
+    table: _Table | None  # None on an untabled level
     rows: np.ndarray  # the least i of each orbit of i -> p*i on 1..m-1 with V(i/m) < 1/2
     below: dict  # kind -> ceil(bound * r(p-1)): a V-sum violates iff its digit sums total less
 
 
-def _candidate_table(D: np.ndarray, rows: np.ndarray, h: int, most: int) -> tuple | None:
-    """Every (x, z) with D[z] < ceil(h/2) - D[x], x a row, or None if there
-    are more than `most`.  Row by row in `rows` order, and in each row z by
-    (D[z], z), as three arrays: the row's slot in `rows` and z, each in the
-    narrowest signed type that holds it, and D[z] + D[x] in D's type.  A
-    function of (p, r) alone."""
+def _candidate_table(D: np.ndarray, rows: np.ndarray, h: int, most: int) -> _Table | None:
+    """The candidate table of a level, or None if it has more than `most`
+    entries.  Row slots and z take the narrowest signed type that holds
+    them.  A function of (p, r) alone."""
     order = np.argsort(D, kind="stable").astype(np.min_scalar_type(-D.size))  # z by (D[z], z)
     ds = D[order]  # ascending, so the z of a row are a prefix of `order`
     counts = np.searchsorted(ds, (h + 1) // 2 - D[rows])
     n = int(counts.sum())
     if n > most:
         return None
-    first = (counts.cumsum() - counts).astype(np.int32)  # int32 keeps the n-long index small
-    place = np.arange(n, dtype=np.int32) - np.repeat(first, counts)  # each z's place in its row
-    table = (np.repeat(np.arange(rows.size, dtype=np.min_scalar_type(-rows.size)), counts),
-             order[place], ds[place] + np.repeat(D[rows], counts))
+    first = counts.cumsum() - counts
+    # each z's place in its row; int32 keeps the n-long index small
+    place = np.arange(n, dtype=np.int32) - np.repeat(first.astype(np.int32), counts)
+    table = _Table(np.repeat(np.arange(rows.size, dtype=np.min_scalar_type(-rows.size)), counts),
+                   order[place], ds[place] + np.repeat(D[rows], counts), first, counts, ds)
     for column in table:
         column.flags.writeable = False
     return table
 
 
-def _chunks(table):
+def _chunks(table: _Table):
     """The candidate table in chunks of BLOCK_CELLS/16 candidates: each
     chunk's row slots and z as intp, its D[z] + D[x], and a spare intp
     buffer.  The three intp buffers, 64 KiB each, serve every chunk of the
@@ -307,13 +323,40 @@ def _chunks(table):
     trim threshold, 128 KiB, would take page faults on every search.  Gathers
     into them take mode="wrap" (every index is in range): mode="raise" copies
     through a temporary."""
-    slot, z, base = table
+    slot, z, base = table.slot, table.z, table.base
     n = BLOCK_CELLS // 16
     buffers = [np.empty(n, np.intp) for _ in range(3)]
     for k in range(0, slot.size, n):
         s, t, i = (b[:slot[k:k + n].size] for b in buffers)
         s[:], t[:] = slot[k:k + n], z[k:k + n]
         yield s, t, base[k:k + n], i
+
+
+def _prefixes(table: _Table, first: np.ndarray, count: np.ndarray):
+    """Entries first[k] .. first[k] + count[k] - 1 of the candidate table for
+    every row slot k in turn, chunked and yielded as `_chunks` yields the
+    whole table.  With starts[k] entries read before row k, the g-th entry
+    read is table entry first[k] - starts[k] + g, so a chunk's entry numbers
+    are that shift repeated over each row's share of the chunk, plus g: two
+    int32 temporaries of at most 32 KiB."""
+    ends = count.cumsum()
+    total = int(ends[-1]) if ends.size else 0
+    if not total:
+        return
+    starts = ends - count
+    shift = (first - starts).astype(np.int32)
+    n = min(BLOCK_CELLS // 16, total)
+    buffers = [np.empty(n, np.intp) for _ in range(3)]
+    for lo in range(0, total, n):
+        hi = min(lo + n, total)
+        at, s, i = (b[:hi - lo] for b in buffers)
+        # each row's entries in the chunk: all of them when it is the only one
+        share = count if hi - lo == total else ends.clip(lo, hi) - starts.clip(lo, hi)
+        np.add(shift.repeat(share), np.arange(lo, hi, dtype=np.int32), out=at)
+        s[:] = table.slot.take(at, mode="wrap")
+        base = table.base.take(at, mode="wrap")
+        at[:] = table.z.take(at, mode="wrap")
+        yield s, at, base, i
 
 
 @lru_cache(maxsize=32)
@@ -357,7 +400,7 @@ def _level_tables(p: int, r: int) -> _Level:
     if rows.size * m > BLOCK_CELLS // 16:
         if r > 1:
             table = _candidate_table(D, rows, h, min(BLOCK_CELLS, rows.size * m // 8))
-        dense = table is None or (D.itemsize == 1 and 32 * table[0].size > rows.size * m)
+        dense = table is None or (D.itemsize == 1 and 32 * table.slot.size > rows.size * m)
         if dense and m <= BLOCK_CELLS // 8:
             block = BLOCK_CELLS // m
     return _Level(r, m, D, DD, EE, WD, WE, block, table, rows, below)
@@ -452,29 +495,45 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
             keep |= D[rows] + D[ki] < below_x
             rows = rows[keep]
         elif level.table is not None:
-            # W >= V(x) + 1 + V(y - (d+e)x) for y != 0, so only the candidates
-            # z = y - (d+e)x of the table can violate; a row is kept when one
-            # does, or when its one-variable side does.  y = 0 needs no test:
-            # its z = -(d+e)x is a candidate only where D[x] + D[z] < ceil(h/2),
-            # that is where the one-variable side violates and keeps the row
-            ki, di = K % m * rows % m, d % m * rows % m
-            limit = below_xy - D[-(e % m) * rows % m]  # for D[y] + D[ex-y] + D[z] + D[x]
-            keep = D[rows] + D[(m - ki) % m] < below_x
-            for s, z, base, i in _chunks(level.table):
-                ki.take(s, out=i, mode="wrap")
-                i += z
-                sums = DD.take(i, mode="wrap")  # D[y], y = (d+e)x + z
-                di.take(s, out=i, mode="wrap")
-                i += z
-                sums += EE.take(i, mode="wrap")  # D[ex - y] = D[-(dx + z)]
+            # for y != 0, W >= V(x) + 1 + V(y - (d+e)x), so the z = y - (d+e)x
+            # of a violating cell are among the row's table entries; and
+            # V(y - (d+e)x) + V(ex - y) >= V(-dx), so W >= V(x) + V(y) +
+            # V(-dx) + V(-ex) and its y have D[y] < limit - D[x] - D[-dx].
+            # Both lists are prefixes of the table's order, whose first entry
+            # is 0, and each row reads the shorter: its entries as z, or the
+            # entries past the first as y.  A row is kept when a cell
+            # violates, or when its one-variable side does, and then it reads
+            # none.  y = 0 needs no test: its z = -(d+e)x is a candidate only
+            # where D[x] + D[z] < ceil(h/2), where the one-variable side keeps
+            # the row
+            table, Dx = level.table, D[rows]
+            ked = np.array((K % m, e % m, d % m))[:, None] * rows % m  # (d+e)x, ex, dx
+            minus = DD[m - ked]  # D[-(d+e)x], D[-ex], D[-dx]
+            limit = below_xy - minus[1]  # for D[y] + D[y - (d+e)x] + D[ex - y] + D[x]
+            keep = Dx + minus[0] < below_x
+            ys = table.sums[1:].searchsorted(limit - Dx - minus[2])
+            as_y = ys < table.count
+            count = np.minimum(ys, table.count)
+            count[keep] = 0
+            a, b = np.where(as_y, m - ked[:2], ked[::2])  # (m - (d+e)x, m - ex) or ((d+e)x, dx)
+            for s, u, base, i in _prefixes(table, table.first + as_y, count):
+                a.take(s, out=i, mode="wrap")
+                i += u
+                sums = DD.take(i, mode="wrap")  # D[y - (d+e)x], u = y; D[y], u = z
+                b.take(s, out=i, mode="wrap")
+                i += u
+                sums += EE.take(i, mode="wrap")  # D[ex - y]
                 sums += base
                 keep[s[sums < limit.take(s, mode="wrap")]] = True
             rows = rows[keep]
         for i in rows.tolist():
             if int(D[i] + D[-K * i % m]) < below_x:
                 yield i, "belyi-monomial", None
-            # W violates iff D[j] + D[j - Ki] + D[ei - j] < below_xy - const
+            # W violates iff D[j] + D[j - Ki] + D[ei - j] < below_xy - const,
+            # and D[j - Ki] + D[ei - j] >= D[-di], D[j] >= 1 for j != 0
             const = int(D[i] + D[-e * i % m])
+            if const + int(D[-d * i % m]) + 1 >= below_xy:
+                continue
             c3, c4 = m - K * i % m, m - e * i % m
             s = D + WD[c3]
             s += WE[c4]

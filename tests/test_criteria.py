@@ -552,16 +552,28 @@ def force_table(patch, mutate=lambda table, h: table):
     patch.setattr(criteria, "_level_tables", forced)
 
 
+def belyi_pair_violated(p, r, pair, i):
+    """Whether some y != 0 at level r has W < 3/2 on the row x = i/(p^r - 1)."""
+    d, e = pair
+    m, V, j = p**r - 1, v_numerators(p, r), np.arange(1, p**r - 1)
+    w = V[i] + V[j] + V[(j - (d + e) * i) % m] + V[(e * i - j) % m] + V[-e * i % m]
+    return bool((2 * w < 3 * r * (p - 1)).any())
+
+
 def belyi_row_kept(p, r, pair, i):
     """Whether the row x = i/(p^r - 1) can hold a Belyi hit: V(x) + V(-(d+e)x)
     < 1/2, or a y != 0 with W < 3/2."""
     d, e = pair
-    m, V, j = p**r - 1, v_numerators(p, r), np.arange(1, p**r - 1)
-    h = r * (p - 1)
-    if 2 * (V[i] + V[-(d + e) * i % m]) < h:
-        return True
-    w = V[i] + V[j] + V[(j - (d + e) * i) % m] + V[(e * i - j) % m] + V[-e * i % m]
-    return bool((2 * w < 3 * h).any())
+    m, V = p**r - 1, v_numerators(p, r)
+    return 2 * (V[i] + V[-(d + e) * i % m]) < r * (p - 1) or belyi_pair_violated(p, r, pair, i)
+
+
+def belyi_row_cleared(p, r, pair, i):
+    """The Belyi row bound: W >= V(x) + V(-dx) + V(-ex) + V(y) and V(y) >=
+    1/h for y != 0, h = r(p-1), so no y != 0 violates when that meets 3/2."""
+    d, e = pair
+    m, V = p**r - 1, v_numerators(p, r)
+    return 2 * (V[i] + V[-d * i % m] + V[-e * i % m] + 1) >= 3 * r * (p - 1)
 
 
 def belyi_oracle_pairs(p):
@@ -574,16 +586,18 @@ def belyi_oracle_rows(p, pair):
             for i in _level_tables(p, r).rows.tolist() if belyi_row_kept(p, r, pair, i)]
 
 
-def scanned_rows(monkeypatch, search, p, pair, force=None, **forced):
+def scanned_rows(monkeypatch, search, p, pair, force=None, kinds=None, **forced):
     """The (r, i) of every row on which a full sweep's level_hits yields, in
-    order; `force`, if given, patches the level tables, else keywords, if
-    any, go to force_prefilter."""
+    order, up to ORACLE_DEPTH (the default depth at other primes), counting
+    only the yields of `kinds` if given; `force`, if given, patches the
+    level tables, else keywords, if any, go to force_prefilter."""
     seen, scan = [], criteria._scan
 
     def recording(p, max_r, level_hits, stop_early=True):
         def hits_of(level):
             for i, kind, viol in level_hits(level):
-                seen.append((level.r, i))
+                if kinds is None or kind in kinds:
+                    seen.append((level.r, i))
                 yield i, kind, viol
 
         return scan(p, max_r, hits_of, stop_early)
@@ -594,7 +608,7 @@ def scanned_rows(monkeypatch, search, p, pair, force=None, **forced):
             force(patch)
         elif forced:
             force_prefilter(patch, **forced)
-        search(p, pair, max_r=ORACLE_DEPTH[p], stop_early=False)
+        search(p, pair, max_r=ORACLE_DEPTH.get(p), stop_early=False)
     return list(dict.fromkeys(seen))
 
 
@@ -657,12 +671,14 @@ class TestBelyiPrefilter:
             assert kept == belyi_oracle_rows(p, pair), pair
 
     @pytest.mark.parametrize("table,caught", [
-        pytest.param("WD", (992, 1805), id="WD"), pytest.param("WE", (669, 1198), id="WE"),
+        pytest.param("WD", (992, 658), id="WD"), pytest.param("WE", (669, 667), id="WE"),
     ])
     def test_control_is_caught(self, monkeypatch, table, caught):
         # WD[(K x) mod m] in place of WD[(-K x) mod m] reads y + (d+e)x for
         # y - (d+e)x; WE[(e x) mod m] reads -ex - y for ex - y.  Only the
-        # block gathers are mutated: the row scan reads one true window.
+        # block gathers are mutated: the row scan reads one true window.  Of
+        # the rows a mutant wrongly keeps, those the row bound clears yield
+        # nothing, so only the rest count as kept
         def mutate(level):
             m, true = level.m, getattr(level, table)
             wrong = true[(m - np.arange(m + 1)) % m]
@@ -735,9 +751,11 @@ def binomial_oracle_rows(p, pair):
 
 def drop_edge(table, h):
     """force_table's control: the threshold tightened by one, dropping the
-    candidates with D[z] + D[x] = ceil(h/2) - 1."""
-    inside = table[2] < (h + 1) // 2 - 1
-    return tuple(column[inside] for column in table)
+    candidates with D[z] + D[x] = ceil(h/2) - 1, each row's last."""
+    inside = table.base < (h + 1) // 2 - 1
+    count = np.bincount(table.slot[inside], minlength=table.count.size)
+    return table._replace(slot=table.slot[inside], z=table.z[inside], base=table.base[inside],
+                          first=count.cumsum() - count, count=count)
 
 
 class TestCandidateTable:
@@ -758,9 +776,13 @@ class TestCandidateTable:
             by_sum = sorted(range(level.m), key=lambda z: (V[z], z))
             want = [(k, z, V[z] + V[x]) for k, x in enumerate(level.rows.tolist())
                     for z in itertools.takewhile(lambda z: V[z] < (h + 1) // 2 - V[x], by_sum)]
-            slot, z, base = level.table
+            slot, z, base, first, count, sums = level.table
             assert list(zip(slot.tolist(), z.tolist(), base.tolist())) == want, level.r
             assert slot.dtype in (np.int8, np.int16) and z.dtype == np.int16, level.r
+            # each row's entries are a prefix of the sorted order, whose sums are D's
+            assert sums.tolist() == [V[z] for z in by_sum], level.r
+            assert count.tolist() == np.bincount(slot, minlength=level.rows.size).tolist(), level.r
+            assert first.tolist() == (count.cumsum() - count).tolist(), level.r
             assert base.dtype == level.D.dtype == np.int8, level.r
             assert slot.size <= min(criteria.BLOCK_CELLS, level.rows.size * level.m // 8), level.r
             assert not any(column.flags.writeable for column in level.table), level.r
@@ -783,7 +805,7 @@ class TestCandidateTable:
         seen = 0
         for level in tabled_levels(p):
             m, V, h = level.m, v_numerators(p, level.r), level.r * (p - 1)
-            slot, z, _ = level.table
+            slot, z = level.table.slot, level.table.z
             for K in range(2, 41):
                 x = level.rows[slot][(K * level.rows[slot] + z) % m == 0]
                 assert (2 * (V[x] + V[-K * x % m]) < h).all(), (level.r, K)
@@ -791,7 +813,8 @@ class TestCandidateTable:
         assert seen
 
     def test_control_is_caught(self, monkeypatch):
-        # a table one short of the bound loses rows that violate only on its edge
+        # a table one short of the bound loses rows that violate only on its
+        # edge; a Belyi row that reads its y-list instead loses none
         def tightened(patch):
             force_table(patch, drop_edge)
 
@@ -806,7 +829,123 @@ class TestCandidateTable:
                     want = oracle(p, pair)
                     assert set(got) <= set(want), (name, p, pair)
                     dropped[name] += len(want) - len(got)
-        assert dropped == {"belyi": 1310, "binomial": 323}
+        assert dropped == {"belyi": 1247, "binomial": 323}
+
+
+class TestBelyiRowBound:
+    """V(y - (d+e)x) + V(ex - y) >= V(-dx), so W >= V(x) + V(y) + V(-dx) +
+    V(-ex), and V(y) >= 1/h for y != 0: a row where V(x) + V(-dx) + V(-ex)
+    + 1/h meets 3/2 gets no y scan, so the bound must hold exactly: no y != 0
+    on a cleared row may violate, and every other row reaches the y scan
+    (on a tabled level, every other row the table keeps)."""
+
+    @pytest.mark.parametrize("force", [None, force_table], ids=["row-by-row", "tabled"])
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_cleared_rows_hold_no_violation(self, monkeypatch, p, force):
+        # at the real thresholds every level up to ORACLE_DEPTH tests the
+        # bound in the row loop; forced, every level reads the table
+        rows = [(r, i) for r in range(1, ORACLE_DEPTH[p] + 1)
+                for i in _level_tables(p, r).rows.tolist()]
+        n_cleared = 0
+        for pair in belyi_oracle_pairs(p):
+            scanned = scanned_rows(monkeypatch, belyi_search, p, pair, force=force,
+                                   kinds={"belyi-pair"})
+            cleared = [belyi_row_cleared(p, r, pair, i) for r, i in rows]
+            assert scanned == [(r, i) for (r, i), c in zip(rows, cleared) if not c
+                               and (force is None or belyi_row_kept(p, r, pair, i))], pair
+            violated = {(r, i) for r, i in rows if belyi_pair_violated(p, r, pair, i)}
+            assert violated <= set(scanned), pair
+            n_cleared += sum(cleared)
+        assert n_cleared > 0
+
+    def test_large_prime_level_scans_no_row_of_one_one(self, monkeypatch):
+        # past m = 16384 level 1 has no blocks and no table, and (1, 1)'s
+        # bound, V(x) + 2 V(-x) = 2 - V(x) > 3/2, clears every row
+        level = _level_tables(30011, 1)
+        assert not level.block and level.table is None and level.rows.size
+        assert scanned_rows(monkeypatch, belyi_search, 30011, (1, 1), kinds={"belyi-pair"}) == []
+
+
+def belyi_reads(monkeypatch, p, pair):
+    """The levels of p up to its default depth whose Belyi filter reads the
+    candidate table, each with the (first, count) of the entries that the
+    pair's search reads there.  Each level runs its filter and no row scan."""
+    levels, reads, prefixes = [], [], criteria._prefixes
+
+    def recording(table, first, count):
+        reads.append((first, count))
+        return prefixes(table, first, count)
+
+    def filter_only(p, max_r, level_hits, stop_early=True):
+        for r in range(1, max_r + 1):
+            if (level := _level_tables(p, r)).table is not None and not level.block:
+                levels.append(level)
+                next(level_hits(level), None)
+        return max_r, None, 0
+
+    with monkeypatch.context() as patch:
+        patch.setattr(criteria, "_prefixes", recording)
+        patch.setattr(criteria, "_scan", filter_only)
+        belyi_search(p, pair, max_r=default_max_r(p))
+    assert len(reads) == len(levels)
+    return zip(levels, reads)
+
+
+class TestBelyiReadCap:
+    """Why the row bound costs no pair more than the table: on a tabled
+    level each row reads the shorter of two prefixes of the table's order,
+    its table entries as z = y - (d+e)x or its y-list under the row bound,
+    and each prefix holds every violating cell of its row."""
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_reads_are_capped_by_the_table(self, monkeypatch, p):
+        # per level, from Fraction digit sums: V, the rank of each class in the
+        # order by (V, class), V in that order, V and V[-j] twice (j < 2m), and
+        # each table entry's row slot, z and V[x] + V[z]
+        oracle = {}
+        for level in tabled_levels(p):
+            V, m = v_numerators(p, level.r).astype(np.int16), level.m
+            slot, z = level.table.slot.astype(np.intp), level.table.z.astype(np.intp)
+            oracle[level.r] = (V, np.argsort(np.argsort(V, kind="stable")), np.sort(V),
+                               np.tile(V, 2), np.tile(V[-np.arange(m) % m], 2),
+                               slot, z, V[level.rows[slot]] + V[z])
+        y_rows = 0
+        for d, e in [(d, e) for d in range(1, 41) for e in range(1, 41) if d % p or e % p]:
+            for level, (first, count) in belyi_reads(monkeypatch, p, (d, e)):
+                table, m, h, x = level.table, level.m, level.r * (p - 1), level.rows
+                V, rank, by_rank, VV, EE, slot, z, vxz = oracle[level.r]
+                assert count.sum() <= table.slot.size, (d, e, level.r)
+                # the y-list: y != 0 with V[y] < ceil(3h/2) - V[x] - V[-dx] - V[-ex],
+                # a prefix of the order past y = 0
+                kx, dx, ve = (d + e) * x % m, d * x % m, V[-e * x % m]
+                n_y = np.searchsorted(by_rank[1:], (3 * h + 1) // 2 - V[x] - V[-dx % m] - ve)
+                one_variable = 2 * (V[x] + V[-kx % m]) < h
+                as_y = n_y < table.count
+                assert (first - table.first).tolist() == as_y.tolist(), (d, e, level.r)
+                assert count.tolist() == np.where(one_variable, 0,
+                                                  np.minimum(n_y, table.count)).tolist()
+                # every violating cell, found through the table's z, which hold them
+                # all (TestCandidateTable), is in its row's y-list too: at y =
+                # (d+e)x + z, W = V[x] + V[z] + V[y] + V[-dx - z] + V[-ex]
+                y = kx[slot] + z
+                w = vxz + VV[y] + EE[dx[slot] + z] + ve[slot]
+                hit = np.flatnonzero(w < (3 * h + 1) // 2)
+                y = y[hit] % m
+                assert (rank[y] <= n_y[slot[hit]])[y != 0].all(), (d, e, level.r)
+                y_rows += as_y.sum()
+        assert y_rows
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_prefixes_split_across_chunks(self, monkeypatch, p):
+        # chunks of 3 entries split most rows' prefixes, so each chunk reads
+        # its share of several rows; the levels are built first, at the real
+        # BLOCK_CELLS, so that the level cache keeps only real levels
+        for r in range(1, ORACLE_DEPTH[p] + 1):
+            _level_tables(p, r)
+        monkeypatch.setattr(criteria, "BLOCK_CELLS", 16 * 3)
+        for pair in belyi_oracle_pairs(p):
+            kept = scanned_rows(monkeypatch, belyi_search, p, pair, force=force_table)
+            assert kept == belyi_oracle_rows(p, pair), pair
 
 
 GLIBC_ONLY = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
