@@ -334,15 +334,13 @@ def _chunks(table: _Table):
 
 def _prefixes(table: _Table, first: np.ndarray, count: np.ndarray):
     """Entries first[k] .. first[k] + count[k] - 1 of the candidate table for
-    every row slot k in turn, chunked and yielded as `_chunks` yields the
-    whole table.  With starts[k] entries read before row k, the g-th entry
+    every row slot k in turn, some count[k] > 0, chunked and yielded as
+    `_chunks` yields the whole table.  With starts[k] entries read before row k, the g-th entry
     read is table entry first[k] - starts[k] + g, so a chunk's entry numbers
     are that shift repeated over each row's share of the chunk, plus g: two
     int32 temporaries of at most 32 KiB."""
     ends = count.cumsum()
-    total = int(ends[-1]) if ends.size else 0
-    if not total:
-        return
+    total = int(ends[-1])
     starts = ends - count
     shift = (first - starts).astype(np.int32)
     n = min(BLOCK_CELLS // 16, total)
@@ -515,16 +513,17 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
             as_y = ys < table.count
             count = np.minimum(ys, table.count)
             count[keep] = 0
-            a, b = np.where(as_y, m - ked[:2], ked[::2])  # (m - (d+e)x, m - ex) or ((d+e)x, dx)
-            for s, u, base, i in _prefixes(table, table.first + as_y, count):
-                a.take(s, out=i, mode="wrap")
-                i += u
-                sums = DD.take(i, mode="wrap")  # D[y - (d+e)x], u = y; D[y], u = z
-                b.take(s, out=i, mode="wrap")
-                i += u
-                sums += EE.take(i, mode="wrap")  # D[ex - y]
-                sums += base
-                keep[s[sums < limit.take(s, mode="wrap")]] = True
+            if count.any():
+                a, b = np.where(as_y, m - ked[:2], ked[::2])  # (m - (d+e)x, m - ex) or ((d+e)x, dx)
+                for s, u, base, i in _prefixes(table, table.first + as_y, count):
+                    a.take(s, out=i, mode="wrap")
+                    i += u
+                    sums = DD.take(i, mode="wrap")  # D[y - (d+e)x], u = y; D[y], u = z
+                    b.take(s, out=i, mode="wrap")
+                    i += u
+                    sums += EE.take(i, mode="wrap")  # D[ex - y]
+                    sums += base
+                    keep[s[sums < limit.take(s, mode="wrap")]] = True
             rows = rows[keep]
         for i in rows.tolist():
             if int(D[i] + D[-K * i % m]) < below_x:
