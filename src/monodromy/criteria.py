@@ -26,32 +26,27 @@ w the base-p digit sum of e mod m (1 if it is 0), V(ey) <= w V(y), as
 V(py) = V(y) and V is subadditive, so V(y) + V(-dx-ey) >= V(-dx)/w and
 the row is >= V(x) + V(-dx)/w.
 
-Levels of more than BLOCK_CELLS/16 cells (rows times m) are filtered
-before any row is scanned.  For y != 0, V(y) + V(ex-y) >= V(ex) and
-V(ex) + V(-ex) = 1 (V(y) + V(-y) = 1 when ex = 0), so
-W >= V(x) + 1 + V(y-(d+e)x); the binomial sum is >= V(x) + V(y).  A
+Deep levels are filtered through a candidate table before any row is
+scanned.  For y != 0, V(y) + V(ex-y) >= V(ex) and V(ex) + V(-ex) = 1
+(V(y) + V(-y) = 1 when ex = 0), so W >= V(x) + 1 + V(y-(d+e)x); the
+binomial sum is >= V(x) + V(y).  A
 violating cell thus has D[z] < ceil(h/2) - D[x], with z = y - (d+e)x for
 Belyi and z = y for binomial.  Those z depend on D[x] alone, never on the
-pair, so a level at r >= 2 lists them once, row by row, in a candidate
-table, if it holds at most BLOCK_CELLS entries and an eighth of the cells
-(about 1% of them on the deep levels of p <= 7; at r = 1, where a quarter
-of the cells are candidates, none is built).  In each row z runs by
-(D[z], z), so every row lists a prefix of one order of the level, whose
-first entry is 0.  The binomial search applies its row bound to the level
-as one mask and sums its forms over the table in chunks.  The Belyi
-search reads, of each row, the shorter of two prefixes of that order: its
-table entries as z, or, past the first, its y with D[y] < ceil(3h/2) -
-D[x] - D[-dx] - D[-ex], which by the row bound hold every violating y.  So
-no pair reads more than the table holds, and a row the bound clears reads
-nothing.  Each search scans only the rows where a cell read violates, or,
-for Belyi, the one-variable side does.  A candidate costs the Belyi
-search about as much as 30 cells of its dense int8 blocks, so on int8
-levels whose table holds over a 32nd of the cells, and on filtered levels
-without one, it takes instead each row's least y-sum over y != 0, in
-blocks of BLOCK_CELLS/m whole rows while m <= BLOCK_CELLS/8; that reads
-every row whatever the pair.  Wider blocks pass glibc's 128 KiB mmap
-threshold, so the table serves every wider level that holds one.  Other
-levels test each row's bound in turn.
+pair, so a level at r >= 2 of more than BLOCK_CELLS/16 cells (rows times
+m) lists them once, row by row, in a candidate table, if it holds at most
+BLOCK_CELLS entries and an eighth of the cells (about 1% of them on the
+deep levels of p <= 7; at r = 1, where a quarter of the cells are
+candidates, none is built).  In each row z runs by (D[z], z), so every
+row lists a prefix of one order of the level, whose first entry is 0.
+The binomial search applies its row bound to the level as one mask and
+sums its forms over the table in chunks.  The Belyi search reads, of each
+row, the shorter of two prefixes of that order: its table entries as z,
+or, past the first, its y with D[y] < ceil(3h/2) - D[x] - D[-dx] -
+D[-ex], which by the row bound hold every violating y.  So no pair reads
+more than the table holds, and a row the bound clears reads nothing.
+Each search scans only the rows where a cell read violates, or, for
+Belyi, the one-variable side does.  Levels without a table test each
+row's bound in turn.
 
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:
@@ -80,7 +75,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .qz import QzClass, _as_class, _as_prime_int, _orbit_sum, mult_order
 
@@ -122,7 +116,7 @@ _CRITERIA = {
 
 DEFAULT_GRID_LIMIT = 10**8  # (x, y) grid points at the default depth, (p^r - 1)^2
 LEVEL_TABLE_GUARD = 2**20  # entries in the deepest level's tables, p^max_r
-BLOCK_CELLS = 2**17  # (x, y) cells in one block of the Belyi row prefilter
+BLOCK_CELLS = 2**17  # entries in 16 chunks of _chunks and _prefixes, and in the largest table
 
 
 @dataclass(frozen=True)
@@ -287,9 +281,6 @@ class _Level(NamedTuple):
     D: np.ndarray  # D[i] = digitsum_p(i)
     DD: np.ndarray  # D twice: DD[j] = D[j % m] for 0 <= j < 2m
     EE: np.ndarray  # E[i] = D[-i] twice: EE[j] = D[-j % m]
-    WD: np.ndarray  # the windows of DD: WD[c][j] = D[(j + c) % m], a view
-    WE: np.ndarray  # the same windows of EE: WE[c][j] = E[(j + c) % m]
-    block: int  # rows per dense prefilter block, 0 on a level without one
     table: _Table | None  # None on an untabled level
     rows: np.ndarray  # the least i of each orbit of i -> p*i on 1..m-1 with V(i/m) < 1/2
     below: dict  # kind -> ceil(bound * r(p-1)): a V-sum violates iff its digit sums total less
@@ -380,28 +371,20 @@ def _level_tables(p: int, r: int) -> _Level:
         np.minimum(least, t, out=least)
     orbits = np.flatnonzero(least == np.arange(m))[1:]
     rows = orbits[2 * D[orbits] < h]
-    E = np.roll(D[::-1], 1)  # ex - y as forward windows: negative-stride gathers run 2x slower
+    E = np.roll(D[::-1], 1)  # ex - y as forward slices: negative-stride gathers run 2x slower
     below = {kind: math.ceil(bound * h) for kind, (_, bound, *_) in _CRITERIA.items()}
     DD, EE = np.concatenate((D, D)), np.concatenate((E, E))
     for table in (D, DD, EE, rows):
         table.flags.writeable = False  # the cache hands the same arrays to every search
-    WD, WE = sliding_window_view(DD, m), sliding_window_view(EE, m)  # read-only views
     # a filter's numpy calls cost about as much as scanning three rows, so it
     # pays on levels of many rows.  The candidate table serves those where it
     # holds at most BLOCK_CELLS entries and an eighth of the cells (at r = 1 a
-    # quarter are candidates, so none is counted).  A candidate costs the
-    # Belyi search about 30 cells of a dense int8 block, so it keeps those
-    # blocks where the table holds over a 32nd of the cells; wider blocks pass
-    # glibc's 128 KiB mmap threshold, and the table replaces them.  Blocks pay
-    # while they hold 8 rows: past that their gathers cost more than row scans
-    table, block = None, 0
-    if rows.size * m > BLOCK_CELLS // 16:
-        if r > 1:
-            table = _candidate_table(D, rows, h, min(BLOCK_CELLS, rows.size * m // 8))
-        dense = table is None or (D.itemsize == 1 and 32 * table.slot.size > rows.size * m)
-        if dense and m <= BLOCK_CELLS // 8:
-            block = BLOCK_CELLS // m
-    return _Level(r, m, D, DD, EE, WD, WE, block, table, rows, below)
+    # quarter are candidates, so none is counted); the others test each row's
+    # bound in turn
+    table = None
+    if r > 1 and rows.size * m > BLOCK_CELLS // 16:
+        table = _candidate_table(D, rows, h, min(BLOCK_CELLS, rows.size * m // 8))
+    return _Level(r, m, D, DD, EE, table, rows, below)
 
 
 def _scan(p: int, max_r: int | None, level_hits, stop_early=True):
@@ -475,24 +458,10 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     K = d + e
 
     def level_hits(level: _Level):
-        m, D, DD, EE, WD, WE = level.m, level.D, level.DD, level.EE, level.WD, level.WE
+        m, D, DD, EE = level.m, level.D, level.DD, level.EE
         below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
-        rows, b = level.rows, level.block
-        if b:
-            # the least y-sum of every row over y != 0, in blocks of b whole
-            # rows: a row where it meets the bound, and the one-variable side
-            # passes, holds no hit
-            ki, ei = -(K % m) * rows % m, -(e % m) * rows % m
-            least = np.empty(rows.size, D.dtype)
-            for k in range(0, rows.size, b):
-                sums = WD[ki[k:k + b], 1:]
-                sums += WE[ei[k:k + b], 1:]
-                sums += D[1:]
-                least[k:k + b] = sums.min(axis=1)
-            keep = least < below_xy - D[rows] - D[ei]
-            keep |= D[rows] + D[ki] < below_x
-            rows = rows[keep]
-        elif level.table is not None:
+        rows = level.rows
+        if level.table is not None:
             # for y != 0, W >= V(x) + 1 + V(y - (d+e)x), so the z = y - (d+e)x
             # of a violating cell are among the row's table entries; and
             # V(y - (d+e)x) + V(ex - y) >= V(-dx), so W >= V(x) + V(y) +
@@ -534,8 +503,8 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
             if const + int(D[-d * i % m]) + 1 >= below_xy:
                 continue
             c3, c4 = m - K * i % m, m - e * i % m
-            s = D + WD[c3]
-            s += WE[c4]
+            s = D + DD[c3:c3 + m]
+            s += EE[c4:c4 + m]
             viol = s < below_xy - const
             viol[0] = False
             yield i, "belyi-pair", viol
@@ -558,7 +527,7 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
     d, e = pair.d, pair.e
 
     def level_hits(level: _Level):
-        m, D, DD, WD = level.m, level.D, level.DD, level.WD
+        m, D, DD = level.m, level.D, level.DD
         half, below = level.r * (p - 1), level.below["binomial"]
         dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
         neg_e = -em * np.arange(m) % m
@@ -582,7 +551,8 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
             # V(x) + V(-dx)/w >= 1/2 (never at x = 0)
             if 2 * (w * int(D[i]) + int(D[-dm * i % m])) >= w * half:
                 continue
-            viol = D + WD[m - dm * i % m][neg_e] < below - int(D[i])
+            c = m - dm * i % m
+            viol = D + DD[c:c + m][neg_e] < below - int(D[i])
             viol[0] &= i > 0  # (x, y) = (0, 0) is excluded
             yield i, "binomial", viol
 

@@ -276,7 +276,7 @@ class TestLevelScan:
     def test_tables_are_read_only(self):
         # the cache shares these arrays with every later search at the level
         level = _level_tables(2, 4)
-        for table in (level.D, level.WD, level.WE, level.rows):
+        for table in (level.D, level.DD, level.EE, level.rows):
             with pytest.raises(ValueError):
                 table[0] = table[0]
 
@@ -524,30 +524,15 @@ def binomial_row_cleared(p, r, pair, i, w_drop=0):
     return i != 0 and 2 * (w * V[i] + V[-d * i % m]) >= w * r * (p - 1)
 
 
-def force_prefilter(patch, block=None, mutate=lambda level: level):
-    """Send every level through the Belyi row prefilter, in blocks of `block`
-    rows or, by default, of as many rows as BLOCK_CELLS cells hold; `mutate`
-    alters each level after that.  The threshold reads BLOCK_CELLS on both
-    sides, so no one value of it reaches every level."""
-    tables = criteria._level_tables
-
-    def forced(p, r):
-        level = tables(p, r)
-        return mutate(level._replace(block=block or criteria.BLOCK_CELLS // level.m))
-
-    patch.setattr(criteria, "_level_tables", forced)
-
-
 def force_table(patch, mutate=lambda table, h: table):
     """Send every level of both searches through the candidate table, built
-    whatever its size, with no dense block; `mutate` alters each table,
-    given h = r(p-1)."""
+    whatever its size; `mutate` alters each table, given h = r(p-1)."""
     tables = criteria._level_tables
 
     def forced(p, r):
         level, h = tables(p, r), r * (p - 1)
         table = criteria._candidate_table(level.D, level.rows, h, math.inf)
-        return level._replace(block=0, table=mutate(table, h))
+        return level._replace(table=mutate(table, h))
 
     patch.setattr(criteria, "_level_tables", forced)
 
@@ -586,11 +571,11 @@ def belyi_oracle_rows(p, pair):
             for i in _level_tables(p, r).rows.tolist() if belyi_row_kept(p, r, pair, i)]
 
 
-def scanned_rows(monkeypatch, search, p, pair, force=None, kinds=None, **forced):
+def scanned_rows(monkeypatch, search, p, pair, force=None, kinds=None):
     """The (r, i) of every row on which a full sweep's level_hits yields, in
     order, up to ORACLE_DEPTH (the default depth at other primes), counting
     only the yields of `kinds` if given; `force`, if given, patches the
-    level tables, else keywords, if any, go to force_prefilter."""
+    level tables."""
     seen, scan = [], criteria._scan
 
     def recording(p, max_r, level_hits, stop_early=True):
@@ -606,8 +591,6 @@ def scanned_rows(monkeypatch, search, p, pair, force=None, kinds=None, **forced)
         patch.setattr(criteria, "_scan", recording)
         if force:
             force(patch)
-        elif forced:
-            force_prefilter(patch, **forced)
         search(p, pair, max_r=ORACLE_DEPTH.get(p), stop_early=False)
     return list(dict.fromkeys(seen))
 
@@ -656,81 +639,6 @@ class TestRowBounds:
             for i in _level_tables(p, r).rows.tolist()
         )
         assert caught == 157
-
-
-class TestBelyiPrefilter:
-    """The Belyi search hands its y scan only the rows whose least y-sum, or
-    one-variable side, is below the bound, so that least must be
-    exact: the kept rows are exactly the rows an oracle finds a hit on."""
-
-    @pytest.mark.parametrize("p", ORACLE_DEPTH)
-    def test_kept_rows_are_the_rows_that_can_violate(self, monkeypatch, p):
-        # blocks of 2 rows: most levels split into several, the last one short
-        for pair in belyi_oracle_pairs(p):
-            kept = scanned_rows(monkeypatch, belyi_search, p, pair, block=2)
-            assert kept == belyi_oracle_rows(p, pair), pair
-
-    @pytest.mark.parametrize("table,caught", [
-        pytest.param("WD", (992, 658), id="WD"), pytest.param("WE", (669, 667), id="WE"),
-    ])
-    def test_control_is_caught(self, monkeypatch, table, caught):
-        # WD[(K x) mod m] in place of WD[(-K x) mod m] reads y + (d+e)x for
-        # y - (d+e)x; WE[(e x) mod m] reads -ex - y for ex - y.  Only the
-        # block gathers are mutated: the row scan reads one true window.  Of
-        # the rows a mutant wrongly keeps, those the row bound clears yield
-        # nothing, so only the rest count as kept
-        def mutate(level):
-            m, true = level.m, getattr(level, table)
-            wrong = true[(m - np.arange(m + 1)) % m]
-
-            class BlockGathersMutated:
-                def __getitem__(self, key):
-                    return (wrong if isinstance(key, tuple) else true)[key]
-
-            return level._replace(**{table: BlockGathersMutated()})
-
-        dropped = kept = 0  # rows that can violate, dropped; rows that cannot, kept
-        for p in ORACLE_DEPTH:
-            for pair in belyi_oracle_pairs(p):
-                got = set(scanned_rows(monkeypatch, belyi_search, p, pair, block=2, mutate=mutate))
-                want = set(belyi_oracle_rows(p, pair))
-                dropped, kept = dropped + len(want - got), kept + len(got - want)
-        assert (dropped, kept) == caught
-
-    @pytest.mark.parametrize("p", [17, 1021, 5, 7])
-    def test_prefilter_reduces_every_row(self, monkeypatch, p):
-        # every row of a prefiltered level gets its least y-sum, whatever the
-        # pair, in blocks of at most BLOCK_CELLS cells, so the prefilter costs
-        # the same for every pair of one prime.  Its levels at the default
-        # depth: r = 2 and 3 at p = 17, r = 1 at p = 1021, and the small int8
-        # levels whose candidate table holds over a 32nd of the cells, r = 4
-        # at p = 5 and r = 3 at p = 7
-        levels = [_level_tables(p, r) for r in range(1, default_max_r(p) + 1)]
-        prefiltered = {level.r: level for level in levels if level.block}
-        assert prefiltered
-        shifts = {}
-
-        class Gathers:  # WD, recording the row shifts of every gather
-            def __init__(self, level):
-                self.level = level
-
-            def __getitem__(self, key):
-                if isinstance(key, tuple):  # a block gather; the row scan reads one window
-                    rows, m = key[0].size, self.level.m
-                    assert rows <= self.level.block and rows * m <= criteria.BLOCK_CELLS
-                    shifts.setdefault(self.level.r, []).append(key[0])
-                return self.level.WD[key]
-
-        tables = criteria._level_tables
-        monkeypatch.setattr(criteria, "_level_tables",
-                            lambda p, r: (lv := tables(p, r))._replace(WD=Gathers(lv)))
-        for pair in [(1, 1), (1, 3), (11, 11), (1, 12)]:
-            shifts.clear()
-            belyi_search(p, pair, stop_early=False)
-            assert shifts.keys() == prefiltered.keys(), pair
-            for r, level in prefiltered.items():
-                ki = -sum(pair) * level.rows % level.m
-                assert np.concatenate(shifts[r]).tolist() == ki.tolist(), (pair, r)
 
 
 def tabled_levels(p):
@@ -859,10 +767,10 @@ class TestBelyiRowBound:
         assert n_cleared > 0
 
     def test_large_prime_level_scans_no_row_of_one_one(self, monkeypatch):
-        # past m = 16384 level 1 has no blocks and no table, and (1, 1)'s
-        # bound, V(x) + 2 V(-x) = 2 - V(x) > 3/2, clears every row
+        # level 1 has no table, and (1, 1)'s bound, V(x) + 2 V(-x) =
+        # 2 - V(x) > 3/2, clears every row
         level = _level_tables(30011, 1)
-        assert not level.block and level.table is None and level.rows.size
+        assert level.table is None and level.rows.size
         assert scanned_rows(monkeypatch, belyi_search, 30011, (1, 1), kinds={"belyi-pair"}) == []
 
 
@@ -879,7 +787,7 @@ def belyi_reads(monkeypatch, p, pair):
 
     def filter_only(p, max_r, level_hits, stop_early=True):
         for r in range(1, max_r + 1):
-            if (level := _level_tables(p, r)).table is not None and not level.block:
+            if (level := _level_tables(p, r)).table is not None:
                 levels.append(level)
                 reads.append(None)
                 next(level_hits(level), None)
@@ -984,12 +892,12 @@ HELD_THRESHOLDS = ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"})
 
 @GLIBC_ONLY
 def test_searches_take_no_page_faults_when_warm():
-    # at p <= 7 the tables are int8, so the prefilter's block temporaries,
-    # under BLOCK_CELLS cells, stay under glibc's default 128 KiB mmap
-    # threshold, and the candidate chunks reuse three 64 KiB buffers: they
-    # come from the heap with no earlier free raising it, also with it held
-    # at its default (which turns off its dynamic rise).  The 30 levels of
-    # p <= 7 fit the level cache's 32 entries.
+    # at p <= 7 the tables are int8, so a row scan's temporaries stay under
+    # glibc's default 128 KiB mmap threshold, and the candidate chunks reuse
+    # three 64 KiB buffers: they come from the heap with no earlier free
+    # raising it, also with it held at its default (which turns off its
+    # dynamic rise).  The 30 levels of p <= 7 fit the level cache's 32
+    # entries.
     cases = [("belyi_search", 2, (1, 16)), ("belyi_search", 2, (8, 3)), ("belyi_search", 3, (4, 1)),
              ("belyi_search", 5, (1, 25)), ("belyi_search", 7, (1, 7)),
              ("binomial_search", 2, (1, 1)), ("binomial_search", 3, (7, 4)),
@@ -1000,29 +908,23 @@ def test_searches_take_no_page_faults_when_warm():
 
 @GLIBC_ONLY
 def test_int16_tabled_level_takes_no_page_faults_when_warm():
-    # p = 31, r = 2 has int16 digit sums: its dense blocks would hold 256 KiB,
-    # past the mmap threshold, and the candidate table replaces them
+    # p = 31, r = 2 has int16 digit sums and a candidate table.  The int16
+    # levels of 17 (r = 3), 53, 4099 and 10007 have none and test each row's
+    # bound in turn; no search allocates a temporary past glibc's default
+    # 128 KiB mmap threshold
     level = _level_tables(31, 2)
-    assert level.D.dtype == np.int16 and level.table is not None and not level.block
+    assert level.D.dtype == np.int16 and level.table is not None
     cases = [("belyi_search", 31, (1, 1)), ("binomial_search", 31, (1, 1)),
-             ("binomial_search", 31, (1, 30))]
+             ("binomial_search", 31, (1, 30)), ("belyi_search", 17, (1, 1)),
+             ("belyi_search", 53, (1, 1)), ("belyi_search", 4099, (1, 1)),
+             ("belyi_search", 10007, (2, 3))]
     for held in HELD_THRESHOLDS:
         assert warm_search_faults(cases, held) < 100, held
 
 
-class TestBelyiSearchPrefiltered(TestBelyiSearch):
-    """TestBelyiSearch with every level prefiltered: at the real threshold none
-    of its searches reaches a prefiltered level."""
-
-    @pytest.fixture(autouse=True)
-    def forced(self, monkeypatch):
-        force_prefilter(monkeypatch)
-
-
 class TestBelyiSearchTabled(TestBelyiSearch):
-    """TestBelyiSearch with a candidate table on every level, read in place
-    of the dense blocks: at the real threshold none of its searches reaches
-    a tabled level."""
+    """TestBelyiSearch with a candidate table on every level: at the real
+    threshold none of its searches reaches a tabled level."""
 
     @pytest.fixture(autouse=True)
     def forced(self, monkeypatch):
@@ -1101,14 +1003,6 @@ def test_search_outputs_match_golden():
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
-
-
-def test_search_outputs_match_golden_with_prefilter_forced(monkeypatch):
-    """The same pinned outputs with every Belyi level prefiltered: at the real
-    threshold a pinned Belyi witness sits on a prefiltered level only for
-    p = 3, (9, 10) and (10, 9), and at p = 3271 and 9001."""
-    force_prefilter(monkeypatch)
-    test_search_outputs_match_golden()
 
 
 if __name__ == "__main__":
