@@ -537,6 +537,28 @@ def force_table(patch, mutate=lambda table, h: table):
     patch.setattr(criteria, "_level_tables", forced)
 
 
+def force_prefilter(patch, chunk=None):
+    """Send every level of both searches through its candidate table wherever
+    the table holds at most BLOCK_CELLS entries, at r = 1 and on levels of
+    few cells too; with `chunk`, the table is read in chunks of that many
+    entries.  Each level and its table is built once, at the real
+    BLOCK_CELLS, so that the level cache keeps only real levels."""
+    tables, cells, built = criteria._level_tables, criteria.BLOCK_CELLS, {}
+
+    def forced(p, r):
+        if (p, r) not in built:
+            with pytest.MonkeyPatch.context() as real:
+                real.setattr(criteria, "BLOCK_CELLS", cells)
+                level = tables(p, r)
+            table = criteria._candidate_table(level.D, level.rows, r * (p - 1), cells)
+            built[p, r] = level._replace(table=table)
+        return built[p, r]
+
+    patch.setattr(criteria, "_level_tables", forced)
+    if chunk:
+        patch.setattr(criteria, "BLOCK_CELLS", 16 * chunk)
+
+
 def belyi_pair_violated(p, r, pair, i):
     """Whether some y != 0 at level r has W < 3/2 on the row x = i/(p^r - 1)."""
     d, e = pair
@@ -571,11 +593,11 @@ def belyi_oracle_rows(p, pair):
             for i in _level_tables(p, r).rows.tolist() if belyi_row_kept(p, r, pair, i)]
 
 
-def scanned_rows(monkeypatch, search, p, pair, force=None, kinds=None):
+def scanned_rows(monkeypatch, search, p, pair, force=None, kinds=None, max_r=None):
     """The (r, i) of every row on which a full sweep's level_hits yields, in
-    order, up to ORACLE_DEPTH (the default depth at other primes), counting
-    only the yields of `kinds` if given; `force`, if given, patches the
-    level tables."""
+    order, up to max_r, else ORACLE_DEPTH (the default depth at other
+    primes), counting only the yields of `kinds` if given; `force`, if
+    given, patches the level tables."""
     seen, scan = [], criteria._scan
 
     def recording(p, max_r, level_hits, stop_early=True):
@@ -591,7 +613,7 @@ def scanned_rows(monkeypatch, search, p, pair, force=None, kinds=None):
         patch.setattr(criteria, "_scan", recording)
         if force:
             force(patch)
-        search(p, pair, max_r=ORACLE_DEPTH.get(p), stop_early=False)
+        search(p, pair, max_r=max_r or ORACLE_DEPTH.get(p), stop_early=False)
     return list(dict.fromkeys(seen))
 
 
@@ -738,6 +760,27 @@ class TestCandidateTable:
                     assert set(got) <= set(want), (name, p, pair)
                     dropped[name] += len(want) - len(got)
         assert dropped == {"belyi": 1247, "binomial": 323}
+
+
+class TestBelyiPrefilter:
+    """The candidate table is the one filter a Belyi level runs before its
+    row loop.  At the real thresholds it serves the levels of many rows,
+    capped at BLOCK_CELLS entries and an eighth of the cells and read in
+    chunks of BLOCK_CELLS/16 entries; there too the kept rows must be
+    exactly the rows an oracle finds a hit on."""
+
+    @pytest.mark.parametrize("p", ORACLE_DEPTH)
+    def test_kept_rows_are_the_rows_that_can_violate(self, monkeypatch, p):
+        # the tabled levels of p up to its default depth, as they are built
+        # and read; the pairs with d, e <= 6, as the oracle reads every cell
+        # of those levels
+        levels = tabled_levels(p)
+        tabled = {level.r for level in levels}
+        for pair in [pair for pair in belyi_oracle_pairs(p) if max(pair) <= 6]:
+            kept = scanned_rows(monkeypatch, belyi_search, p, pair, max_r=default_max_r(p))
+            want = [(level.r, i) for level in levels for i in level.rows.tolist()
+                    if belyi_row_kept(p, level.r, pair, i)]
+            assert [(r, i) for r, i in kept if r in tabled] == want, pair
 
 
 class TestBelyiRowBound:
@@ -922,6 +965,15 @@ def test_int16_tabled_level_takes_no_page_faults_when_warm():
         assert warm_search_faults(cases, held) < 100, held
 
 
+class TestBelyiSearchPrefiltered(TestBelyiSearch):
+    """TestBelyiSearch with a candidate table on every level, read in chunks
+    of 3 entries, so that most rows' prefixes split across chunks."""
+
+    @pytest.fixture(autouse=True)
+    def forced(self, monkeypatch):
+        force_prefilter(monkeypatch, chunk=3)
+
+
 class TestBelyiSearchTabled(TestBelyiSearch):
     """TestBelyiSearch with a candidate table on every level: at the real
     threshold none of its searches reaches a tabled level."""
@@ -1003,6 +1055,15 @@ def test_search_outputs_match_golden():
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+def test_search_outputs_match_golden_with_prefilter_forced(monkeypatch):
+    """The same pinned outputs with every level of both searches read through
+    its candidate table wherever the table holds at most BLOCK_CELLS
+    entries: every level at p <= 7, and no r = 1 level of 3271 or 9001, where
+    a quarter of the cells are candidates."""
+    force_prefilter(monkeypatch)
+    test_search_outputs_match_golden()
 
 
 if __name__ == "__main__":
