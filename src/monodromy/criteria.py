@@ -23,8 +23,10 @@ a row no y can violate (m = p^r - 1).  Belyi: V(y-(d+e)x) +
 V(ex-y) >= V(-dx), so W >= V(x) + V(y) + V(-dx) + V(-ex), and V(y) >= 1/h
 for y != 0, so the row is >= V(x) + V(-dx) + V(-ex) + 1/h.  Binomial: with
 w the base-p digit sum of e mod m (1 if it is 0), V(ey) <= w V(y), as
-V(py) = V(y) and V is subadditive, so V(y) + V(-dx-ey) >= V(-dx)/w and
-the row is >= V(x) + V(-dx)/w.
+V(py) = V(y) and V is subadditive, so D[-dx] <= D[-dx-ey] + w D[y] and the
+row sum is >= D[x] + min over t >= 0 of t + max(0, D[-dx] - wt) = D[x] +
+ceil(D[-dx]/w).  The x = 0 line is scanned only if a row y violates on it:
+V(y) + V(-ey) is invariant under y -> py, and 2 D[y] < h where it violates.
 
 Deep levels are filtered through a candidate table before any row is
 scanned.  For y != 0, V(y) + V(ex-y) >= V(ex) and V(ex) + V(-ex) = 1
@@ -512,45 +514,54 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     return _search_result(p, pair, "belyi", *_scan(p, max_r, level_hits, stop_early))
 
 
-def _binomial_row_bound(level: _Level, dm: int, w: int, h: int) -> np.ndarray:
+def _binomial_row_bound(level: _Level, dm: int, w: int) -> np.ndarray:
     """Whether each row x of the level escapes the binomial row bound, that
-    is 2 (w D[x] + D[-dx]) < w h, evaluated as one mask: widened to int64, as
-    w D[x] passes int8 (the left side reaches 2 * 91 at p = 2, r = 13)."""
+    is D[x] + ceil(D[-dx] / w) < ceil(h/2), evaluated as one mask: D[-dx] +
+    w - 1 <= 2h fits D's type, which holds -3h."""
     D, rows = level.D, level.rows
-    return 2 * (w * D[rows].astype(np.int64) + D[-dm * rows % level.m]) < w * h
+    return D[rows] + (D[-dm * rows % level.m] + w - 1) // w < level.below["binomial"]
 
 
 def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = True) -> SearchResult:
-    """Bounded exhaustive search for V(x)+V(y)+V(-dx-ey) < 1/2, (x,y) != (0,0)."""
+    """Bounded exhaustive search for V(x)+V(y)+V(-dx-ey) < 1/2, (x,y) != (0,0).
+
+    Enumerates classes with denominator dividing p^r - 1 for r <= max_r
+    (default per the cost guard), rescanning the classes of divisor levels.
+    With stop_early=False the whole range is swept and violations_total
+    counts them; the reported witness is still the first in search order.
+    """
     p = _as_prime_int(p)
     pair = _as_pair(pair)
     d, e = pair.d, pair.e
 
     def level_hits(level: _Level):
-        m, D, DD = level.m, level.D, level.DD
-        half, below = level.r * (p - 1), level.below["binomial"]
+        m, D, DD, rows, below = level.m, level.D, level.DD, level.rows, level.below["binomial"]
         dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
-        neg_e = -em * np.arange(m) % m
         w = int(D[em]) or 1  # V(ey) <= w V(y): V(py) = V(y) and V is subadditive
-        rows = level.rows
+        neg_e = None  # -ey for each y, built when a chunk or a row first reads it
+        # the least violating y of the x = 0 line, if any, is an orbit minimum: a row
+        line = [0] if (D[rows] + D[-em * rows % m] < below).any() else []
         if level.table is not None:
             # the sum is >= V(x) + V(y), so only the candidates z = y of the
             # table can violate; chunks of rows the row bound clears are skipped
-            alive, di = _binomial_row_bound(level, dm, w, half), -dm * rows % m
+            alive, di = _binomial_row_bound(level, dm, w), -dm * rows % m
             keep = np.zeros(rows.size, bool)
-            for s, z, base, i in _chunks(level.table):
-                if alive[s[0]:s[-1] + 1].any():
-                    neg_e.take(z, out=i, mode="wrap")
-                    i += di.take(s, out=z, mode="wrap")  # z is read: its buffer is free
-                    sums = DD.take(i, mode="wrap")  # D[-dx - ey], y = z
-                    sums += base
-                    keep[s[sums < below]] = True
+            if alive.any():
+                neg_e = -em * np.arange(m) % m
+                for s, z, base, i in _chunks(level.table):
+                    if alive[s[0]:s[-1] + 1].any():
+                        neg_e.take(z, out=i, mode="wrap")
+                        i += di.take(s, out=z, mode="wrap")  # z is read: its buffer is free
+                        sums = DD.take(i, mode="wrap")  # D[-dx - ey], y = z
+                        sums += base
+                        keep[s[sums < below]] = True
             rows = rows[keep]
-        for i in [0, *rows.tolist()]:
-            # V(y) + V(-dx-ey) >= V(-dx)/w on the row, so no y violates when
-            # V(x) + V(-dx)/w >= 1/2 (never at x = 0)
-            if 2 * (w * int(D[i]) + int(D[-dm * i % m])) >= w * half:
+        for i in line + rows.tolist():
+            # D[-dx] <= D[-dx-ey] + w D[y], so the row's sum is >= D[x] +
+            # ceil(D[-dx] / w), and no y violates when that meets ceil(h/2)
+            if int(D[i]) + (int(D[-dm * i % m]) + w - 1) // w >= below:
                 continue
+            neg_e = -em * np.arange(m) % m if neg_e is None else neg_e
             c = m - dm * i % m
             viol = D + DD[c:c + m][neg_e] < below - int(D[i])
             viol[0] &= i > 0  # (x, y) = (0, 0) is excluded

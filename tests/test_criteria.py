@@ -516,12 +516,14 @@ def binomial_row_violated(p, r, pair, i):
     return bool((2 * s[j > 0 if i == 0 else j >= 0] < r * (p - 1)).any())
 
 
-def binomial_row_cleared(p, r, pair, i, w_drop=0):
-    """The binomial row bound, with V(ey) <= max(w - w_drop, 1) V(y) assumed."""
+def binomial_row_cleared(p, r, pair, i, w_drop=0, lift=0):
+    """The binomial row bound, D[x] + ceil(D[-dx] / w) >= ceil(h/2), in
+    Fraction digit sums, with V(ey) <= max(w - w_drop, 1) V(y) assumed and
+    `lift` added to the left side."""
     d, e = pair
     m, V = p**r - 1, v_numerators(p, r)
     w = max((int(V[e % m]) or 1) - w_drop, 1)
-    return i != 0 and 2 * (w * V[i] + V[-d * i % m]) >= w * r * (p - 1)
+    return V[i] + -(-V[-d * i % m] // w) + lift >= (r * (p - 1) + 1) // 2
 
 
 def force_table(patch, mutate=lambda table, h: table):
@@ -619,7 +621,8 @@ def scanned_rows(monkeypatch, search, p, pair, force=None, kinds=None, max_r=Non
 
 class TestRowBounds:
     """A binomial row whose lower bound meets 1/2 gets no y scan, so the
-    bound must hold exactly: no y on a cleared row may violate."""
+    bound must hold exactly: no y on a cleared row may violate.  The x = 0
+    line is scanned only where it holds a violation."""
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_cleared_rows_hold_no_violation(self, monkeypatch, p):
@@ -629,7 +632,8 @@ class TestRowBounds:
         for pair in ORACLE_PAIRS:
             yielded = scanned_rows(monkeypatch, binomial_search, p, pair)
             assert yielded == [(r, i) for r, i in rows
-                               if not binomial_row_cleared(p, r, pair, i)], pair
+                               if (binomial_row_violated(p, r, pair, i) if i == 0
+                                   else not binomial_row_cleared(p, r, pair, i))], pair
             violated = {(r, i) for r, i in rows if binomial_row_violated(p, r, pair, i)}
             assert violated <= set(yielded), pair
             n_cleared += len(rows) - len(yielded)
@@ -637,30 +641,38 @@ class TestRowBounds:
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_row_bound_mask_is_the_python_int_bound(self, p):
-        # on a tabled level the bound is one numpy mask; 2 (w D[x] + D[-dx])
-        # passes int8 when w, the digit sum of e mod m, is large (up to 2 * 91
-        # at p = 2, r = 13 with e = m - 1), so the mask must widen first
+        # on a tabled level the bound is one numpy mask in D's type; D[-dx] +
+        # w - 1 is largest when w, the digit sum of e mod m, is h (e = m - 1),
+        # and stays within 2h, which D's type holds
         levels = tabled_levels(p)
         assert levels
         for level in levels:
             r, m, D = level.r, level.m, level.D
             for pair in [(d, e) for d in (1, 2, 3) for e in (1, 3, m - 2, m - 1)]:
                 w = int(D[pair[1] % m]) or 1
-                got = criteria._binomial_row_bound(level, pair[0] % m, w, r * (p - 1))
+                got = criteria._binomial_row_bound(level, pair[0] % m, w)
                 want = [not binomial_row_cleared(p, r, pair, i) for i in level.rows.tolist()]
                 assert got.tolist() == want, (r, pair)
 
     def test_control_is_caught(self):
-        # w - 1 in place of w (where w > 1) undercounts V(ey), and the oracle sees it
-        caught = sum(
-            bool(binomial_row_cleared(p, r, pair, i, w_drop=1))
+        # w - 1 in place of w (where w > 1) undercounts V(ey), and a bound
+        # one too high clears rows that violate; the oracle sees both, and
+        # no violation on a row the bound itself clears
+        caught = [sum(
+            bool(binomial_row_cleared(p, r, pair, i, **mutant))
             and binomial_row_violated(p, r, pair, i)
             for p, max_r in ORACLE_DEPTH.items()
             for pair in ORACLE_PAIRS
             for r in range(1, max_r + 1)
             for i in _level_tables(p, r).rows.tolist()
-        )
-        assert caught == 157
+        ) for mutant in ({}, {"w_drop": 1}, {"lift": 1})]
+        assert caught == [0, 219, 414]
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 30011])
+    def test_one_one_scans_no_row(self, monkeypatch, p):
+        # w = 1 and D[x] + D[-x] = h, so the bound clears every row x != 0,
+        # and V(y) + V(-y) = 1 holds no violation on the x = 0 line
+        assert scanned_rows(monkeypatch, binomial_search, p, (1, 1), max_r=default_max_r(p)) == []
 
 
 def tabled_levels(p):
@@ -671,12 +683,11 @@ def tabled_levels(p):
 
 def binomial_oracle_rows(p, pair):
     """The (r, i) of every row up to ORACLE_DEPTH that a tabled binomial
-    search must scan: x = 0, and each row the row bound leaves where a y
-    violates."""
+    search must scan: x = 0 where a y violates on it, and each row the row
+    bound leaves where a y violates (the bound never clears x = 0)."""
     return [(r, i) for r in range(1, ORACLE_DEPTH[p] + 1)
             for i in [0, *_level_tables(p, r).rows.tolist()]
-            if i == 0 or (not binomial_row_cleared(p, r, pair, i)
-                          and binomial_row_violated(p, r, pair, i))]
+            if not binomial_row_cleared(p, r, pair, i) and binomial_row_violated(p, r, pair, i)]
 
 
 def drop_edge(table, h):
