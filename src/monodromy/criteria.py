@@ -44,11 +44,17 @@ The binomial search applies its row bound to the level as one mask and
 sums its forms over the table in chunks.  The Belyi search reads, of each
 row, the shorter of two prefixes of that order: its table entries as z,
 or, past the first, its y with D[y] < ceil(3h/2) - D[x] - D[-dx] -
-D[-ex], which by the row bound hold every violating y.  So no pair reads
-more than the table holds, and a row the bound clears reads nothing.
-Each search scans only the rows where a cell read violates, or, for
-Belyi, the one-variable side does.  Levels without a table test each
-row's bound in turn.
+D[-ex], which by the row bound hold every violating y and which a count
+table per level gives.  So no pair reads more than the table holds, and
+a row the bound clears reads nothing.  The Belyi search filters the
+first tabled level of its depth alone and every deeper tabled level in
+one pass: their rows, DD, EE and tables are joined once per depth behind
+a bounded cache, so one row setup and one read of the joined tables
+serve them all.  The first stays alone because an early stop whose
+witness lies there, as most early stops that reach a table do, then sets
+up and reads no deeper level.  Each search scans only the rows where a
+cell read violates, or, for Belyi, the one-variable side does.  Levels
+without a table test each row's bound in turn.
 
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:
@@ -236,6 +242,7 @@ def binomial_check(p: int, pair, x, y) -> Fraction:
     return _point_value("binomial", p, pair, x, y)
 
 
+@lru_cache(maxsize=256, typed=True)  # typed: a float p raises, as on a cold cache
 def default_max_r(p: int) -> int:
     """Largest r >= 1 with (p^r - 1)^2 <= 10^8 grid points: 13, 8, 5, 4 for
     p = 2, 3, 5, 7, and 1 once (p^2 - 1)^2 passes 10^8.  A function of p alone."""
@@ -389,6 +396,100 @@ def _level_tables(p: int, r: int) -> _Level:
     return _Level(r, m, D, DD, EE, table, rows, below)
 
 
+class _Join(NamedTuple):
+    """Tabled levels joined for one pass of the Belyi filter.  The row
+    arrays list each level's rows in turn, and DD and EE are each level's
+    DD and EE in turn, so that an index into them carries its level's
+    offset o.  The candidate entries keep their level's z; their row slots
+    and each row's first entry count over the joined rows and entries."""
+
+    spans: tuple  # (r, lo, hi, m) of each level, whose rows are rows[lo:hi]
+    rows: np.ndarray
+    off: np.ndarray  # each row's o
+    top: np.ndarray  # each row's 2o + m, so that top - (o + j) = o + m - j
+    room: np.ndarray  # ceil(h/2) - D[x]: the one-variable side violates iff D[-(d+e)x] < room
+    bound: np.ndarray  # ceil(3h/2)
+    lead: np.ndarray  # ceil(3h/2) - D[x] + the place of t = 0 in `fewer`
+    fewer: np.ndarray  # per level, for -h <= t <= ceil(3h/2): how many y != 0 have D[y] < t
+    DD: np.ndarray
+    EE: np.ndarray
+    slot: np.ndarray
+    z: np.ndarray
+    base: np.ndarray
+    first: np.ndarray
+    count: np.ndarray
+
+
+@lru_cache(maxsize=16)
+def _belyi_join(p: int, lo: int, hi: int) -> _Join:
+    """The tabled levels lo <= r <= hi of p, joined for one Belyi filter
+    pass.  A single level's arrays are its own; several are copied in their
+    own narrow types.  Pure data behind a bounded read-through cache."""
+    levels = [level for r in range(lo, hi + 1) if (level := _level_tables(p, r)).table is not None]
+    slot_type = np.min_scalar_type(-sum(level.rows.size for level in levels))
+    spans, columns = [], []
+    n = o = c = t = 0  # rows, DD entries, count-table entries and candidates of earlier levels
+    for level in levels:
+        m, h, rows, table = level.m, level.r * (p - 1), level.rows, level.table
+        below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
+        Dx = level.D[rows].astype(np.intp)
+        fewer = table.sums[1:].searchsorted(np.arange(-h, below_xy + 1))
+        slot = table.slot.astype(slot_type, copy=False)
+        spans.append((level.r, n, n + rows.size, m))
+        columns.append((rows, np.full(rows.size, o), np.full(rows.size, 2 * o + m), below_x - Dx,
+                        np.full(rows.size, below_xy), below_xy + c + h - Dx, fewer, level.DD,
+                        level.EE, slot + n if n else slot, table.z, table.base,
+                        table.first + t if t else table.first, table.count))
+        n, o, c, t = n + rows.size, o + 2 * m, c + fewer.size, t + table.slot.size
+    join = _Join(tuple(spans), *(parts[0] if len(parts) == 1 else np.concatenate(parts)
+                                 for parts in zip(*columns)))
+    for column in join[1:]:
+        column.flags.writeable = False  # the cache hands the same arrays to every search
+    return join
+
+
+def _belyi_filter(join: _Join, d: int, e: int) -> np.ndarray:
+    """Which rows of the joined levels can hold a Belyi hit, as one mask.
+
+    For y != 0, W >= V(x) + 1 + V(y - (d+e)x), so the z = y - (d+e)x of a
+    violating cell are among the row's table entries; and V(y - (d+e)x) +
+    V(ex - y) >= V(-dx), so W >= V(x) + V(y) + V(-dx) + V(-ex) and its y
+    have D[y] < ceil(3h/2) - D[x] - D[-dx] - D[-ex].  Both lists are
+    prefixes of the table's order, whose first entry is 0, and each row
+    reads the shorter: its entries as z, or the entries past the first as
+    y, counted by the level's count table.  A row is kept when a cell
+    violates, or when its one-variable side does, and then it reads none.
+    y = 0 needs no test: its z = -(d+e)x is a candidate only where D[x] +
+    D[z] < ceil(h/2), where the one-variable side keeps the row.  Every
+    product is reduced mod its level's m."""
+    K = d + e
+    ked = np.empty((3, join.rows.size), np.intp)
+    for _, lo, hi, m in join.spans:
+        part = ked[:, lo:hi]
+        np.multiply(np.array((K % m, e % m, d % m))[:, None], join.rows[lo:hi], out=part)
+        part %= m
+    ked += join.off  # (d+e)x, ex, dx, each past its level's offset
+    minus = join.EE.take(ked)  # D[-(d+e)x], D[-ex], D[-dx]
+    keep = minus[0] < join.room
+    limit = join.bound - minus[1]  # for D[y] + D[y - (d+e)x] + D[ex - y] + D[x]
+    ys = join.fewer.take(join.lead - minus[1] - minus[2])
+    as_y = ys < join.count
+    count = np.minimum(ys, join.count)
+    count[keep] = 0
+    if count.any():
+        a, b = np.where(as_y, join.top - ked[:2], ked[::2])  # (m - (d+e)x, m - ex) or ((d+e)x, dx)
+        for s, u, base, i in _prefixes(join, join.first + as_y, count):
+            a.take(s, out=i, mode="wrap")
+            i += u
+            sums = join.DD.take(i, mode="wrap")  # D[y - (d+e)x], u = y; D[y], u = z
+            b.take(s, out=i, mode="wrap")
+            i += u
+            sums += join.EE.take(i, mode="wrap")  # D[ex - y]
+            sums += base
+            keep[s[sums < limit.take(s, mode="wrap")]] = True
+    return keep
+
+
 def _scan(p: int, max_r: int | None, level_hits, stop_early=True):
     """The one level scan behind every inequality search.
 
@@ -457,52 +558,29 @@ def belyi_search(p: int, pair, max_r: int | None = None, stop_early: bool = True
     d, e = pair.d, pair.e
     if d % p == 0 and e % p == 0:
         raise ValueError(f"d={d} and e={e} are both multiples of p={p}")
-    K = d + e
+    K, max_r = d + e, _resolve_max_r(p, max_r)
+    kept = {}  # r -> the rows of a tabled level that the filter keeps
 
     def level_hits(level: _Level):
         m, D, DD, EE = level.m, level.D, level.DD, level.EE
+        Dint = memoryview(D)  # D read as Python ints
         below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
         rows = level.rows
         if level.table is not None:
-            # for y != 0, W >= V(x) + 1 + V(y - (d+e)x), so the z = y - (d+e)x
-            # of a violating cell are among the row's table entries; and
-            # V(y - (d+e)x) + V(ex - y) >= V(-dx), so W >= V(x) + V(y) +
-            # V(-dx) + V(-ex) and its y have D[y] < limit - D[x] - D[-dx].
-            # Both lists are prefixes of the table's order, whose first entry
-            # is 0, and each row reads the shorter: its entries as z, or the
-            # entries past the first as y.  A row is kept when a cell
-            # violates, or when its one-variable side does, and then it reads
-            # none.  y = 0 needs no test: its z = -(d+e)x is a candidate only
-            # where D[x] + D[z] < ceil(h/2), where the one-variable side keeps
-            # the row
-            table, Dx = level.table, D[rows]
-            ked = np.array((K % m, e % m, d % m))[:, None] * rows % m  # (d+e)x, ex, dx
-            minus = DD[m - ked]  # D[-(d+e)x], D[-ex], D[-dx]
-            limit = below_xy - minus[1]  # for D[y] + D[y - (d+e)x] + D[ex - y] + D[x]
-            keep = Dx + minus[0] < below_x
-            ys = table.sums[1:].searchsorted(limit - Dx - minus[2])
-            as_y = ys < table.count
-            count = np.minimum(ys, table.count)
-            count[keep] = 0
-            if count.any():
-                a, b = np.where(as_y, m - ked[:2], ked[::2])  # (m - (d+e)x, m - ex) or ((d+e)x, dx)
-                for s, u, base, i in _prefixes(table, table.first + as_y, count):
-                    a.take(s, out=i, mode="wrap")
-                    i += u
-                    sums = DD.take(i, mode="wrap")  # D[y - (d+e)x], u = y; D[y], u = z
-                    b.take(s, out=i, mode="wrap")
-                    i += u
-                    sums += EE.take(i, mode="wrap")  # D[ex - y]
-                    sums += base
-                    keep[s[sums < limit.take(s, mode="wrap")]] = True
-            rows = rows[keep]
+            if level.r not in kept:
+                # the first tabled level alone, so that a witness there costs
+                # no deeper level; then every deeper one in one pass
+                join = _belyi_join(p, level.r, max_r if kept else level.r)
+                keep = _belyi_filter(join, d, e)
+                kept.update((r, join.rows[lo:hi][keep[lo:hi]]) for r, lo, hi, _ in join.spans)
+            rows = kept[level.r]
         for i in rows.tolist():
-            if int(D[i] + D[-K * i % m]) < below_x:
+            if Dint[i] + Dint[-K * i % m] < below_x:
                 yield i, "belyi-monomial", None
             # W violates iff D[j] + D[j - Ki] + D[ei - j] < below_xy - const,
             # and D[j - Ki] + D[ei - j] >= D[-di], D[j] >= 1 for j != 0
-            const = int(D[i] + D[-e * i % m])
-            if const + int(D[-d * i % m]) + 1 >= below_xy:
+            const = Dint[i] + Dint[-e * i % m]
+            if const + Dint[-d * i % m] + 1 >= below_xy:
                 continue
             c3, c4 = m - K * i % m, m - e * i % m
             s = D + DD[c3:c3 + m]
@@ -536,8 +614,9 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
 
     def level_hits(level: _Level):
         m, D, DD, rows, below = level.m, level.D, level.DD, level.rows, level.below["binomial"]
+        Dint = memoryview(D)  # D read as Python ints
         dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
-        w = int(D[em]) or 1  # V(ey) <= w V(y): V(py) = V(y) and V is subadditive
+        w = Dint[em] or 1  # V(ey) <= w V(y): V(py) = V(y) and V is subadditive
         neg_e = None  # -ey for each y, built when a chunk or a row first reads it
         # the least violating y of the x = 0 line, if any, is an orbit minimum: a row
         line = [0] if (D[rows] + D[-em * rows % m] < below).any() else []
@@ -559,11 +638,11 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
         for i in line + rows.tolist():
             # D[-dx] <= D[-dx-ey] + w D[y], so the row's sum is >= D[x] +
             # ceil(D[-dx] / w), and no y violates when that meets ceil(h/2)
-            if int(D[i]) + (int(D[-dm * i % m]) + w - 1) // w >= below:
+            if Dint[i] + (Dint[-dm * i % m] + w - 1) // w >= below:
                 continue
             neg_e = -em * np.arange(m) % m if neg_e is None else neg_e
             c = m - dm * i % m
-            viol = D + DD[c:c + m][neg_e] < below - int(D[i])
+            viol = D + DD[c:c + m][neg_e] < below - Dint[i]
             viol[0] &= i > 0  # (x, y) = (0, 0) is excluded
             yield i, "binomial", viol
 

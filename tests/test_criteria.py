@@ -1,5 +1,6 @@
 """Tests for the W functional, the inequality checks, and the searches."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -526,9 +527,16 @@ def binomial_row_cleared(p, r, pair, i, w_drop=0, lift=0):
     return V[i] + -(-V[-d * i % m] // w) + lift >= (r * (p - 1) + 1) // 2
 
 
+def join_uncached(patch):
+    """Join the levels for the Belyi filter afresh on every call, from the
+    level tables as patched, so that the join cache keeps only real levels."""
+    patch.setattr(criteria, "_belyi_join", criteria._belyi_join.__wrapped__)
+
+
 def force_table(patch, mutate=lambda table, h: table):
     """Send every level of both searches through the candidate table, built
-    whatever its size; `mutate` alters each table, given h = r(p-1)."""
+    whatever its size; `mutate` alters each table, given h = r(p-1).  The
+    Belyi filter's joins read the forced tables."""
     tables = criteria._level_tables
 
     def forced(p, r):
@@ -537,6 +545,7 @@ def force_table(patch, mutate=lambda table, h: table):
         return level._replace(table=mutate(table, h))
 
     patch.setattr(criteria, "_level_tables", forced)
+    join_uncached(patch)
 
 
 def force_prefilter(patch, chunk=None):
@@ -544,7 +553,8 @@ def force_prefilter(patch, chunk=None):
     the table holds at most BLOCK_CELLS entries, at r = 1 and on levels of
     few cells too; with `chunk`, the table is read in chunks of that many
     entries.  Each level and its table is built once, at the real
-    BLOCK_CELLS, so that the level cache keeps only real levels."""
+    BLOCK_CELLS, so that the level cache keeps only real levels, and the
+    Belyi filter's joins read the forced levels."""
     tables, cells, built = criteria._level_tables, criteria.BLOCK_CELLS, {}
 
     def forced(p, r):
@@ -557,6 +567,7 @@ def force_prefilter(patch, chunk=None):
         return built[p, r]
 
     patch.setattr(criteria, "_level_tables", forced)
+    join_uncached(patch)
     if chunk:
         patch.setattr(criteria, "BLOCK_CELLS", 16 * chunk)
 
@@ -777,7 +788,8 @@ class TestBelyiPrefilter:
     """The candidate table is the one filter a Belyi level runs before its
     row loop.  At the real thresholds it serves the levels of many rows,
     capped at BLOCK_CELLS entries and an eighth of the cells and read in
-    chunks of BLOCK_CELLS/16 entries; there too the kept rows must be
+    chunks of BLOCK_CELLS/16 entries, the first tabled level of a depth
+    alone and every deeper one in one read; there too the kept rows must be
     exactly the rows an oracle finds a hit on."""
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
@@ -829,21 +841,21 @@ class TestBelyiRowBound:
 
 
 def belyi_reads(monkeypatch, p, pair):
-    """The levels of p up to its default depth whose Belyi filter reads the
-    candidate table, each with the (first, count) of the entries that the
-    pair's search reads there, or None where it reads none.  Each level runs
-    its filter and no row scan."""
+    """The reads of the pair's Belyi filter up to the default depth, each a
+    (join, first, count) of `_prefixes`, and the levels of p there with a
+    candidate table, each with the (first, count) of its share of a read,
+    first counted from the level's own first entry, or None where it reads
+    none.  Each level runs its filter and no row scan."""
     levels, reads, prefixes = [], [], criteria._prefixes
 
-    def recording(table, first, count):
-        reads[-1] = first, count
-        return prefixes(table, first, count)
+    def recording(join, first, count):
+        reads.append((join, first, count))
+        return prefixes(join, first, count)
 
     def filter_only(p, max_r, level_hits, stop_early=True):
         for r in range(1, max_r + 1):
             if (level := _level_tables(p, r)).table is not None:
                 levels.append(level)
-                reads.append(None)
                 next(level_hits(level), None)
         return max_r, None, 0
 
@@ -851,14 +863,21 @@ def belyi_reads(monkeypatch, p, pair):
         patch.setattr(criteria, "_prefixes", recording)
         patch.setattr(criteria, "_scan", filter_only)
         belyi_search(p, pair, max_r=default_max_r(p))
-    return zip(levels, reads)
+    shares = dict.fromkeys(level.r for level in levels)
+    for join, first, count in reads:
+        for r, lo, hi, _ in join.spans:
+            if count[lo:hi].any():
+                shares[r] = first[lo:hi] - join.first[lo], count[lo:hi]
+    return reads, [(level, shares[level.r]) for level in levels]
 
 
 class TestBelyiReadCap:
     """Why the row bound costs no pair more than the table: on a tabled
     level each row reads the shorter of two prefixes of the table's order,
     its table entries as z = y - (d+e)x or its y-list under the row bound,
-    and each prefix holds every violating cell of its row."""
+    and each prefix holds every violating cell of its row.  The first
+    tabled level is read alone and every deeper one in a single read, in
+    which each level's share is its own rows' prefixes."""
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_reads_are_capped_by_the_table(self, monkeypatch, p):
@@ -872,9 +891,15 @@ class TestBelyiReadCap:
             oracle[level.r] = (V, np.argsort(np.argsort(V, kind="stable")), np.sort(V),
                                np.tile(V, 2), np.tile(V[-np.arange(m) % m], 2),
                                slot, z, V[level.rows[slot]] + V[z])
-        y_rows = 0
+        y_rows, deep_reads, tabled = 0, 0, [level.r for level in tabled_levels(p)]
+        assert len(tabled) >= 2
         for d, e in [(d, e) for d in range(1, 41) for e in range(1, 41) if d % p or e % p]:
-            for level, read in belyi_reads(monkeypatch, p, (d, e)):
+            reads, shares = belyi_reads(monkeypatch, p, (d, e))
+            spans = [[r for r, *_ in join.spans] for join, _, _ in reads]
+            assert spans in ([], [tabled[:1]], [tabled[1:]], [tabled[:1], tabled[1:]]), (d, e)
+            assert all(count.sum() <= join.slot.size for join, _, count in reads), (d, e)
+            deep_reads += spans[-1:] == [tabled[1:]]
+            for level, read in shares:
                 table, m, h, x = level.table, level.m, level.r * (p - 1), level.rows
                 V, rank, by_rank, VV, EE, slot, z, vxz = oracle[level.r]
                 # the y-list: y != 0 with V[y] < ceil(3h/2) - V[x] - V[-dx] - V[-ex],
@@ -900,7 +925,7 @@ class TestBelyiReadCap:
                 y = y[hit] % m
                 assert (rank[y] <= n_y[slot[hit]])[y != 0].all(), (d, e, level.r)
                 y_rows += as_y.sum()
-        assert y_rows
+        assert y_rows and deep_reads
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_prefixes_split_across_chunks(self, monkeypatch, p):
@@ -915,6 +940,76 @@ class TestBelyiReadCap:
             assert kept == belyi_oracle_rows(p, pair), pair
 
 
+class TestBelyiDeepPass:
+    """A Belyi search filters the first tabled level of its depth alone, and
+    every deeper tabled level in one pass over their joined tables, which a
+    bounded cache keeps.  A witness on the first tabled level costs no
+    deeper level, and one past it is the same witness."""
+
+    def test_a_witness_on_the_first_tabled_level_builds_no_deeper_level(self, monkeypatch):
+        # (2, 244) at p = 3 violates at r = 6, its first tabled level, one of
+        # the costliest early stops of the negative workload
+        asked, joins, reads = [], [], []
+        tables, join, prefixes = criteria._level_tables, criteria._belyi_join, criteria._prefixes
+
+        def level_tables(p, r):
+            asked.append(r)
+            return tables(p, r)
+
+        def belyi_join(p, lo, hi):
+            joins.append((lo, hi))
+            return join(p, lo, hi)
+
+        def recording(join, first, count):
+            reads.append([r for r, *_ in join.spans])
+            return prefixes(join, first, count)
+
+        monkeypatch.setattr(criteria, "_level_tables", level_tables)
+        monkeypatch.setattr(criteria, "_belyi_join", belyi_join)
+        monkeypatch.setattr(criteria, "_prefixes", recording)
+        witness = belyi_search(3, (2, 244)).violation
+        assert (witness.x, witness.y) == (QzClass(23, 182), QzClass(1, 8))
+        assert [level.r for level in tabled_levels(3)][:1] == [6]
+        assert max(asked) == 6 and joins == [(6, 6)] and reads in ([], [[6]])
+
+    @pytest.mark.parametrize("pair", [(1, 28), (2, 27), (27, 2), (28, 1)])
+    def test_a_witness_past_the_first_tabled_level_is_unchanged(self, pair):
+        # the first violation is the one-variable side at x = 67/2186, r = 7,
+        # which the deep pass filters together with r = 8
+        result = belyi_search(3, pair)
+        assert result.violation.as_dict() == {
+            "p": 3, "d": pair[0], "e": pair[1], "criterion": "belyi-monomial", "x": "67/2186",
+            "y": None, "w": "3/7", "bound": "1/2", "verdict": "violation"}
+        assert result.violations_total == 1
+
+    def test_forced_tables_reach_the_deep_pass_and_not_the_cache(self, monkeypatch):
+        # drop_edge shortens every forced table, and the deep read of a
+        # forced search is over the shortened tables of levels 2..13; the
+        # join cache is neither read nor filled under either force
+        real = [belyi_search(2, pair, stop_early=False).as_dict() for pair in [(8, 3), (3, 10)]]
+        cached = criteria._belyi_join.cache_info()
+        reads, prefixes = [], criteria._prefixes
+
+        def recording(join, first, count):
+            reads.append(join)
+            return prefixes(join, first, count)
+
+        with monkeypatch.context() as patch:
+            force_table(patch, drop_edge)
+            patch.setattr(criteria, "_prefixes", recording)
+            belyi_search(2, (8, 3), stop_early=False)
+            forced = [criteria._level_tables(2, r).table for r in range(2, 14)]
+        with monkeypatch.context() as patch:
+            force_prefilter(patch, chunk=3)
+            belyi_search(2, (3, 10), stop_early=False)
+        deep = [join for join in reads if len(join.spans) > 1]
+        assert [[r for r, *_ in join.spans] for join in deep] == [list(range(2, 14))]
+        assert deep[0].slot.size == sum(table.slot.size for table in forced)
+        assert criteria._belyi_join.cache_info()[:2] == cached[:2]
+        assert [belyi_search(2, pair, stop_early=False).as_dict()
+                for pair in [(8, 3), (3, 10)]] == real
+
+
 GLIBC_ONLY = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                                 reason="counts the page faults of glibc's malloc")
 
@@ -922,13 +1017,19 @@ GLIBC_ONLY = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0
 def warm_search_faults(cases, held):
     """Minor page faults of four more rounds of `cases`, (search, p, pair)
     triples, in a fresh interpreter that ran each once, with the environment
-    `held` added."""
+    `held` added.  Before the rounds 4 MiB of blocks under the mmap
+    threshold are freed below a live one, so that what the searches free
+    coalesces there and never with the heap's top, whose trimming depends
+    on the heap that importing the package left."""
     script = (
         "import resource\n"
         "from monodromy.criteria import belyi_search, binomial_search\n"
         f"cases = {cases}\n"
         "for search, p, pair in cases:\n"
         "    globals()[search](p, pair)\n"
+        "spare = [bytearray(1 << 16) for _ in range(64)]\n"
+        "pin = bytearray(1 << 16)\n"
+        "del spare\n"
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "for _ in range(4):\n"
         "    for search, p, pair in cases:\n"
@@ -1066,6 +1167,30 @@ def test_search_outputs_match_golden():
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g == w
+
+
+# SHA-256 of the sorted-key JSON of default_depth_sweeps(); change it only
+# when a change is meant to alter search outputs
+DEFAULT_DEPTH_SWEEP_SHA256 = "d8a12a8e5c8fcbe0ee1c86853ccb0aade7c026ca8047e39430706525e4b8526d"
+
+
+def default_depth_sweeps():
+    """as_dict() of both searches as full sweeps at the default depth, for
+    d, e <= 12 at p <= 7, Belyi skipping pairs both divisible by p."""
+    return [search(p, (d, e), stop_early=False).as_dict()
+            for p in (2, 3, 5, 7) for d in range(1, 13) for e in range(1, 13)
+            for search in (belyi_search, binomial_search)
+            if search is binomial_search or d % p or e % p]
+
+
+def test_full_sweeps_at_the_default_depth_match_their_digest():
+    """SWEEP_DEPTH reaches no tabled level, so the golden file pins no
+    violations_total read through the candidate tables; these sweeps read
+    every tabled level of p <= 7."""
+    out = default_depth_sweeps()
+    assert len(out) == 1095
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() \
+        == DEFAULT_DEPTH_SWEEP_SHA256
 
 
 def test_search_outputs_match_golden_with_prefilter_forced(monkeypatch):

@@ -339,6 +339,7 @@ def test_every_lru_cache_is_bounded():
     }
     assert {"monodromy.qz.mult_order", "monodromy.fm_exponents.classify_fm_exponent",
             "monodromy.fm_exponents.fm_exponent_set", "monodromy.criteria._level_tables",
+            "monodromy.criteria._belyi_join", "monodromy.criteria.default_max_r",
             "monodromy.charsums.build_field", "monodromy.catalog._index"} <= caches.keys()
     assert [name for name, fn in caches.items() if fn.cache_info().maxsize is None] == []
 
@@ -353,6 +354,7 @@ FLOAT_CALLS = [
     ("charsums", "build_field", (2, 2), (2, 2.0)),
     ("charsums", "build_field", (2, 2), (2.0, 2)),
     ("charsums", "switchsum_exhaustive", (2,), (2.0,)),
+    ("criteria", "default_max_r", (2,), (2.0,)),
 ]
 
 
