@@ -35,26 +35,28 @@ binomial sum is >= V(x) + V(y).  A
 violating cell thus has D[z] < ceil(h/2) - D[x], with z = y - (d+e)x for
 Belyi and z = y for binomial.  Those z depend on D[x] alone, never on the
 pair, so a level at r >= 2 of more than BLOCK_CELLS/16 cells (rows times
-m) lists them once, row by row, in a candidate table, if it holds at most
-BLOCK_CELLS entries and an eighth of the cells (about 1% of them on the
-deep levels of p <= 7; at r = 1, where a quarter of the cells are
-candidates, none is built).  In each row z runs by (D[z], z), so every
-row lists a prefix of one order of the level, whose first entry is 0.
-The binomial search applies its row bound to the level as one mask and
-sums its forms over the table in chunks.  The Belyi search reads, of each
-row, the shorter of two prefixes of that order: its table entries as z,
-or, past the first, its y with D[y] < ceil(3h/2) - D[x] - D[-dx] -
-D[-ex], which by the row bound hold every violating y and which a count
-table per level gives.  So no pair reads more than the table holds, and
-a row the bound clears reads nothing.  The Belyi search filters the
-first tabled level of its depth alone and every deeper tabled level in
-one pass: their rows, DD, EE and tables are joined once per depth behind
-a bounded cache, so one row setup and one read of the joined tables
-serve them all.  The first stays alone because an early stop whose
-witness lies there, as most early stops that reach a table do, then sets
-up and reads no deeper level.  Each search scans only the rows where a
-cell read violates, or, for Belyi, the one-variable side does.  Levels
-without a table test each row's bound in turn.
+m) keeps them in a candidate table if they number at most BLOCK_CELLS
+and an eighth of the cells (about 1% of them on the deep levels of
+p <= 7; at r = 1, where a quarter of the cells are candidates, none is
+built).  By (D[z], z) the z of every row are a prefix of one order of
+the level, whose first entry is 0, so the table is that order, D in
+that order and one count per row; `_prefixes` is its one reader, in
+chunks of BLOCK_CELLS/16 entries.  The binomial search applies its row
+bound to the level as one mask and reads the prefixes of the rows it
+leaves.  The Belyi search reads, of each row, the shorter of two
+prefixes of that order: its table entries as z, or, past the first, its
+y with D[y] < ceil(3h/2) - D[x] - D[-dx] - D[-ex], which by the row
+bound hold every violating y and which a count table per level gives.
+So no pair reads more than the table holds, and a row the bound clears
+reads nothing.  The Belyi search filters the first tabled level of its
+depth alone and every deeper tabled level in one pass: their rows, DD,
+EE, orders and counts are joined once per depth behind a bounded cache,
+so one row setup and one read of the joined orders serve them all.  The
+first stays alone because an early stop whose witness lies there, as
+most early stops that reach a table do, then sets up and reads no deeper
+level.  Each search scans only the rows where a cell read violates, or,
+for Belyi, the one-variable side does.  Levels without a table test each
+row's bound in turn.
 
 Exponents are reduced mod m before any numpy product, so no exponent is
 too large.  The reported first witness is unchanged and deterministic:
@@ -124,7 +126,7 @@ _CRITERIA = {
 
 DEFAULT_GRID_LIMIT = 10**8  # (x, y) grid points at the default depth, (p^r - 1)^2
 LEVEL_TABLE_GUARD = 2**20  # entries in the deepest level's tables, p^max_r
-BLOCK_CELLS = 2**17  # entries in 16 chunks of _chunks and _prefixes, and in the largest table
+BLOCK_CELLS = 2**17  # entries in the largest table, and in 16 chunks of _prefixes
 
 
 @dataclass(frozen=True)
@@ -269,16 +271,13 @@ def _resolve_max_r(p: int, max_r: int | None) -> int:
 
 
 class _Table(NamedTuple):
-    """Every (x, z) with D[z] < ceil(h/2) - D[x], x a row: row by row in
-    `rows` order, and in each row z by (D[z], z), so that every row lists a
-    prefix of one order of the level, whose first z is 0."""
+    """Every (x, z) with D[z] < ceil(h/2) - D[x], x a row, held implicitly:
+    by (D[z], z) each row's z are a prefix of one order of the level, whose
+    first z is 0."""
 
-    slot: np.ndarray  # each entry's row slot in `rows`
-    z: np.ndarray
-    base: np.ndarray  # D[z] + D[x], in D's type
-    first: np.ndarray  # each row's first entry
-    count: np.ndarray  # each row's number of entries
+    order: np.ndarray  # z by (D[z], z)
     sums: np.ndarray  # D in that order, ascending
+    count: np.ndarray  # each row's number of entries
 
 
 class _Level(NamedTuple):
@@ -297,64 +296,42 @@ class _Level(NamedTuple):
 
 def _candidate_table(D: np.ndarray, rows: np.ndarray, h: int, most: int) -> _Table | None:
     """The candidate table of a level, or None if it has more than `most`
-    entries.  Row slots and z take the narrowest signed type that holds
-    them.  A function of (p, r) alone."""
-    order = np.argsort(D, kind="stable").astype(np.min_scalar_type(-D.size))  # z by (D[z], z)
-    ds = D[order]  # ascending, so the z of a row are a prefix of `order`
-    counts = np.searchsorted(ds, (h + 1) // 2 - D[rows])
-    n = int(counts.sum())
-    if n > most:
+    entries.  z takes the narrowest signed type that holds it.  A function
+    of (p, r) alone."""
+    order = np.argsort(D, kind="stable").astype(np.min_scalar_type(-D.size))
+    sums = D[order]
+    count = sums.searchsorted((h + 1) // 2 - D[rows])
+    if count.sum() > most:
         return None
-    first = counts.cumsum() - counts
-    # each z's place in its row; int32 keeps the n-long index small
-    place = np.arange(n, dtype=np.int32) - np.repeat(first.astype(np.int32), counts)
-    table = _Table(np.repeat(np.arange(rows.size, dtype=np.min_scalar_type(-rows.size)), counts),
-                   order[place], ds[place] + np.repeat(D[rows], counts), first, counts, ds)
+    table = _Table(order, sums, count)
     for column in table:
         column.flags.writeable = False
     return table
 
 
-def _chunks(table: _Table):
-    """The candidate table in chunks of BLOCK_CELLS/16 candidates: each
-    chunk's row slots and z as intp, its D[z] + D[x], and a spare intp
-    buffer.  The three intp buffers, 64 KiB each, serve every chunk of the
-    level in place, so no chunk allocates one: a temporary of glibc's mmap or
-    trim threshold, 128 KiB, would take page faults on every search.  Gathers
-    into them take mode="wrap" (every index is in range): mode="raise" copies
+def _prefixes(order: np.ndarray, sums: np.ndarray, first, count: np.ndarray):
+    """Entries first[k] .. first[k] + count[k] - 1 of `order` and `sums` for
+    every row k in turn (`first` may be one int for all rows), some
+    count[k] > 0, in chunks of at most BLOCK_CELLS/16 entries: each chunk's
+    share of each row, its entries of `order` and of `sums`, and a spare
+    intp array of its length.  With starts[k] entries read before row k,
+    the g-th entry read is first[k] - starts[k] + g, so a chunk's places
+    are that shift repeated over each row's share of the chunk, plus g.
+    Gathers take mode="wrap" (every index is in range): mode="raise" copies
     through a temporary."""
-    slot, z, base = table.slot, table.z, table.base
-    n = BLOCK_CELLS // 16
-    buffers = [np.empty(n, np.intp) for _ in range(3)]
-    for k in range(0, slot.size, n):
-        s, t, i = (b[:slot[k:k + n].size] for b in buffers)
-        s[:], t[:] = slot[k:k + n], z[k:k + n]
-        yield s, t, base[k:k + n], i
-
-
-def _prefixes(table: _Table, first: np.ndarray, count: np.ndarray):
-    """Entries first[k] .. first[k] + count[k] - 1 of the candidate table for
-    every row slot k in turn, some count[k] > 0, chunked and yielded as
-    `_chunks` yields the whole table.  With starts[k] entries read before row k, the g-th entry
-    read is table entry first[k] - starts[k] + g, so a chunk's entry numbers
-    are that shift repeated over each row's share of the chunk, plus g: two
-    int32 temporaries of at most 32 KiB."""
     ends = count.cumsum()
     total = int(ends[-1])
     starts = ends - count
-    shift = (first - starts).astype(np.int32)
-    n = min(BLOCK_CELLS // 16, total)
-    buffers = [np.empty(n, np.intp) for _ in range(3)]
+    shift, n = first - starts, BLOCK_CELLS // 16
     for lo in range(0, total, n):
-        hi = min(lo + n, total)
-        at, s, i = (b[:hi - lo] for b in buffers)
-        # each row's entries in the chunk: all of them when it is the only one
-        share = count if hi - lo == total else ends.clip(lo, hi) - starts.clip(lo, hi)
-        np.add(shift.repeat(share), np.arange(lo, hi, dtype=np.int32), out=at)
-        s[:] = table.slot.take(at, mode="wrap")
-        base = table.base.take(at, mode="wrap")
-        at[:] = table.z.take(at, mode="wrap")
-        yield s, at, base, i
+        hi, share = min(lo + n, total), count
+        if hi - lo < total:  # each row's entries in the chunk, none for rows outside it
+            share = np.minimum(ends, hi)
+            share -= np.maximum(starts, lo)
+            np.maximum(share, 0, out=share)
+        at = shift.repeat(share)
+        at += np.arange(lo, hi)
+        yield share, order.take(at, mode="wrap"), sums.take(at, mode="wrap"), at
 
 
 @lru_cache(maxsize=32)
@@ -362,8 +339,7 @@ def _level_tables(p: int, r: int) -> _Level:
     """Digit sums, the scanned orbit minima and the candidate table mod p^r - 1.
 
     With h = r(p-1), every array a search forms from D is at most three
-    digit sums (<= 3h; a candidate's D[z] + D[x] is under h/2) or a
-    threshold less two digit sums (>= -h), so D
+    digit sums (<= 3h) or a threshold less two digit sums (>= -h), so D
     takes the narrowest signed type holding -3h, which also holds 3h (3h is
     never a power of two): int8 at every level of p <= 7, int16 while
     h <= 10922, else int32.  Pure data behind a bounded read-through cache.
@@ -398,24 +374,23 @@ def _level_tables(p: int, r: int) -> _Level:
 
 class _Join(NamedTuple):
     """Tabled levels joined for one pass of the Belyi filter.  The row
-    arrays list each level's rows in turn, and DD and EE are each level's
-    DD and EE in turn, so that an index into them carries its level's
-    offset o.  The candidate entries keep their level's z; their row slots
-    and each row's first entry count over the joined rows and entries."""
+    arrays list each level's rows in turn, and DD, EE, order and sums are
+    each level's in turn, so that an index into them carries its level's
+    offset: o into DD and EE, and each row's `first` into order and sums.
+    The order keeps its level's z."""
 
     spans: tuple  # (r, lo, hi, m) of each level, whose rows are rows[lo:hi]
     rows: np.ndarray
     off: np.ndarray  # each row's o
     top: np.ndarray  # each row's 2o + m, so that top - (o + j) = o + m - j
     room: np.ndarray  # ceil(h/2) - D[x]: the one-variable side violates iff D[-(d+e)x] < room
-    bound: np.ndarray  # ceil(3h/2)
+    bound: np.ndarray  # ceil(3h/2) - D[x]
     lead: np.ndarray  # ceil(3h/2) - D[x] + the place of t = 0 in `fewer`
     fewer: np.ndarray  # per level, for -h <= t <= ceil(3h/2): how many y != 0 have D[y] < t
     DD: np.ndarray
     EE: np.ndarray
-    slot: np.ndarray
-    z: np.ndarray
-    base: np.ndarray
+    order: np.ndarray
+    sums: np.ndarray
     first: np.ndarray
     count: np.ndarray
 
@@ -426,21 +401,18 @@ def _belyi_join(p: int, lo: int, hi: int) -> _Join:
     pass.  A single level's arrays are its own; several are copied in their
     own narrow types.  Pure data behind a bounded read-through cache."""
     levels = [level for r in range(lo, hi + 1) if (level := _level_tables(p, r)).table is not None]
-    slot_type = np.min_scalar_type(-sum(level.rows.size for level in levels))
     spans, columns = [], []
-    n = o = c = t = 0  # rows, DD entries, count-table entries and candidates of earlier levels
+    n = o = c = t = 0  # rows, DD entries, count-table entries and order entries of earlier levels
     for level in levels:
         m, h, rows, table = level.m, level.r * (p - 1), level.rows, level.table
         below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
         Dx = level.D[rows].astype(np.intp)
         fewer = table.sums[1:].searchsorted(np.arange(-h, below_xy + 1))
-        slot = table.slot.astype(slot_type, copy=False)
         spans.append((level.r, n, n + rows.size, m))
         columns.append((rows, np.full(rows.size, o), np.full(rows.size, 2 * o + m), below_x - Dx,
-                        np.full(rows.size, below_xy), below_xy + c + h - Dx, fewer, level.DD,
-                        level.EE, slot + n if n else slot, table.z, table.base,
-                        table.first + t if t else table.first, table.count))
-        n, o, c, t = n + rows.size, o + 2 * m, c + fewer.size, t + table.slot.size
+                        below_xy - Dx, below_xy + c + h - Dx, fewer, level.DD, level.EE,
+                        table.order, table.sums, np.full(rows.size, t), table.count))
+        n, o, c, t = n + rows.size, o + 2 * m, c + fewer.size, t + m
     join = _Join(tuple(spans), *(parts[0] if len(parts) == 1 else np.concatenate(parts)
                                  for parts in zip(*columns)))
     for column in join[1:]:
@@ -471,22 +443,21 @@ def _belyi_filter(join: _Join, d: int, e: int) -> np.ndarray:
     ked += join.off  # (d+e)x, ex, dx, each past its level's offset
     minus = join.EE.take(ked)  # D[-(d+e)x], D[-ex], D[-dx]
     keep = minus[0] < join.room
-    limit = join.bound - minus[1]  # for D[y] + D[y - (d+e)x] + D[ex - y] + D[x]
+    limit = join.bound - minus[1]  # for D[y] + D[y - (d+e)x] + D[ex - y]
     ys = join.fewer.take(join.lead - minus[1] - minus[2])
     as_y = ys < join.count
     count = np.minimum(ys, join.count)
     count[keep] = 0
     if count.any():
         a, b = np.where(as_y, join.top - ked[:2], ked[::2])  # (m - (d+e)x, m - ex) or ((d+e)x, dx)
-        for s, u, base, i in _prefixes(join, join.first + as_y, count):
-            a.take(s, out=i, mode="wrap")
-            i += u
-            sums = join.DD.take(i, mode="wrap")  # D[y - (d+e)x], u = y; D[y], u = z
-            b.take(s, out=i, mode="wrap")
-            i += u
+        for share, u, sums, i in _prefixes(join.order, join.sums, join.first + as_y, count):
+            np.add(a.repeat(share), u, out=i)
+            sums += join.DD.take(i, mode="wrap")  # D[u] + D[y - (d+e)x], u = y; + D[y], u = z
+            np.add(b.repeat(share), u, out=i)
             sums += join.EE.take(i, mode="wrap")  # D[ex - y]
-            sums += base
-            keep[s[sums < limit.take(s, mode="wrap")]] = True
+            hit = sums < limit.repeat(share)
+            if hit.any():
+                keep[np.arange(keep.size).repeat(share)[hit]] = True
     return keep
 
 
@@ -617,23 +588,25 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
         Dint = memoryview(D)  # D read as Python ints
         dm, em = d % m, e % m  # reduced first: numpy products stay below m^2
         w = Dint[em] or 1  # V(ey) <= w V(y): V(py) = V(y) and V is subadditive
-        neg_e = None  # -ey for each y, built when a chunk or a row first reads it
+        neg_e = None  # -ey for each y, built when a row first reads it
         # the least violating y of the x = 0 line, if any, is an orbit minimum: a row
         line = [0] if (D[rows] + D[-em * rows % m] < below).any() else []
         if level.table is not None:
             # the sum is >= V(x) + V(y), so only the candidates z = y of the
-            # table can violate; chunks of rows the row bound clears are skipped
-            alive, di = _binomial_row_bound(level, dm, w), -dm * rows % m
+            # table can violate, and only on the rows the row bound leaves
+            alive = _binomial_row_bound(level, dm, w)
+            rows, count = rows[alive], level.table.count[alive]
             keep = np.zeros(rows.size, bool)
-            if alive.any():
-                neg_e = -em * np.arange(m) % m
-                for s, z, base, i in _chunks(level.table):
-                    if alive[s[0]:s[-1] + 1].any():
-                        neg_e.take(z, out=i, mode="wrap")
-                        i += di.take(s, out=z, mode="wrap")  # z is read: its buffer is free
-                        sums = DD.take(i, mode="wrap")  # D[-dx - ey], y = z
-                        sums += base
-                        keep[s[sums < below]] = True
+            if rows.size:
+                # -ey for each y of the order that a row reads
+                ey = -em * level.table.order[:count.max()].astype(np.intp) % m
+                di, limit = -dm * rows % m, below - D[rows]
+                for share, u, sums, i in _prefixes(ey, level.table.sums, 0, count):
+                    np.add(di.repeat(share), u, out=i)
+                    sums += DD.take(i, mode="wrap")  # D[y] + D[-dx - ey]
+                    hit = sums < limit.repeat(share)
+                    if hit.any():
+                        keep[np.arange(keep.size).repeat(share)[hit]] = True
             rows = rows[keep]
         for i in line + rows.tolist():
             # D[-dx] <= D[-dx-ey] + w D[y], so the row's sum is >= D[x] +

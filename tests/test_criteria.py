@@ -533,16 +533,16 @@ def join_uncached(patch):
     patch.setattr(criteria, "_belyi_join", criteria._belyi_join.__wrapped__)
 
 
-def force_table(patch, mutate=lambda table, h: table):
+def force_table(patch, mutate=lambda level, table, h: table):
     """Send every level of both searches through the candidate table, built
-    whatever its size; `mutate` alters each table, given h = r(p-1).  The
-    Belyi filter's joins read the forced tables."""
+    whatever its size; `mutate` alters each table, given its level and h =
+    r(p-1).  The Belyi filter's joins read the forced tables."""
     tables = criteria._level_tables
 
     def forced(p, r):
         level, h = tables(p, r), r * (p - 1)
         table = criteria._candidate_table(level.D, level.rows, h, math.inf)
-        return level._replace(table=mutate(table, h))
+        return level._replace(table=mutate(level, table, h))
 
     patch.setattr(criteria, "_level_tables", forced)
     join_uncached(patch)
@@ -701,13 +701,24 @@ def binomial_oracle_rows(p, pair):
             if not binomial_row_cleared(p, r, pair, i) and binomial_row_violated(p, r, pair, i)]
 
 
-def drop_edge(table, h):
-    """force_table's control: the threshold tightened by one, dropping the
-    candidates with D[z] + D[x] = ceil(h/2) - 1, each row's last."""
-    inside = table.base < (h + 1) // 2 - 1
-    count = np.bincount(table.slot[inside], minlength=table.count.size)
-    return table._replace(slot=table.slot[inside], z=table.z[inside], base=table.base[inside],
-                          first=count.cumsum() - count, count=count)
+def drop_edge(level, table, h):
+    """force_table's control: the threshold tightened by one, a count cut
+    at ceil(h/2) - 1 that drops the candidates with D[z] + D[x] = ceil(h/2)
+    - 1, each row's last."""
+    return table._replace(count=table.sums.searchsorted((h + 1) // 2 - 1 - level.D[level.rows]))
+
+
+def table_entries(table):
+    """The candidate table entry by entry, row by row: each entry's row slot
+    and z, from the row's prefix of the level's order."""
+    slot = np.repeat(np.arange(table.count.size), table.count)
+    return slot, np.concatenate([table.order[:n] for n in table.count.tolist()]).astype(np.intp)
+
+
+def column_sizes(columns, rows, m):
+    """The lengths of `columns` that are neither rows, m nor 2m (DD, EE)
+    long: no table or join column lists the candidates one by one."""
+    return [column.size for column in columns if column.size not in (rows, m, 2 * m)]
 
 
 class TestCandidateTable:
@@ -728,16 +739,22 @@ class TestCandidateTable:
             by_sum = sorted(range(level.m), key=lambda z: (V[z], z))
             want = [(k, z, V[z] + V[x]) for k, x in enumerate(level.rows.tolist())
                     for z in itertools.takewhile(lambda z: V[z] < (h + 1) // 2 - V[x], by_sum)]
-            slot, z, base, first, count, sums = level.table
-            assert list(zip(slot.tolist(), z.tolist(), base.tolist())) == want, level.r
-            assert slot.dtype in (np.int8, np.int16) and z.dtype == np.int16, level.r
             # each row's entries are a prefix of the sorted order, whose sums are D's
-            assert sums.tolist() == [V[z] for z in by_sum], level.r
-            assert count.tolist() == np.bincount(slot, minlength=level.rows.size).tolist(), level.r
-            assert first.tolist() == (count.cumsum() - count).tolist(), level.r
-            assert base.dtype == level.D.dtype == np.int8, level.r
-            assert slot.size <= min(criteria.BLOCK_CELLS, level.rows.size * level.m // 8), level.r
+            order, sums, count = level.table
+            slot, z = table_entries(level.table)
+            assert [(k, j, V[j] + V[x]) for k, j, x in
+                    zip(slot.tolist(), z.tolist(), level.rows[slot].tolist())] == want, level.r
+            assert order.tolist() == by_sum and sums.tolist() == [V[z] for z in by_sum], level.r
+            assert order.dtype == np.int16 and sums.dtype == level.D.dtype == np.int8, level.r
+            assert count.sum() <= min(criteria.BLOCK_CELLS, level.rows.size * level.m // 8), level.r
             assert not any(column.flags.writeable for column in level.table), level.r
+        # the deep join lists each level's order once and no candidate: every
+        # column is rows, m or 2m long, or is a level's count table
+        join = criteria._belyi_join(p, levels[1].r, levels[-1].r)
+        fewer = sum(hi - lo for hi, lo in [(level.below["belyi-pair"], -level.r * (p - 1))
+                                           for level in levels[1:]]) + len(levels) - 1
+        assert column_sizes(join[1:], join.rows.size, sum(m for *_, m in join.spans)) == [fewer]
+        assert all(column_sizes(level.table, level.rows.size, level.m) == [] for level in levels)
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_kept_rows_are_the_rows_that_can_violate(self, monkeypatch, p):
@@ -757,7 +774,7 @@ class TestCandidateTable:
         seen = 0
         for level in tabled_levels(p):
             m, V, h = level.m, v_numerators(p, level.r), level.r * (p - 1)
-            slot, z = level.table.slot, level.table.z
+            slot, z = table_entries(level.table)
             for K in range(2, 41):
                 x = level.rows[slot][(K * level.rows[slot] + z) % m == 0]
                 assert (2 * (V[x] + V[-K * x % m]) < h).all(), (level.r, K)
@@ -840,17 +857,35 @@ class TestBelyiRowBound:
         assert scanned_rows(monkeypatch, belyi_search, 30011, (1, 1), kinds={"belyi-pair"}) == []
 
 
+def record_belyi_reads(patch):
+    """The reads of the Belyi filter from here on, as a list that grows by
+    the (join, first, count) of each `_prefixes` call the filter makes."""
+    reads, joins, belyi_filter, prefixes = [], [], criteria._belyi_filter, criteria._prefixes
+
+    def filtering(join, d, e):
+        joins.append(join)
+        try:
+            return belyi_filter(join, d, e)
+        finally:
+            joins.pop()
+
+    def recording(order, sums, first, count):
+        if joins:
+            reads.append((joins[-1], first, count))
+        return prefixes(order, sums, first, count)
+
+    patch.setattr(criteria, "_belyi_filter", filtering)
+    patch.setattr(criteria, "_prefixes", recording)
+    return reads
+
+
 def belyi_reads(monkeypatch, p, pair):
     """The reads of the pair's Belyi filter up to the default depth, each a
     (join, first, count) of `_prefixes`, and the levels of p there with a
     candidate table, each with the (first, count) of its share of a read,
     first counted from the level's own first entry, or None where it reads
     none.  Each level runs its filter and no row scan."""
-    levels, reads, prefixes = [], [], criteria._prefixes
-
-    def recording(join, first, count):
-        reads.append((join, first, count))
-        return prefixes(join, first, count)
+    levels = []
 
     def filter_only(p, max_r, level_hits, stop_early=True):
         for r in range(1, max_r + 1):
@@ -860,14 +895,14 @@ def belyi_reads(monkeypatch, p, pair):
         return max_r, None, 0
 
     with monkeypatch.context() as patch:
-        patch.setattr(criteria, "_prefixes", recording)
+        reads = record_belyi_reads(patch)
         patch.setattr(criteria, "_scan", filter_only)
         belyi_search(p, pair, max_r=default_max_r(p))
     shares = dict.fromkeys(level.r for level in levels)
     for join, first, count in reads:
         for r, lo, hi, _ in join.spans:
             if count[lo:hi].any():
-                shares[r] = first[lo:hi] - join.first[lo], count[lo:hi]
+                shares[r] = first[lo:hi] - join.first[lo:hi], count[lo:hi]
     return reads, [(level, shares[level.r]) for level in levels]
 
 
@@ -887,7 +922,7 @@ class TestBelyiReadCap:
         oracle = {}
         for level in tabled_levels(p):
             V, m = v_numerators(p, level.r).astype(np.int16), level.m
-            slot, z = level.table.slot.astype(np.intp), level.table.z.astype(np.intp)
+            slot, z = table_entries(level.table)
             oracle[level.r] = (V, np.argsort(np.argsort(V, kind="stable")), np.sort(V),
                                np.tile(V, 2), np.tile(V[-np.arange(m) % m], 2),
                                slot, z, V[level.rows[slot]] + V[z])
@@ -897,7 +932,7 @@ class TestBelyiReadCap:
             reads, shares = belyi_reads(monkeypatch, p, (d, e))
             spans = [[r for r, *_ in join.spans] for join, _, _ in reads]
             assert spans in ([], [tabled[:1]], [tabled[1:]], [tabled[:1], tabled[1:]]), (d, e)
-            assert all(count.sum() <= join.slot.size for join, _, count in reads), (d, e)
+            assert all(count.sum() <= join.count.sum() for join, _, count in reads), (d, e)
             deep_reads += spans[-1:] == [tabled[1:]]
             for level, read in shares:
                 table, m, h, x = level.table, level.m, level.r * (p - 1), level.rows
@@ -913,8 +948,8 @@ class TestBelyiReadCap:
                     assert not want.any(), (d, e, level.r)
                 else:
                     first, count = read
-                    assert count.sum() <= table.slot.size, (d, e, level.r)
-                    assert (first - table.first).tolist() == as_y.tolist(), (d, e, level.r)
+                    assert count.sum() <= table.count.sum(), (d, e, level.r)
+                    assert first.tolist() == as_y.tolist(), (d, e, level.r)
                     assert count.tolist() == want.tolist(), (d, e, level.r)
                 # every violating cell, found through the table's z, which hold them
                 # all (TestCandidateTable), is in its row's y-list too: at y =
@@ -949,8 +984,8 @@ class TestBelyiDeepPass:
     def test_a_witness_on_the_first_tabled_level_builds_no_deeper_level(self, monkeypatch):
         # (2, 244) at p = 3 violates at r = 6, its first tabled level, one of
         # the costliest early stops of the negative workload
-        asked, joins, reads = [], [], []
-        tables, join, prefixes = criteria._level_tables, criteria._belyi_join, criteria._prefixes
+        asked, joins = [], []
+        tables, join = criteria._level_tables, criteria._belyi_join
 
         def level_tables(p, r):
             asked.append(r)
@@ -960,17 +995,14 @@ class TestBelyiDeepPass:
             joins.append((lo, hi))
             return join(p, lo, hi)
 
-        def recording(join, first, count):
-            reads.append([r for r, *_ in join.spans])
-            return prefixes(join, first, count)
-
         monkeypatch.setattr(criteria, "_level_tables", level_tables)
         monkeypatch.setattr(criteria, "_belyi_join", belyi_join)
-        monkeypatch.setattr(criteria, "_prefixes", recording)
+        reads = record_belyi_reads(monkeypatch)
         witness = belyi_search(3, (2, 244)).violation
         assert (witness.x, witness.y) == (QzClass(23, 182), QzClass(1, 8))
         assert [level.r for level in tabled_levels(3)][:1] == [6]
-        assert max(asked) == 6 and joins == [(6, 6)] and reads in ([], [[6]])
+        spans = [[r for r, *_ in join.spans] for join, _, _ in reads]
+        assert max(asked) == 6 and joins == [(6, 6)] and spans in ([], [[6]])
 
     @pytest.mark.parametrize("pair", [(1, 28), (2, 27), (27, 2), (28, 1)])
     def test_a_witness_past_the_first_tabled_level_is_unchanged(self, pair):
@@ -988,23 +1020,17 @@ class TestBelyiDeepPass:
         # join cache is neither read nor filled under either force
         real = [belyi_search(2, pair, stop_early=False).as_dict() for pair in [(8, 3), (3, 10)]]
         cached = criteria._belyi_join.cache_info()
-        reads, prefixes = [], criteria._prefixes
-
-        def recording(join, first, count):
-            reads.append(join)
-            return prefixes(join, first, count)
-
         with monkeypatch.context() as patch:
             force_table(patch, drop_edge)
-            patch.setattr(criteria, "_prefixes", recording)
+            reads = record_belyi_reads(patch)
             belyi_search(2, (8, 3), stop_early=False)
             forced = [criteria._level_tables(2, r).table for r in range(2, 14)]
         with monkeypatch.context() as patch:
             force_prefilter(patch, chunk=3)
             belyi_search(2, (3, 10), stop_early=False)
-        deep = [join for join in reads if len(join.spans) > 1]
+        deep = [join for join, _, _ in reads if len(join.spans) > 1]
         assert [[r for r, *_ in join.spans] for join in deep] == [list(range(2, 14))]
-        assert deep[0].slot.size == sum(table.slot.size for table in forced)
+        assert deep[0].count.tolist() == np.concatenate([table.count for table in forced]).tolist()
         assert criteria._belyi_join.cache_info()[:2] == cached[:2]
         assert [belyi_search(2, pair, stop_early=False).as_dict()
                 for pair in [(8, 3), (3, 10)]] == real
@@ -1048,8 +1074,8 @@ HELD_THRESHOLDS = ({}, {"MALLOC_MMAP_THRESHOLD_": "131072"})
 @GLIBC_ONLY
 def test_searches_take_no_page_faults_when_warm():
     # at p <= 7 the tables are int8, so a row scan's temporaries stay under
-    # glibc's default 128 KiB mmap threshold, and the candidate chunks reuse
-    # three 64 KiB buffers: they come from the heap with no earlier free
+    # glibc's default 128 KiB mmap threshold, and so do a candidate chunk's,
+    # at most 64 KiB each: they come from the heap with no earlier free
     # raising it, also with it held at its default (which turns off its
     # dynamic rise).  The 30 levels of p <= 7 fit the level cache's 32
     # entries.
@@ -1093,6 +1119,15 @@ class TestBelyiSearchTabled(TestBelyiSearch):
     @pytest.fixture(autouse=True)
     def forced(self, monkeypatch):
         force_table(monkeypatch)
+
+
+class TestBinomialSearchPrefiltered(TestBinomialSearch):
+    """TestBinomialSearch with a candidate table on every level, read in
+    chunks of 3 entries, so that most rows' prefixes split across chunks."""
+
+    @pytest.fixture(autouse=True)
+    def forced(self, monkeypatch):
+        force_prefilter(monkeypatch, chunk=3)
 
 
 class TestBinomialSearchTabled(TestBinomialSearch):
@@ -1191,6 +1226,30 @@ def test_full_sweeps_at_the_default_depth_match_their_digest():
     assert len(out) == 1095
     assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() \
         == DEFAULT_DEPTH_SWEEP_SHA256
+
+
+# SHA-256 of the sorted-key JSON of deep_searches(); change it only when a
+# change is meant to alter search outputs
+DEEP_SEARCH_SHA256 = "15c085a16f3003fcfe4bbab4f1cabc39bb484644db710a8dc6e854ce842caf9e"
+
+
+def deep_searches():
+    """as_dict() of both searches, early stop and full sweep, at depths past
+    the default at p = 2 and 3 (and p = 2 at r = 11, below it), for d, e <= 8,
+    Belyi skipping pairs both divisible by p."""
+    return [search(p, (d, e), max_r=max_r, stop_early=stop).as_dict()
+            for p, max_r in ((2, 11), (2, 14), (3, 9)) for d in range(1, 9) for e in range(1, 9)
+            for search in (belyi_search, binomial_search) for stop in (True, False)
+            if search is binomial_search or d % p or e % p]
+
+
+def test_searches_past_the_default_depth_match_their_digest():
+    """The full sweeps read one Belyi join of several deep levels: 10-11 and
+    10-14 at p = 2, 7-9 at p = 3."""
+    out = deep_searches()
+    assert len(out) == 696
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() \
+        == DEEP_SEARCH_SHA256
 
 
 def test_search_outputs_match_golden_with_prefilter_forced(monkeypatch):
