@@ -24,9 +24,11 @@ tests check), so the bucket answers every pair in it exactly as a build at
 max(A, B) would.  ``_index`` keeps at most 64 entries, and buckets past
 ``_INDEX_CAP_BITS`` (pairs of 2^32 and above) are built per call and not
 kept; the largest kept entry, binomial at p = 2 and 2^32, holds 1515
-rows in about 0.4 MB.  One function, ``classify_pair``, reports
-membership under all three theorems: it reduces a binomial pair to its
-prime-to-p parts and any other pair by a common power of p.  Membership
+rows in about 0.4 MB.  A reduced max(A, B) past ``_EXPONENT_CAP_BITS``
+(2^128 and above) raises ValueError before any family is built.  One
+function, ``classify_pair``, reports membership under all three theorems:
+it reduces a binomial pair to its prime-to-p parts and any other pair by a
+common power of p.  Membership
 checks always test both orientations of a pair; enumeration emits the orientation as printed in the
 source lists.  Each family is written once.  The quotients
 (p^(ab)+1)/(p^a+1), b odd, are stepped by ``fm_exponents._cyclotomic_quotients``;
@@ -377,8 +379,10 @@ def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
 
 
 # Buckets up to this bit length are kept by _index; larger ones, whose
-# _square grids grow with bits^2, are built per call.
+# _square grids grow with bits^2, are built per call, up to the exponent cap
+# (about 0.1 s at 128 bits, 4 s and 200 MB at 512).
 _INDEX_CAP_BITS = 32
+_EXPONENT_CAP_BITS = 128
 
 
 @lru_cache(maxsize=64)
@@ -391,6 +395,9 @@ def _index(theorem: str, p: int, bits: int) -> tuple[tuple[FamilyId, dict], ...]
 
 def _memberships(p: int, A: int, B: int, theorem: str) -> list[Membership]:
     bits = max(A, B).bit_length()
+    if bits > _EXPONENT_CAP_BITS:
+        raise ValueError(f"reduced exponent max(A, B) has {bits} bits; "
+                         f"membership is checked up to {_EXPONENT_CAP_BITS}")
     index = _index if bits <= _INDEX_CAP_BITS else _index.__wrapped__
     found = []
     for fid, rows in index(theorem, p, bits):
@@ -407,7 +414,8 @@ def classify_pair(p: int, pair, theorem: str = FINAL) -> PairClassification:
     The binomial cases are matched on prime-to-p parts; for the other
     theorems a common power of p is stripped from the pair first (scaling
     both exponents by p does not change the verdict).  The reduction is
-    reported.
+    reported.  A reduced exponent of more than ``_EXPONENT_CAP_BITS`` bits
+    raises ValueError.
     """
     p = _as_prime_int(p)
     pair = _as_pair(pair)

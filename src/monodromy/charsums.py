@@ -18,30 +18,34 @@ t x, summed mod p.  ``exp_sum`` rejects encodings outside [0, q).
 Prime fields are built from residues: the modulus is x, each element is
 its own residue and its own trace, the generator is the least primitive
 root (integer ``pow`` against one factorization of p - 1), and the exp
-table is filled by doubling, entries [n, 2n) being entries [0, n) times
-g^n mod p.  When r >= 2 field arithmetic is r x r matrices over F_p acting
-on digit rows.  Rabin's test on the companion matrix X picks the modulus,
-and a full-order test on element matrices the generator.  The powers
-X^0 .. X^(r-1) give every element's matrix and the basis traces
-Tr(x^i) = trace(X^i).  The exp table is filled by doubling too: rows
-[n, 2n) are rows [0, n) times the n-th power of the generator's matrix, so
-about log2(q) numpy matmuls build it, and ``trace`` is the digit rows
-times the basis traces.  ``log`` is one scatter of exp.  The tables are
-read-only numpy arrays, which every sum reads directly.  Two fields are
-equal, and hash alike, when their presentations (p, r, q, modulus,
-generator) are, since those determine the tables.  Caches are bounded:
-``build_field`` keeps the 32 most recent fields, and each field caches one
-derived table, psi(g^k) by k, which the Gauss FFT, ``gauss_sum_raw`` and
-both Mellin paths re-read; it is freed with the field.  Every other table is
-computed by the sum that reads it: a character value chi_a(g^k) is
-exp(2 pi i (a k mod m) / m) from its integer index, and log(1 - g^k) is one
-gather of the exp and log tables.
+table is filled by baby-step/giant-step, entry iB + j being
+(g^B)^i g^j mod p for B = ceil(sqrt(p - 1)): about 2 sqrt(p) Python-int
+products and one outer product.  When r >= 2 field arithmetic is r x r
+matrices over F_p acting on digit rows.  Rabin's test on the companion
+matrix X picks the modulus, and a full-order test on element matrices the
+generator.  The powers X^0 .. X^(r-1) give every element's matrix and the
+basis traces Tr(x^i) = trace(X^i).  The exp table is filled by doubling:
+rows [n, 2n) are rows [0, n) times the n-th power of the generator's
+matrix, so about log2(q) numpy matmuls build it, and ``trace`` is the
+digit rows times the basis traces.  ``log`` is one scatter of exp.  The
+tables are read-only numpy arrays, which every sum reads directly.  Two
+fields are equal, and hash alike, when their presentations (p, r, q,
+modulus, generator) are, since those determine the tables.  Caches are
+bounded: ``build_field`` keeps the 32 most recent fields, and each field
+caches one derived table, psi(g^k) by k, which the Gauss FFT,
+``gauss_sum_raw`` and both Mellin paths re-read; it is freed with the
+field.  Every other table is computed by the sum that reads it: a
+character value chi_a(g^k) is exp(2 pi i (a k mod m) / m) from its integer
+index, and log(1 - g^k) is one gather of the exp and log tables.
 
 The Mellin and switch checks build their tables per call and keep none.
 ``mellin_suite`` makes one character table R[a, k] = chi_a(g^k), and it
 serves the literal S-matrix, the Gauss vector G and the Jacobi table J that
-the closed forms are assembled from.  The switch
-identity is checked one t at a time, as two integer vectors over every y.
+the closed forms are assembled from.  The switch identity is checked a
+block of t at a time, as two integer arrays over (t, y) of at most
+SWITCH_BLOCK_CELLS cells each (a row, q <= 2^SWITCH_MAX_R, always fits),
+so its temporaries are bounded whatever q is; psi(a b) is read from a
+parity table, since Tr(a b) is F_2-bilinear.
 
 Sign conventions: ``gauss_sum`` returns -sum_{t != 0} chi(t) psi(t) (so the
 trivial character gives exactly 1), while the classical factorizations of
@@ -50,9 +54,11 @@ Jacobi sums hold for the unsigned sum, available as ``gauss_sum_raw``.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from itertools import chain, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +82,7 @@ __all__ = [
 FIELD_SIZE_GUARD = 2**20
 MELLIN_Q_GUARD = 64
 SWITCH_MAX_R = 13  # 4^r (t, y) pairs over F_{2^r}, within the searches' 10^8-cell budget
+SWITCH_BLOCK_CELLS = 2**16  # (t, y) cells per array of one switch block
 
 
 def _companion(poly: list[int], p: int) -> np.ndarray:
@@ -205,18 +212,19 @@ def _residue_tables(p: int, cofactors: list[int]):
     element its own residue and its own trace; the generator is the least
     primitive root."""
     generator = next(g for g in range(1, p) if all(pow(g, c, p) != 1 for c in cofactors))
-    # exp[n + k] = g^n exp[k] by doubling.  The products reach (p-1)^2, so
-    # they are formed in int64; the table is int32 while (p-1)^2 < 2^31.
+    # exp[i B + j] = (g^B)^i g^j by baby-step/giant-step, B = ceil(sqrt(m)):
+    # the B baby steps and ceil(m / B) giant steps are Python ints, and one
+    # outer product joins them.  The products reach (p-1)^2, so they are
+    # formed in int64; the table is int32 while (p-1)^2 < 2^31.
     m = p - 1
-    exp = np.empty(m, dtype=np.int64)
-    exp[0] = 1
-    step, n = generator, 1
-    while n < m:
-        k = min(n, m - n)
-        np.multiply(exp[:k], step, out=exp[n:n + k])
-        exp[n:n + k] %= p
-        step = step * step % p
-        n += k
+    B = math.isqrt(m - 1) + 1
+    baby = [1]
+    for _ in range(B - 1):
+        baby.append(baby[-1] * generator % p)
+    step, giant = baby[-1] * generator % p, [1]
+    for _ in range((m - 1) // B):
+        giant.append(giant[-1] * step % p)
+    exp = (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p).ravel()[:m]
     if m * m < 2**31:
         exp = exp.astype(np.int32)
     return [0, 1], generator, exp, np.arange(p, dtype=np.int64)
@@ -428,7 +436,8 @@ def _closed_forms(F: FieldPresentation, pair, R: np.ndarray) -> np.ndarray:
     return out
 
 
-# the closed-form case of (a_chi, a_eta), at 2 * (a_chi != 0) + (a_eta != 0)
+# the closed-form cases: both characters trivial, chi trivial, eta trivial,
+# neither
 _CASES = ("trivial-trivial", "trivial-eta", "chi-trivial-eta", "nontrivial")
 
 
@@ -470,10 +479,11 @@ def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
     diff = S - expected
     abs_error = np.hypot(diff.real, diff.imag)
     rel_error = abs_error / np.maximum(np.hypot(expected.real, expected.imag), 1.0)
-    a, b = np.divmod(np.arange(m * m), m)
-    cases = map(_CASES.__getitem__, (2 * (a != 0) + (b != 0)).tolist())
+    tt, te, ct, nt = _CASES
+    a_chi = [*chain.from_iterable(repeat(a, m) for a in range(m))]
+    cases = [tt] + [te] * (m - 1) + ([ct] + [nt] * (m - 1)) * (m - 1)
     return list(map(partial(tuple.__new__, MellinRow), zip(
-        a.tolist(), b.tolist(), cases,
+        a_chi, list(range(m)) * m, cases,
         *(v.ravel().tolist() for v in (S, expected, abs_error, rel_error)))))
 
 
@@ -482,32 +492,43 @@ def mellin_suite(F: FieldPresentation, pair) -> list[MellinRow]:
 # the sum over roots of u^2+u=t^2 of psi(uy); both sides exact integers.
 
 def _switchsum_sides(F: FieldPresentation):
-    """A function of t giving both sides of the identity as integer vectors
-    over every y: lhs[y] = sum of psi(t x) over x^2 + x = y, rhs[y] = sum of
-    psi(u y) over u^2 + u = t^2.  Memory is O(q) per t."""
-    m = F.q - 1
+    """Both sides of the identity as integer arrays over (t, y), yielded
+    as (lhs, rhs) for consecutive blocks of t from t = 0, each of
+    SWITCH_BLOCK_CELLS // q rows (at least one): lhs[t, y] = sum of
+    psi(t x) over x^2 + x = y, rhs[t, y] = sum of psi(u y) over
+    u^2 + u = t^2.
+
+    w -> w^2 + w is F_2-linear with kernel {0, 1}, so each z has no root or
+    two, adjacent in a stable argsort of w^2 + w; ``has`` marks the z with
+    two.  Tr(a b) is F_2-bilinear: it is the parity of a & tm[b], bit i of
+    tm[b] being Tr(x^i b) for the basis element x^i (encoded 2^i), so
+    psi(a b) is one read of a length-q table of (-1)^parity.  Temporaries
+    are O(SWITCH_BLOCK_CELLS) whatever q is."""
+    q, m = F.q, F.q - 1
     exp, log = F.exp, F.log
     unit = log >= 0
-    psi = 1 - 2 * F.trace  # psi as +-1 integers
+    w = np.arange(q)
+    square = np.where(unit, exp[2 * log % m], 0)
+    z_of_w = square ^ w  # w^2 + w
+    order = np.argsort(z_of_w, kind="stable")
+    counts = np.bincount(z_of_w, minlength=q)
+    first = np.minimum(np.cumsum(counts) - counts, q - 2)  # a rootless z may start at q
+    has = counts > 0
+    tm = np.zeros(q, dtype=np.int64)
+    for i in range(F.r):
+        tm |= np.where(unit, F.trace[exp[(log[1 << i] + log) % m]], 0) << i
+    tm0, tm1 = tm[order[first]], tm[order[first + 1]]  # of z's two roots
+    psi = np.ones(1, dtype=np.int8)  # (-1)^parity(n), by n
+    while len(psi) < q:
+        psi = np.concatenate((psi, -psi))
 
-    def times(t: int) -> np.ndarray:
-        """t * x for every x in F."""
-        if t == 0:
-            return np.zeros(F.q, dtype=np.int64)
-        return np.where(unit, exp[(log[t] + log) % m], 0)
-
-    y_of_x = np.where(unit, exp[2 * log % m], 0) ^ np.arange(F.q)  # x^2 + x
-
-    def sides(t: int) -> tuple[np.ndarray, np.ndarray]:
-        tx = times(t)
-        lhs = np.zeros(F.q, dtype=np.int64)
-        np.add.at(lhs, y_of_x, psi[tx])
-        rhs = np.zeros(F.q, dtype=np.int64)
-        for u in np.flatnonzero(y_of_x == tx[t]):
-            rhs += psi[times(int(u))]
-        return lhs, rhs
-
-    return sides
+    rows = max(1, SWITCH_BLOCK_CELLS // q)
+    for start in range(0, q, rows):
+        t = w[start:start + rows, None]
+        t2 = square[start:start + rows, None]
+        lhs = (psi[t & tm0] + psi[t & tm1]) * has
+        rhs = (psi[tm0[t2] & w] + psi[tm1[t2] & w]) * has[t2]
+        yield lhs, rhs
 
 
 def switchsum_exhaustive(r: int) -> tuple[int, int]:
@@ -516,10 +537,8 @@ def switchsum_exhaustive(r: int) -> tuple[int, int]:
     if r > SWITCH_MAX_R:
         raise ValueError(f"switchsum depth r = {r} exceeds {SWITCH_MAX_R} (4^r pairs)")
     F = build_field(2, r)
-    sides = _switchsum_sides(F)
     checked = equal = 0
-    for t in range(F.q):
-        lhs, rhs = sides(t)
-        checked += F.q
+    for lhs, rhs in _switchsum_sides(F):
+        checked += lhs.size
         equal += int(np.count_nonzero(lhs == rhs))
     return checked, equal

@@ -15,6 +15,7 @@ from monodromy.catalog import (
     Membership,
     _CANDIDATE_FAMILIES,
     _FINAL_FAMILIES,
+    _EXPONENT_CAP_BITS,
     _INDEX_CAP_BITS,
     _canonical,
     _families,
@@ -190,6 +191,22 @@ class TestMembershipIndex:
         assert _index.cache_info() == before
         assert cls.is_member
         assert _disagreements(theorem, 2, [pair]) == []
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_reduced_exponents_are_capped_at_128_bits(self, monkeypatch, theorem):
+        assert _EXPONENT_CAP_BITS == 128
+        at_cap = (1, 2**127 + 1)
+        assert classify_pair(2, at_cap, theorem).is_member
+        assert _disagreements(theorem, 2, [at_cap]) == []
+        # the cap reads the reduced pair, here (1, 3)
+        assert classify_pair(2, (2**129, 3 * 2**129), theorem).reduced_pair == ExponentPair(1, 3)
+
+        def no_family(*args):
+            raise AssertionError("a family was built past the cap")
+
+        monkeypatch.setattr(catalog, "_rows", no_family)
+        with pytest.raises(ValueError, match="has 129 bits; membership is checked up to 128"):
+            classify_pair(2, (1, 2**128 + 1), theorem)
 
     def test_an_index_one_bit_too_small_is_caught(self, monkeypatch):
         def small(theorem, p, bits):

@@ -3,8 +3,11 @@
 import cmath
 import functools
 import gc
+import inspect
 import math
 import random
+import textwrap
+import tracemalloc
 import weakref
 from itertools import product
 from pathlib import Path
@@ -15,6 +18,7 @@ import pytest
 from monodromy import charsums
 from monodromy.charsums import (
     FIELD_SIZE_GUARD,
+    SWITCH_BLOCK_CELLS,
     _companion,
     _decode_int,
     _is_irreducible,
@@ -189,7 +193,7 @@ class TestBuildField:
         first = build_field(2, 3)
         gauss_sums_all(first)
         jacobi_sum(first, 1, 2)
-        _switchsum_sides(first)(1)
+        next(_switchsum_sides(first))
         evicted = weakref.ref(first)
         del first
         for p in filter(is_prime, range(3, 180)):  # 40 more fields
@@ -228,7 +232,7 @@ class TestBuildField:
         F = build_field(2, 6)
         gauss_sums_all(F)
         mellin_suite(F, (3, 2))
-        _switchsum_sides(F)(3)
+        next(_switchsum_sides(F))
         build_field.cache_clear()
         G = build_field(2, 6)
         assert G is not F and G == F and hash(G) == hash(F)
@@ -594,18 +598,33 @@ def switch_side(F, roots, s, z):
     return sum(1 - 2 * F.trace[E.mul(s, x)] for x in roots.get(z, ()))
 
 
+def all_sides(F):
+    """lhs and rhs over every (t, y), the blocks stacked in t order."""
+    return map(np.vstack, zip(*_switchsum_sides(F)))
+
+
+def switch_mutant(old, new):
+    """_switchsum_sides with one source fragment replaced."""
+    source = textwrap.dedent(inspect.getsource(charsums._switchsum_sides))
+    assert old in source
+    scope = {}
+    exec(source.replace(old, new), vars(charsums), scope)
+    return scope["_switchsum_sides"]
+
+
 class TestSwitchsumSides:
     @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
     def test_sides_match_per_pair_oracle(self, r):
         F = build_field(2, r)
+        E = Elements(F)
         roots = switch_roots(F)
-        sides = _switchsum_sides(F)
+        lhs, rhs = all_sides(F)
+        assert lhs.shape == rhs.shape == (F.q, F.q)
         for t in range(F.q):
-            lhs, rhs = sides(t)
-            t2 = Elements(F).mul(t, t)
-            assert lhs.tolist() == [switch_side(F, roots, t, y) for y in range(F.q)]
-            assert rhs.tolist() == [switch_side(F, roots, y, t2) for y in range(F.q)]
-            assert lhs.tolist() == rhs.tolist()
+            t2 = E.mul(t, t)
+            assert lhs[t].tolist() == [switch_side(F, roots, t, y) for y in range(F.q)]
+            assert rhs[t].tolist() == [switch_side(F, roots, y, t2) for y in range(F.q)]
+        assert lhs.tolist() == rhs.tolist()
 
     # over F_2 (where t^2 = t) and F_4 the two pairings agree on every (t, y),
     # so the control starts at r = 3
@@ -613,11 +632,42 @@ class TestSwitchsumSides:
     def test_roots_of_t_in_place_of_t_squared_disagree(self, r):
         F = build_field(2, r)
         roots = switch_roots(F)
-        sides = _switchsum_sides(F)
-        checked = equal = 0
-        for t in range(F.q):
-            lhs, _ = sides(t)
-            for y in range(F.q):
-                checked += 1
-                equal += lhs[y] == switch_side(F, roots, y, t)
-        assert equal < checked
+        lhs, _ = all_sides(F)
+        control = [[switch_side(F, roots, y, t) for y in range(F.q)] for t in range(F.q)]
+        assert np.count_nonzero(lhs == np.array(control)) < F.q**2
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_block_size_does_not_change_the_sides(self, monkeypatch, rows):
+        F = build_field(2, 5)
+        want = [side.tolist() for side in all_sides(F)]
+        monkeypatch.setattr(charsums, "SWITCH_BLOCK_CELLS", rows * F.q)
+        blocks = list(_switchsum_sides(F))
+        assert [len(lhs) for lhs, _ in blocks] == [min(rows, F.q - s) for s in range(0, F.q, rows)]
+        assert [side.tolist() for side in all_sides(F)] == want
+        assert switchsum_exhaustive(5) == (4**5, 4**5)
+
+    @pytest.mark.parametrize("r", [9, 10])
+    def test_exhaustive_over_several_blocks(self, r):
+        assert 4**r > SWITCH_BLOCK_CELLS
+        assert switchsum_exhaustive(r) == (4**r, 4**r)
+
+    # the second form keeps the sides' range {-2, 0, 2}
+    @pytest.mark.parametrize("first_root_only", ["psi[tm0[t2] & w]", "2 * psi[tm0[t2] & w]"])
+    @pytest.mark.parametrize("r", [3, 5, 8])
+    def test_dropping_the_second_root_of_the_rhs_is_caught(self, monkeypatch, r, first_root_only):
+        mutant = switch_mutant("(psi[tm0[t2] & w] + psi[tm1[t2] & w])", first_root_only)
+        monkeypatch.setattr(charsums, "_switchsum_sides", mutant)
+        checked, equal = switchsum_exhaustive(r)
+        assert checked == 4**r and equal < 4**r
+
+    def test_blocks_bound_the_temporaries(self):
+        # a (q, q) int64 table at q = 2^10 would be 8 MB; a block's arrays
+        # are at most 2^16 cells
+        build_field(2, 10)
+        tracemalloc.start()
+        try:
+            assert switchsum_exhaustive(10) == (4**10, 4**10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20

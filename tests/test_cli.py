@@ -368,6 +368,11 @@ class TestErrorBoundary:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("theorem", ["candidates", "final", "binomial"])
+    def test_classify_past_the_exponent_cap(self, capsys, theorem):
+        argv = ["classify", "--p", "2", "--d", "1", "--e", str(2**128 + 1), "--theorem", theorem]
+        self.test_exits_2_with_message(capsys, argv)
+
 
 @pytest.mark.parametrize("argv", [
     ["vp", "2", "1/7"],
