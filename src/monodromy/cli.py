@@ -16,7 +16,6 @@ import math
 import sys
 import time
 from collections import Counter
-from fractions import Fraction
 
 import numpy as np
 
@@ -102,38 +101,15 @@ def cmd_search(args) -> tuple[dict, dict]:
     )
 
 
-# [p, d, e, x, y, expected] with an optional item number
-_WITNESS_CELLS = (int, int, int, str, str, str, int)
-
-
-def _witness_rows(raw) -> list[tuple]:
-    """The rows of a --table file, each checked for shape and cell types."""
-    if not isinstance(raw, list):
-        raise ValueError("--table must hold a JSON list of rows")
-    rows = []
-    for i, row in enumerate(raw):
-        if not (isinstance(row, list) and len(row) in (6, 7) and all(
-                isinstance(cell, kind) and not isinstance(cell, bool)
-                for cell, kind in zip(row, _WITNESS_CELLS))):
-            raise ValueError(f"--table row {i}: want [int p, d, e, str x, y, expected"
-                             f"(, int item)], got {json.dumps(row)}")
-        try:  # parsed as verify_witness_table parses them, so "1/0" is a usage error
-            QzClass.parse(row[3])
-            QzClass.parse(row[4])
-            Fraction(row[5])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"--table row {i}: x, y and expected must be fractions, "
-                             f"got {json.dumps(row)} ({exc})") from None
-        rows.append(tuple(row) + (0,) * (7 - len(row)))
-    return rows
-
-
 def cmd_verify_witnesses(args) -> tuple[dict, dict]:
     rows = None
     if args.table:
         with open(args.table, encoding="utf-8") as fh:
-            rows = _witness_rows(json.load(fh))
-    results = verify_witness_table(rows)
+            rows = json.load(fh)
+    try:
+        results = verify_witness_table(rows)
+    except ValueError as exc:  # only a --table file can hold a bad row
+        raise ValueError(f"--table {exc}") from None
     for row in results:
         _emit(row, args.pretty)
     failures = sum(1 for row in results if not row["ok"])
@@ -239,8 +215,17 @@ def cmd_dump_catalog(args) -> tuple[dict, dict]:
     return {"out": args.out, "p": primes, "max": args.max}, {"rows": n}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, so that they
+    leave through main()'s one error boundary; its subparsers are of this
+    class too."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="monodromy",
         description="Exact finite-monodromy criteria for exponential sums",
     )
@@ -314,9 +299,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command and print its summary; the only place that reads the
     clock and picks the exit code."""
-    args = build_parser().parse_args(argv)
     t0 = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         inputs, result = args.func(args)
     except (ValueError, OSError) as exc:  # bad input or unwritable path: a usage error
         print(f"error: {exc}", file=sys.stderr)

@@ -40,8 +40,10 @@ and an eighth of the cells (about 1% of them on the deep levels of
 p <= 7; at r = 1, where a quarter of the cells are candidates, none is
 built).  By (D[z], z) the z of every row are a prefix of one order of
 the level, whose first entry is 0, so the table is that order, D in
-that order and one count per row; `_prefixes` is its one reader, in
-chunks of BLOCK_CELLS/16 entries.  The binomial search applies its row
+that order and one count per row.  `_hit_rows` is its one reader: it
+reads each row's prefix in chunks of BLOCK_CELLS/16 entries, adds the
+digit sums of the other forms, and marks the rows where a cell falls
+below the row's limit.  The binomial search applies its row
 bound to the level as one mask and reads the prefixes of the rows it
 leaves.  The Belyi search reads, of each row, the shorter of two
 prefixes of that order: its table entries as z, or, past the first, its
@@ -77,6 +79,7 @@ includes such x, undecided while the paper's text is not in the repository.
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 from dataclasses import dataclass
@@ -126,7 +129,7 @@ _CRITERIA = {
 
 DEFAULT_GRID_LIMIT = 10**8  # (x, y) grid points at the default depth, (p^r - 1)^2
 LEVEL_TABLE_GUARD = 2**20  # entries in the deepest level's tables, p^max_r
-BLOCK_CELLS = 2**17  # entries in the largest table, and in 16 chunks of _prefixes
+BLOCK_CELLS = 2**17  # entries in the largest table, and in 16 chunks of _hit_rows
 
 
 @dataclass(frozen=True)
@@ -309,18 +312,19 @@ def _candidate_table(D: np.ndarray, rows: np.ndarray, h: int, most: int) -> _Tab
     return table
 
 
-def _prefixes(order: np.ndarray, sums: np.ndarray, first, count: np.ndarray):
-    """Entries first[k] .. first[k] + count[k] - 1 of `order` and `sums` for
-    every row k in turn (`first` may be one int for all rows), some
-    count[k] > 0, in chunks of at most BLOCK_CELLS/16 entries: each chunk's
-    share of each row, its entries of `order` and of `sums`, and a spare
-    intp array of its length.  With starts[k] entries read before row k,
-    the g-th entry read is first[k] - starts[k] + g, so a chunk's places
-    are that shift repeated over each row's share of the chunk, plus g.
-    Gathers take mode="wrap" (every index is in range): mode="raise" copies
-    through a temporary."""
+def _hit_rows(order: np.ndarray, sums: np.ndarray, first, count: np.ndarray, limit, *terms):
+    """Which rows hold a hit, as one mask.  Row k reads entries first[k] ..
+    first[k] + count[k] - 1 of `order` and `sums` (`first` may be one int
+    for all rows), adds table.take(offset[k] + entry) to each entry's sum
+    for each (offset, table) of `terms`, and holds a hit where a total falls
+    below limit[k].  Entries are read in chunks of at most BLOCK_CELLS/16:
+    with starts[k] entries read before row k, the g-th entry read is
+    first[k] - starts[k] + g, so a chunk's places are that shift repeated
+    over each row's share of the chunk, plus g.  Gathers take mode="wrap"
+    (every index is in range): mode="raise" copies through a temporary."""
+    hit = np.zeros(count.size, bool)
     ends = count.cumsum()
-    total = int(ends[-1])
+    total = int(ends[-1]) if ends.size else 0
     starts = ends - count
     shift, n = first - starts, BLOCK_CELLS // 16
     for lo in range(0, total, n):
@@ -331,7 +335,14 @@ def _prefixes(order: np.ndarray, sums: np.ndarray, first, count: np.ndarray):
             np.maximum(share, 0, out=share)
         at = shift.repeat(share)
         at += np.arange(lo, hi)
-        yield share, order.take(at, mode="wrap"), sums.take(at, mode="wrap"), at
+        u, s = order.take(at, mode="wrap"), sums.take(at, mode="wrap")
+        for offset, table in terms:
+            np.add(offset.repeat(share), u, out=at)
+            s += table.take(at, mode="wrap")
+        below = s < limit.repeat(share)
+        if below.any():
+            hit[np.arange(count.size).repeat(share)[below]] = True
+    return hit
 
 
 @lru_cache(maxsize=32)
@@ -449,15 +460,11 @@ def _belyi_filter(join: _Join, d: int, e: int) -> np.ndarray:
     count = np.minimum(ys, join.count)
     count[keep] = 0
     if count.any():
-        a, b = np.where(as_y, join.top - ked[:2], ked[::2])  # (m - (d+e)x, m - ex) or ((d+e)x, dx)
-        for share, u, sums, i in _prefixes(join.order, join.sums, join.first + as_y, count):
-            np.add(a.repeat(share), u, out=i)
-            sums += join.DD.take(i, mode="wrap")  # D[u] + D[y - (d+e)x], u = y; + D[y], u = z
-            np.add(b.repeat(share), u, out=i)
-            sums += join.EE.take(i, mode="wrap")  # D[ex - y]
-            hit = sums < limit.repeat(share)
-            if hit.any():
-                keep[np.arange(keep.size).repeat(share)[hit]] = True
+        # D[u] + D[y - (d+e)x] + D[ex - y] with u = y, or D[z] + D[y] + D[ex - y]
+        # with u = z: the offsets are (m - (d+e)x, m - ex) or ((d+e)x, dx)
+        a, b = np.where(as_y, join.top - ked[:2], ked[::2])
+        keep |= _hit_rows(join.order, join.sums, join.first + as_y, count, limit,
+                          (a, join.DD), (b, join.EE))
     return keep
 
 
@@ -596,18 +603,12 @@ def binomial_search(p: int, pair, max_r: int | None = None, stop_early: bool = T
             # table can violate, and only on the rows the row bound leaves
             alive = _binomial_row_bound(level, dm, w)
             rows, count = rows[alive], level.table.count[alive]
-            keep = np.zeros(rows.size, bool)
             if rows.size:
-                # -ey for each y of the order that a row reads
+                # -ey for each y of the order that a row reads, so that each
+                # entry sums D[y] + D[-dx - ey]
                 ey = -em * level.table.order[:count.max()].astype(np.intp) % m
-                di, limit = -dm * rows % m, below - D[rows]
-                for share, u, sums, i in _prefixes(ey, level.table.sums, 0, count):
-                    np.add(di.repeat(share), u, out=i)
-                    sums += DD.take(i, mode="wrap")  # D[y] + D[-dx - ey]
-                    hit = sums < limit.repeat(share)
-                    if hit.any():
-                        keep[np.arange(keep.size).repeat(share)[hit]] = True
-            rows = rows[keep]
+                di = -dm * rows % m
+                rows = rows[_hit_rows(ey, level.table.sums, 0, count, below - D[rows], (di, DD))]
         for i in line + rows.tolist():
             # D[-dx] <= D[-dx-ey] + w D[y], so the row's sum is >= D[x] +
             # ceil(D[-dx] / w), and no y violates when that meets ceil(h/2)
@@ -687,11 +688,32 @@ WITNESS_TABLE: tuple[tuple[int, int, int, str, str, str, int], ...] = (
 
 
 def verify_witness_table(rows=None) -> list[dict]:
-    """Evaluate every witness row exactly; returns one result dict per row."""
+    """Evaluate every witness row exactly; returns one result dict per row.
+
+    `rows` defaults to WITNESS_TABLE.  Each row is [p, d, e, x, y, expected]
+    with an optional proof item (0 when absent): int p, d, e and item,
+    never bool, and x, y and expected as fraction strings.  A table that is
+    not a list of such rows raises ValueError, naming the row."""
+    rows = WITNESS_TABLE if rows is None else rows
+    if not isinstance(rows, (list, tuple)):
+        raise ValueError("must hold a JSON list of rows")
     results = []
-    for p, d, e, xs, ys, exp, item in (rows if rows is not None else WITNESS_TABLE):
-        expected = Fraction(exp)
-        computed = w_value(p, (d, e), QzClass.parse(xs), QzClass.parse(ys))
+    for n, row in enumerate(rows):
+        if not (isinstance(row, (list, tuple)) and len(row) in (6, 7) and all(
+                isinstance(cell, kind) and not isinstance(cell, bool)
+                for cell, kind in zip(row, (int, int, int, str, str, str, int)))):
+            raise ValueError(f"row {n}: want [int p, d, e, str x, y, expected(, int item)], "
+                             f"got {json.dumps(row, default=repr)}")
+        p, d, e, xs, ys, exp, item = (*row, 0)[:7]
+        try:
+            x, y, expected = QzClass.parse(xs), QzClass.parse(ys), Fraction(exp)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"row {n}: x, y and expected must be fractions, "
+                             f"got {json.dumps(row)} ({exc})") from None
+        try:
+            computed = w_value(p, (d, e), x, y)
+        except ValueError as exc:
+            raise ValueError(f"row {n}: {exc}") from None
         results.append(
             {
                 "p": p,

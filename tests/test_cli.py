@@ -102,9 +102,10 @@ class TestW:
         assert code == 0 and res["w"] == "5/2" and res["verdict"] == "pass"
 
     def test_malformed_fraction_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["w", "2", "5", "3", "x/y", "1/7"])
-        assert exc.value.code == 2
+        assert main(["w", "2", "5", "3", "x/y", "1/7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
     @pytest.mark.parametrize("p,x,y,den", [("2", "1/2", "1/3", 2), ("3", "1/7", "1/3", 3)])
     def test_denominator_divisible_by_p_names_its_own(self, capsys, p, x, y, den):
@@ -360,6 +361,12 @@ class TestErrorBoundary:
             ["verify-witnesses", "--table", str(DATA / "witness_table_zero_den_x.json")],
             ["vp", str(2**89 - 1), "1/3"],  # a prime past the primality test's bound
             ["verify-witnesses", "--table", str(DATA / "witness_table_object.json")],
+            # argparse's own errors leave through the same boundary
+            ["w", "2", "5", "3", "x/y", "1/7"],
+            ["vp", "2", "1/0"],
+            ["belyi", "--p", "x", "--d", "1", "--e", "2"],
+            ["classify", "--p", "2", "--d", "1"],
+            ["bogus"],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):
@@ -596,6 +603,11 @@ CLI_GOLDEN_COMMANDS = (
     "verify-witnesses --table tests/data/witness_table_zero_den_x.json",
     f"vp {2**89 - 1} 1/3",
     "verify-witnesses --table tests/data/witness_table_object.json",
+    "w 2 5 3 x/y 1/7",
+    "vp 2 1/0",
+    "belyi --p x --d 1 --e 2",
+    "classify --p 2 --d 1",
+    "bogus",
 )
 
 
@@ -609,7 +621,7 @@ def cli_output(command: str) -> dict:
           contextlib.redirect_stdout(out), contextlib.redirect_stderr(err)):
         try:
             code = main(argv)
-        except SystemExit as exc:  # --help, --version and argparse's own errors
+        except SystemExit as exc:  # --help and --version
             code = exc.code
     stdout = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out.getvalue())
     return {"stdout": stdout, "stderr": err.getvalue(), "exit": code}

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -79,6 +80,45 @@ class TestWitnessTable:
     def test_tampering_detected(self):
         rows = [(2, 5, 3, "1/7", "1/7", "3/2", 4)]
         assert not verify_witness_table(rows)[0]["ok"]
+
+    def test_builtin_results_are_unchanged(self):
+        results = verify_witness_table()
+        assert len(results) == 42
+        digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+        assert digest == "07ee8ad7d3b3943303c343ffe631b0e898119dc70477044c6ed12efc274f8e84"
+
+    def test_a_row_without_item_reads_item_0(self):
+        assert verify_witness_table([[2, 5, 3, "1/7", "1/7", "4/3"]])[0]["item"] == 0
+
+    GOOD = [2, 5, 3, "1/7", "1/7", "4/3", 4]
+    SHAPE = "want [int p, d, e, str x, y, expected(, int item)]"
+    FRACTIONS = "x, y and expected must be fractions"
+
+    @pytest.mark.parametrize("row,message", [
+        ([True, 5, 3, "1/7", "1/7", "4/3"], SHAPE),  # bool p
+        ([2, True, 3, "1/7", "1/7", "4/3"], SHAPE),  # bool d, once read as d = 1
+        ([2, 5, 3, "1/7", "1/7", "4/3", False], SHAPE),  # bool item
+        ([2, 5, 3, 1, "1/7", "4/3"], SHAPE),  # int x
+        ([2, 5, 3, "1/7", 7, "4/3"], SHAPE),  # int y, once an AttributeError
+        ([2, 5, 3, "1/7", "1/7", None], SHAPE),
+        ([2, 5, 3, "1/7", "1/7"], SHAPE),
+        ([2, 5, 3, "1/7", "1/7", "4/3", 4, 5], SHAPE),
+        ("2, 5, 3", SHAPE),
+        ([2, 5, 3, "1/0", "1/7", "4/3"], FRACTIONS),  # once a ZeroDivisionError
+        ([2, 5, 3, "1/7", "1/7", "1/0"], FRACTIONS),
+        ([2, 5, 3, "1/7", "x/y", "4/3"], FRACTIONS),
+        ([4, 5, 3, "1/7", "1/7", "4/3"], "4 is not prime"),
+        ([2, 5, 3, "0", "1/7", "4/3"], "x and y must be nonzero"),
+    ])
+    def test_malformed_rows_raise_value_error_naming_the_row(self, row, message):
+        for table in ([row], [self.GOOD, row]):
+            with pytest.raises(ValueError, match=rf"^row {len(table) - 1}: .*{re.escape(message)}"):
+                verify_witness_table(table)
+
+    @pytest.mark.parametrize("table", [{"rows": [GOOD]}, "rows", 42, iter([GOOD])])
+    def test_a_table_that_is_not_a_list_raises_value_error(self, table):
+        with pytest.raises(ValueError, match="must hold a JSON list of rows"):
+            verify_witness_table(table)
 
 
 class TestMonomialSide:
@@ -801,6 +841,64 @@ class TestCandidateTable:
         assert dropped == {"belyi": 1247, "binomial": 323}
 
 
+def hit_rows_oracle(order, sums, first, count, limit, *terms):
+    """`_hit_rows` row by row: row k holds a hit iff some entry j of its
+    prefix, first[k] <= j < first[k] + count[k], has sums[j] plus
+    table[offset[k] + order[j]] over `terms` below limit[k]."""
+    first = np.broadcast_to(first, count.shape)
+    hits = []
+    for k in range(count.size):
+        j = np.arange(first[k], first[k] + count[k])
+        total = sums[j].astype(np.int64)
+        for offset, table in terms:
+            total += table[offset[k] + order[j]]
+        hits.append(bool((total < limit[k]).any()))
+    return hits
+
+
+class TestHitRows:
+    """`_hit_rows` is the one reader of the candidate tables: each row reads
+    a prefix of an order, in chunks of BLOCK_CELLS/16 entries that may split
+    a row's prefix, and the mask marks the rows where a total falls below
+    the row's limit."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, None], ids=["chunk-1", "chunk-3", "real"])
+    @pytest.mark.parametrize("terms", [1, 2])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["first-scalar", "first-per-row"])
+    def test_matches_a_per_row_reader(self, monkeypatch, chunk, terms, per_row):
+        if chunk:
+            monkeypatch.setattr(criteria, "BLOCK_CELLS", 16 * chunk)
+        rng = np.random.default_rng(1000 * (chunk or 0) + 10 * terms + per_row)
+        # at the real chunk size, prefixes long enough that the read spans chunks
+        most = 8000 if chunk is None else 12
+        spanned = 0
+        for _ in range(40):
+            n, rows = int(rng.integers(1, most)), int(rng.integers(0, 9))
+            order = rng.permutation(n).astype(np.int16)
+            sums = np.sort(rng.integers(-3, 10, n)).astype(np.int8)
+            first = rng.integers(0, 2, rows) if per_row else int(rng.integers(0, 2))
+            room = n - np.broadcast_to(first, (rows,))
+            count = rng.integers(0, room + 1, dtype=np.intp) * (rng.random(rows) < 0.8)
+            if rng.random() < 0.1:
+                count[:] = 0
+            limit = rng.integers(-6, 30, rows)
+            tables = [(rng.integers(0, n, rows), rng.integers(0, 10, 2 * n).astype(np.int8))
+                      for _ in range(terms)]
+            got = criteria._hit_rows(order, sums, first, count, limit, *tables)
+            assert got.dtype == bool and got.shape == (rows,)
+            assert got.tolist() == hit_rows_oracle(order, sums, first, count, limit, *tables)
+            spanned += count.sum() > criteria.BLOCK_CELLS // 16
+        assert spanned
+
+    @pytest.mark.parametrize("rows", [0, 5])
+    def test_rows_that_read_nothing_hold_no_hit(self, rows):
+        order, sums = np.arange(4), np.zeros(4, np.int8)
+        count = np.zeros(rows, np.intp)
+        hit = criteria._hit_rows(order, sums, 0, count, np.full(rows, 100),
+                                 (np.zeros(rows, np.intp), sums))
+        assert hit.dtype == bool and hit.tolist() == [False] * rows
+
+
 class TestBelyiPrefilter:
     """The candidate table is the one filter a Belyi level runs before its
     row loop.  At the real thresholds it serves the levels of many rows,
@@ -859,8 +957,8 @@ class TestBelyiRowBound:
 
 def record_belyi_reads(patch):
     """The reads of the Belyi filter from here on, as a list that grows by
-    the (join, first, count) of each `_prefixes` call the filter makes."""
-    reads, joins, belyi_filter, prefixes = [], [], criteria._belyi_filter, criteria._prefixes
+    the (join, first, count) of each `_hit_rows` call the filter makes."""
+    reads, joins, belyi_filter, hit_rows = [], [], criteria._belyi_filter, criteria._hit_rows
 
     def filtering(join, d, e):
         joins.append(join)
@@ -869,19 +967,19 @@ def record_belyi_reads(patch):
         finally:
             joins.pop()
 
-    def recording(order, sums, first, count):
+    def recording(order, sums, first, count, limit, *terms):
         if joins:
             reads.append((joins[-1], first, count))
-        return prefixes(order, sums, first, count)
+        return hit_rows(order, sums, first, count, limit, *terms)
 
     patch.setattr(criteria, "_belyi_filter", filtering)
-    patch.setattr(criteria, "_prefixes", recording)
+    patch.setattr(criteria, "_hit_rows", recording)
     return reads
 
 
 def belyi_reads(monkeypatch, p, pair):
     """The reads of the pair's Belyi filter up to the default depth, each a
-    (join, first, count) of `_prefixes`, and the levels of p there with a
+    (join, first, count) of `_hit_rows`, and the levels of p there with a
     candidate table, each with the (first, count) of its share of a read,
     first counted from the level's own first entry, or None where it reads
     none.  Each level runs its filter and no row scan."""
