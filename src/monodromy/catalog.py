@@ -12,6 +12,10 @@ position, so reports can cite "final item 7" directly:
 * ``binomial`` - the 9 cases of the binomial classification, matched on
   prime-to-p parts.
 
+The one-parameter families are written as the paper states them, as
+formulas in P = p^a: ``_single_param`` steps a and passes P alone to the
+formula, and ``_square`` does the same for both of its parameters, so an
+item stated for one prime names that prime only in its p-constraint.
 Every family is a generator of (A, B, params) triples, and one helper,
 ``_rows``, turns it into a {pair: params} map that keeps the params that
 first produce each pair.  Enumeration and the JSON rows of
@@ -35,7 +39,7 @@ source lists.  Each family is written once.  The quotients
 candidate items 2 and 6, binomial item 5 and the FM-exponent values read
 them a-list by a-list from the one walker ``fm_exponents._quotient_lists``,
 and candidate item 1, whose bound shrinks with a, steps them directly.
-Binomial items 4 and 6 are the squares of p^a + 1 and (p^a + 1)/2, both
+Binomial items 4 and 6 are the squares of P + 1 and (P + 1)/2, both
 built by ``_square``.  Final items 3-9 and 11-13 are the rows of candidate
 items 5-8, 13-15 and 25-27 themselves.  ``fm_pair_scan``, a brute
 force over the FM set, is the counterpart of the candidate list, and
@@ -119,11 +123,12 @@ def _pk(**kw) -> tuple[tuple[str, int], ...]:
 # family generators
 
 def _single_param(make, start: int = 0, step: int = 1):
-    """Family from one integer parameter, values monotone in the parameter."""
+    """Family make(P) over P = p^a, a = start, start + step, ..., its pair
+    monotone in a."""
 
     def gen(p: int, bound: int):
         a = start
-        while max(pair := make(p, a)) <= bound:
+        while max(pair := make(p**a)) <= bound:
             yield *pair, _pk(a=a)
             a += step
 
@@ -131,12 +136,12 @@ def _single_param(make, start: int = 0, step: int = 1):
 
 
 def _square(value, start):
-    """Pairs (value(p, a), value(p, b)) for a, b >= start(p), values increasing
-    in the parameter."""
+    """Pairs (value(p^a), value(p^b)) for a, b >= start(p), value increasing
+    in P = p^a."""
 
     def gen(p: int, bound: int):
         a, vals = start(p), []
-        while (v := value(p, a)) <= bound:
+        while (v := value(p**a)) <= bound:
             vals.append((a, v))
             a += 1
         for a, A in vals:
@@ -215,61 +220,46 @@ def _eq(q: int):
 _CANDIDATE_FAMILIES = (
     (*_ANY, _gen_cand_1),
     (*_ANY, _gen_cand_2),
-    (*_GE3, _single_param(lambda p, a: ((p**a + 1) // 2,) * 2)),
+    (*_GE3, _single_param(lambda P: ((P + 1) // 2,) * 2)),
     (*_eq(2), _sporadic(SPORADIC_CANDIDATES_P2)),
-    (*_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a + 1), start=1)),
+    (*_eq(2), _single_param(lambda P: (P + 1, P + 1), start=1)),
     (*_eq(2), _gen_cand_6),
-    (*_eq(2), _single_param(lambda p, a: (1, 2**a + 1), start=1)),
-    (*_eq(2), _single_param(lambda p, a: (2**a + 1, 2**a), start=1)),
-    (*_eq(2), _single_param(lambda p, a: (3, 2**a + 1), start=1)),
-    (*_eq(2), _single_param(lambda p, a: (2**a + 1, 3 * 2**a), start=1)),
-    (*_eq(2), _single_param(
-        lambda p, a: (2**a + 1, (2 ** (3 * a) + 1) // (2**a + 1)), start=1)),
-    (*_eq(2), _single_param(
-        lambda p, a: ((2 ** (3 * a) + 1) // (2**a + 1), 2**a * (2**a + 1)), start=1)),
-    (*_eq(2), _single_param(
-        lambda p, a: (2**a + 1, (2**a + 1) // 3), start=1, step=2)),
-    (*_eq(2), _single_param(
-        lambda p, a: (1, (2**a + 1) // 3), start=1, step=2)),
-    (*_eq(2), _single_param(
-        lambda p, a: ((2**a + 1) // 3, 2**a), start=1, step=2)),
-    (*_eq(2), _single_param(
-        lambda p, a: (3, (2 ** (2 * a) + 1) // 5), start=1, step=2)),
-    (*_eq(2), _single_param(
-        lambda p, a: ((2 ** (2 * a) + 1) // 5, 3 * 2 ** (2 * a)), start=1, step=2)),
-    (*_eq(2), _single_param(
-        lambda p, a: (5, (2**a + 1) // 3), start=1, step=2)),
-    (*_eq(2), _single_param(
-        lambda p, a: ((2**a + 1) // 3, 5 * 2**a), start=1, step=2)),
-    (*_eq(2), _single_param(
-        lambda p, a: ((2 ** (3 * a) + 1) // 9, (2 ** (3 * a) + 1) // 3), start=1, step=2)),
-    (*_eq(2), _single_param(
-        lambda p, a: ((2 ** (3 * a) + 1) // 9, 2 * (2 ** (3 * a) + 1) // 9), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: (1, P + 1), start=1)),
+    (*_eq(2), _single_param(lambda P: (P + 1, P), start=1)),
+    (*_eq(2), _single_param(lambda P: (3, P + 1), start=1)),
+    (*_eq(2), _single_param(lambda P: (P + 1, 3 * P), start=1)),
+    (*_eq(2), _single_param(lambda P: (P + 1, (P**3 + 1) // (P + 1)), start=1)),
+    (*_eq(2), _single_param(lambda P: ((P**3 + 1) // (P + 1), P * (P + 1)), start=1)),
+    (*_eq(2), _single_param(lambda P: (P + 1, (P + 1) // 3), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: (1, (P + 1) // 3), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: ((P + 1) // 3, P), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: (3, (P**2 + 1) // 5), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: ((P**2 + 1) // 5, 3 * P**2), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: (5, (P + 1) // 3), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: ((P + 1) // 3, 5 * P), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: ((P**3 + 1) // 9, (P**3 + 1) // 3), start=1, step=2)),
+    (*_eq(2), _single_param(lambda P: ((P**3 + 1) // 9, 2 * (P**3 + 1) // 9), start=1, step=2)),
     (*_eq(3), _sporadic(SPORADIC_CANDIDATES_P3)),
-    (*_eq(3), _single_param(lambda p, a: (2, 3**a + 1))),
-    (*_eq(3), _single_param(lambda p, a: (3**a + 1, 2 * 3**a))),
-    (*_eq(3), _single_param(lambda p, a: (3**a + 1, (3**a + 1) // 2))),
-    (*_eq(3), _single_param(lambda p, a: (1, (3**a + 1) // 2))),
-    (*_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 3**a))),
-    (*_eq(3), _single_param(lambda p, a: (4, (3**a + 1) // 2))),
-    (*_eq(3), _single_param(lambda p, a: ((3**a + 1) // 2, 4 * 3**a))),
-    (*_eq(3), _single_param(
-        lambda p, a: ((3**a + 1) // 2, (3**a + 1) // 4), start=1, step=2)),
-    (*_eq(3), _single_param(
-        lambda p, a: ((3**a + 1) // 4, (3**a + 1) // 4), start=1, step=2)),
-    (*_eq(3), _single_param(
-        lambda p, a: (2, (3**a + 1) // 4), start=1, step=2)),
-    (*_eq(3), _single_param(
-        lambda p, a: ((3**a + 1) // 4, 2 * 3**a), start=1, step=2)),
+    (*_eq(3), _single_param(lambda P: (2, P + 1))),
+    (*_eq(3), _single_param(lambda P: (P + 1, 2 * P))),
+    (*_eq(3), _single_param(lambda P: (P + 1, (P + 1) // 2))),
+    (*_eq(3), _single_param(lambda P: (1, (P + 1) // 2))),
+    (*_eq(3), _single_param(lambda P: ((P + 1) // 2, P))),
+    (*_eq(3), _single_param(lambda P: (4, (P + 1) // 2))),
+    (*_eq(3), _single_param(lambda P: ((P + 1) // 2, 4 * P))),
+    (*_eq(3), _single_param(lambda P: ((P + 1) // 2, (P + 1) // 4), start=1, step=2)),
+    (*_eq(3), _single_param(lambda P: ((P + 1) // 4, (P + 1) // 4), start=1, step=2)),
+    (*_eq(3), _single_param(lambda P: (2, (P + 1) // 4), start=1, step=2)),
+    (*_eq(3), _single_param(lambda P: ((P + 1) // 4, 2 * P), start=1, step=2)),
     (*_eq(5), _sporadic(SPORADIC_CANDIDATES_P5)),
-    (*_eq(5), _single_param(lambda p, a: (2, (5**a + 1) // 2))),
-    (*_eq(5), _single_param(lambda p, a: ((5**a + 1) // 2, 2 * 5**a))),
+    (*_eq(5), _single_param(lambda P: (2, (P + 1) // 2))),
+    (*_eq(5), _single_param(lambda P: ((P + 1) // 2, 2 * P))),
     (*_eq(7), _sporadic(((2, 2),))),
 )
 
 
 _FINAL_FAMILIES = (
-    (*_ANY, _single_param(lambda p, a: (1, p**a))),
+    (*_ANY, _single_param(lambda P: (1, P))),
     (*_eq(2), _sporadic(((1, 12),))),
     *_CANDIDATE_FAMILIES[4:8],  # final items 3-9 are candidate items 5-8, 13-15
     *_CANDIDATE_FAMILIES[12:15],
@@ -308,9 +298,9 @@ _BINOMIAL_FAMILIES = (
     (*_ANY, _sporadic(((1, 1),))),
     (*_ANY, _gen_bin_2),
     (*_ANY, _gen_bin_3),
-    (*_ANY, _square(lambda p, a: p**a + 1, lambda p: 1 if p == 2 else 0)),
+    (*_ANY, _square(lambda P: P + 1, lambda p: 1 if p == 2 else 0)),
     (*_ANY, _gen_bin_5),
-    (*_GE3, _square(lambda p, a: (p**a + 1) // 2, lambda p: 0)),
+    (*_GE3, _square(lambda P: (P + 1) // 2, lambda p: 0)),
     (*_eq(2), _sporadic(((13, 3),))),
     (*_eq(3), _sporadic(((7, 4), (7, 2), (5, 4), (5, 2)))),
     (*_eq(5), _sporadic(((3, 2), (7, 7)))),
@@ -337,6 +327,13 @@ def family_ids(theorem: str, p: int) -> list[FamilyId]:
     return [fid for fid, p_ok, _ in _families(theorem) if p_ok(p)]
 
 
+def _as_bound(bound) -> int:
+    bound = operator.index(bound)
+    if bound < 1:
+        raise ValueError("bound must be >= 1")
+    return bound
+
+
 def _rows(gen, p: int, bound: int) -> dict[tuple[int, int], tuple]:
     """{(A, B): params} of one family's generator, keeping the params that
     first produce each pair in generator order."""
@@ -352,9 +349,7 @@ def enumerate_family(family: FamilyId | tuple[str, int], p: int, bound: int) -> 
     Raises ValueError when the family does not apply to p.
     """
     theorem, index = (family.theorem, family.index) if isinstance(family, FamilyId) else family
-    p, bound = _as_prime_int(p), operator.index(bound)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    p, bound, index = _as_prime_int(p), _as_bound(bound), operator.index(index)
     fams = _families(theorem)
     if not 1 <= index <= len(fams):
         raise ValueError(f"{theorem} has items 1..{len(fams)}, not {index}")
@@ -368,9 +363,7 @@ def catalog_rows(theorem: str, p: int, bound: int) -> Iterator[dict]:
     """The JSON row of every member of the theorem's families for p, with
     max(A, B) <= bound, by item and then (A, B)."""
     fams = _families(theorem)
-    p, bound = _as_prime_int(p), operator.index(bound)
-    if bound < 1:
-        raise ValueError("bound must be >= 1")
+    p, bound = _as_prime_int(p), _as_bound(bound)
     for fid, p_ok, gen in fams:
         if p_ok(p):
             for (A, B), params in sorted(_rows(gen, p, bound).items()):
@@ -567,12 +560,14 @@ def crosscheck(p: int, bound: int, max_r: int | None = None) -> CrosscheckReport
 
 
 def write_catalog(path, primes=(2, 3, 5, 7), bound: int = 300) -> int:
-    """Serialize every family's members to JSON lines; returns the row count.
-    A prime given twice is written once."""
-    rows = [row for theorem in THEOREMS for p in {_as_prime_int(p) for p in primes}
-            for row in catalog_rows(theorem, p, bound)]
-    rows.sort(key=lambda r: (r["theorem"], r["p"], r["item"], r["A"], r["B"]))
+    """Serialize every family's members to JSON lines, by theorem, p, item
+    and (A, B); returns the row count.  A prime given twice is written once,
+    and bad input raises before the file is opened."""
+    primes, bound, n = sorted({_as_prime_int(p) for p in primes}), _as_bound(bound), 0
     with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    return len(rows)
+        for theorem in sorted(THEOREMS):
+            for p in primes:
+                for row in catalog_rows(theorem, p, bound):
+                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    n += 1
+    return n

@@ -147,6 +147,13 @@ def _disagreements(theorem, p, pairs):
     return bad
 
 
+def quotient(n, m):
+    """n / m, asserted exact."""
+    q, r = divmod(n, m)
+    assert r == 0, (n, m)
+    return q
+
+
 SMALL_PAIRS = [(d, e) for d in range(1, 61) for e in range(1, 61)]
 # max(A, B) on both sides of the index's bucket edges, the cap included
 EDGES = (31, 32, 63, 64, 255, 256, 2**32 - 1, 2**32, 2**32 + 1)
@@ -335,6 +342,83 @@ class TestTheoremCrossValidation:
                               "params": params, "reversed": False}
                              for (A, B), params in sorted(first.items())]
             assert list(catalog_rows(theorem, p, bound)) == expected, theorem
+
+    # (pair in (p, a), first a, step of a) of every candidate item stated for
+    # one prime, each with its prime written out
+    CANDIDATE_FORMULAS = {
+        5: (lambda p, a: (2**a + 1, 2**a + 1), 1, 1),
+        7: (lambda p, a: (1, 2**a + 1), 1, 1),
+        8: (lambda p, a: (2**a + 1, 2**a), 1, 1),
+        9: (lambda p, a: (3, 2**a + 1), 1, 1),
+        10: (lambda p, a: (2**a + 1, 3 * 2**a), 1, 1),
+        11: (lambda p, a: (2**a + 1, quotient(2 ** (3 * a) + 1, 2**a + 1)), 1, 1),
+        12: (lambda p, a: (quotient(2 ** (3 * a) + 1, 2**a + 1), 2**a * (2**a + 1)), 1, 1),
+        13: (lambda p, a: (2**a + 1, quotient(2**a + 1, 3)), 1, 2),
+        14: (lambda p, a: (1, quotient(2**a + 1, 3)), 1, 2),
+        15: (lambda p, a: (quotient(2**a + 1, 3), 2**a), 1, 2),
+        16: (lambda p, a: (3, quotient(2 ** (2 * a) + 1, 5)), 1, 2),
+        17: (lambda p, a: (quotient(2 ** (2 * a) + 1, 5), 3 * 2 ** (2 * a)), 1, 2),
+        18: (lambda p, a: (5, quotient(2**a + 1, 3)), 1, 2),
+        19: (lambda p, a: (quotient(2**a + 1, 3), 5 * 2**a), 1, 2),
+        20: (lambda p, a: (quotient(2 ** (3 * a) + 1, 9), quotient(2 ** (3 * a) + 1, 3)), 1, 2),
+        21: (lambda p, a: (quotient(2 ** (3 * a) + 1, 9), 2 * quotient(2 ** (3 * a) + 1, 9)),
+             1, 2),
+        23: (lambda p, a: (2, 3**a + 1), 0, 1),
+        24: (lambda p, a: (3**a + 1, 2 * 3**a), 0, 1),
+        25: (lambda p, a: (3**a + 1, quotient(3**a + 1, 2)), 0, 1),
+        26: (lambda p, a: (1, quotient(3**a + 1, 2)), 0, 1),
+        27: (lambda p, a: (quotient(3**a + 1, 2), 3**a), 0, 1),
+        28: (lambda p, a: (4, quotient(3**a + 1, 2)), 0, 1),
+        29: (lambda p, a: (quotient(3**a + 1, 2), 4 * 3**a), 0, 1),
+        30: (lambda p, a: (quotient(3**a + 1, 2), quotient(3**a + 1, 4)), 1, 2),
+        31: (lambda p, a: (quotient(3**a + 1, 4), quotient(3**a + 1, 4)), 1, 2),
+        32: (lambda p, a: (2, quotient(3**a + 1, 4)), 1, 2),
+        33: (lambda p, a: (quotient(3**a + 1, 4), 2 * 3**a), 1, 2),
+        35: (lambda p, a: (2, quotient(5**a + 1, 2)), 0, 1),
+        36: (lambda p, a: (quotient(5**a + 1, 2), 2 * 5**a), 0, 1),
+    }
+    # (value in (p, a), first a) of binomial items 4 and 6, the squares of
+    # value(p, a) over a, b >= the first a
+    SQUARE_FORMULAS = {
+        4: (lambda p, a: p**a + 1, lambda p: 1 if p == 2 else 0),
+        6: (lambda p, a: quotient(p**a + 1, 2), lambda p: 0),
+    }
+
+    @pytest.mark.parametrize("theorem,p,items", [
+        (CANDIDATES, 2, [5, *range(7, 22)]),
+        (CANDIDATES, 3, range(23, 34)),
+        (CANDIDATES, 5, [35, 36]),
+        (BINOMIAL, 2, [4]),  # item 6 is stated for p >= 3
+        (BINOMIAL, 3, [4, 6]),
+    ], ids=["candidates-p2", "candidates-p3", "candidates-p5", "binomial-p2", "binomial-p3"])
+    def test_prime_specific_families_match_formulas(self, theorem, p, items):
+        """Every item stated for one prime, and binomial items 4 and 6,
+        rebuilt from their formulas in (p, a) at bound 2^64, far past the
+        shipped catalog's 300: pairs, params and order."""
+        bound = 2**64
+        expected = []
+        for item in items:
+            # a up to 70 takes every formula past the bound, as asserted
+            if theorem == CANDIDATES:
+                pair, start, step = self.CANDIDATE_FORMULAS[item]
+                exps = range(start, 71, step)
+                assert max(pair(p, exps[-1])) > bound
+                triples = [(*pair(p, a), {"a": a}) for a in exps]
+            else:
+                value, start = self.SQUARE_FORMULAS[item]
+                exps = range(start(p), 71)
+                assert value(p, exps[-1]) > bound
+                triples = [(value(p, a), value(p, b), {"a": a, "b": b})
+                           for a in exps for b in exps]
+            first = {}  # the params that first produce each pair
+            for A, B, params in triples:
+                if max(A, B) <= bound:
+                    first.setdefault((A, B), params)
+            expected += [{"theorem": theorem, "item": item, "p": p, "A": A, "B": B,
+                          "params": params, "reversed": False}
+                         for (A, B), params in sorted(first.items())]
+        got = [row for row in catalog_rows(theorem, p, bound) if row["item"] in items]
+        assert got == expected
 
 
 @pytest.mark.parametrize("theorem", THEOREMS)

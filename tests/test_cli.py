@@ -367,6 +367,7 @@ class TestErrorBoundary:
             ["belyi", "--p", "x", "--d", "1", "--e", "2"],
             ["classify", "--p", "2", "--d", "1"],
             ["bogus"],
+            ["charsums", "--switch-max-r", "-3"],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):
@@ -453,6 +454,7 @@ NOT_AN_INT = "cannot be interpreted as an integer"
     # a search depth is an integer too
     (lambda: belyi_search(2, (1, 2), max_r=3.0), TypeError, NOT_AN_INT),
     (lambda: crosscheck(2, 10, max_r=3.0), TypeError, NOT_AN_INT),
+    (lambda: enumerate_family(("final", 1.5), 2, 10), TypeError, NOT_AN_INT),
 ], ids=["theorem", "enumerate_family", "catalog_rows", "fm_pair_scan", "quotient_lemma_oracle",
         "build_field", "ExponentPair", "classify_fm_exponent", "monomial_search",
         "mult_order", "digit_sum", "_as_class", "exp_sum-coefficient-9",
@@ -464,7 +466,7 @@ NOT_AN_INT = "cannot be interpreted as an integer"
         "gauss_sum-float", "gauss_sum_raw-float", "jacobi_sum-float", "mellin_sum-float",
         "exp_sum-float", "mellin_sum-negative", "mellin_suite-negative",
         "mellin_suite-0-1", "mellin_suite-1-0", "mellin_suite-0-0",
-        "belyi_search-float-max_r", "crosscheck-float-max_r"])
+        "belyi_search-float-max_r", "crosscheck-float-max_r", "enumerate_family-float-item"])
 def test_library_rejects_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -608,6 +610,7 @@ CLI_GOLDEN_COMMANDS = (
     "belyi --p x --d 1 --e 2",
     "classify --p 2 --d 1",
     "bogus",
+    "charsums --switch-max-r -3",
 )
 
 
