@@ -171,6 +171,8 @@ def _prime_powers_upto(limit: int) -> list[tuple[int, int]]:
 
 
 def cmd_charsums(args) -> tuple[dict, dict]:
+    if args.max_q < 2:
+        raise ValueError(f"--max-q {args.max_q} is below 2, the least field size")
     if args.max_q > FIELD_SIZE_GUARD:
         raise ValueError(f"--max-q {args.max_q} exceeds the field size guard {FIELD_SIZE_GUARD}")
     if args.switch_max_r < 0:

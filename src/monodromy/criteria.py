@@ -43,14 +43,10 @@ the level, whose first entry is 0, so the table is that order, D in
 that order and one count per row.  `_hit_rows` is its one reader: it
 reads each row's prefix in chunks of BLOCK_CELLS/16 entries, adds the
 digit sums of the other forms, and marks the rows where a cell falls
-below the row's limit.  The binomial search applies its row
-bound to the level as one mask and reads the prefixes of the rows it
-leaves.  The Belyi search reads, of each row, the shorter of two
-prefixes of that order: its table entries as z, or, past the first, its
-y with D[y] < ceil(3h/2) - D[x] - D[-dx] - D[-ex], which by the row
-bound hold every violating y and which a count table per level gives.
-So no pair reads more than the table holds, and a row the bound clears
-reads nothing.  The Belyi search filters the first tabled level of its
+below the row's limit.  Each search applies its row bound to the
+level as one mask and reads the prefixes of the rows it leaves, so no
+pair reads more than the table holds, and a row the bound clears reads
+nothing.  The Belyi search filters the first tabled level of its
 depth alone and every deeper tabled level in one pass: their rows, DD,
 EE, orders and counts are joined once per depth behind a bounded cache,
 so one row setup and one read of the joined orders serve them all.  The
@@ -387,17 +383,13 @@ class _Join(NamedTuple):
     """Tabled levels joined for one pass of the Belyi filter.  The row
     arrays list each level's rows in turn, and DD, EE, order and sums are
     each level's in turn, so that an index into them carries its level's
-    offset: o into DD and EE, and each row's `first` into order and sums.
-    The order keeps its level's z."""
+    offset: each row's `first` into order and sums, and 2 * first into DD
+    and EE, which are twice as long.  The order keeps its level's z."""
 
     spans: tuple  # (r, lo, hi, m) of each level, whose rows are rows[lo:hi]
     rows: np.ndarray
-    off: np.ndarray  # each row's o
-    top: np.ndarray  # each row's 2o + m, so that top - (o + j) = o + m - j
     room: np.ndarray  # ceil(h/2) - D[x]: the one-variable side violates iff D[-(d+e)x] < room
     bound: np.ndarray  # ceil(3h/2) - D[x]
-    lead: np.ndarray  # ceil(3h/2) - D[x] + the place of t = 0 in `fewer`
-    fewer: np.ndarray  # per level, for -h <= t <= ceil(3h/2): how many y != 0 have D[y] < t
     DD: np.ndarray
     EE: np.ndarray
     order: np.ndarray
@@ -413,17 +405,15 @@ def _belyi_join(p: int, lo: int, hi: int) -> _Join:
     own narrow types.  Pure data behind a bounded read-through cache."""
     levels = [level for r in range(lo, hi + 1) if (level := _level_tables(p, r)).table is not None]
     spans, columns = [], []
-    n = o = c = t = 0  # rows, DD entries, count-table entries and order entries of earlier levels
+    n = t = 0  # rows and order entries of earlier levels
     for level in levels:
-        m, h, rows, table = level.m, level.r * (p - 1), level.rows, level.table
-        below_x, below_xy = level.below["belyi-monomial"], level.below["belyi-pair"]
+        rows, table = level.rows, level.table
         Dx = level.D[rows].astype(np.intp)
-        fewer = table.sums[1:].searchsorted(np.arange(-h, below_xy + 1))
-        spans.append((level.r, n, n + rows.size, m))
-        columns.append((rows, np.full(rows.size, o), np.full(rows.size, 2 * o + m), below_x - Dx,
-                        below_xy - Dx, below_xy + c + h - Dx, fewer, level.DD, level.EE,
-                        table.order, table.sums, np.full(rows.size, t), table.count))
-        n, o, c, t = n + rows.size, o + 2 * m, c + fewer.size, t + m
+        spans.append((level.r, n, n + rows.size, level.m))
+        columns.append((rows, level.below["belyi-monomial"] - Dx, level.below["belyi-pair"] - Dx,
+                        level.DD, level.EE, table.order, table.sums, np.full(rows.size, t),
+                        table.count))
+        n, t = n + rows.size, t + level.m
     join = _Join(tuple(spans), *(parts[0] if len(parts) == 1 else np.concatenate(parts)
                                  for parts in zip(*columns)))
     for column in join[1:]:
@@ -435,36 +425,27 @@ def _belyi_filter(join: _Join, d: int, e: int) -> np.ndarray:
     """Which rows of the joined levels can hold a Belyi hit, as one mask.
 
     For y != 0, W >= V(x) + 1 + V(y - (d+e)x), so the z = y - (d+e)x of a
-    violating cell are among the row's table entries; and V(y - (d+e)x) +
-    V(ex - y) >= V(-dx), so W >= V(x) + V(y) + V(-dx) + V(-ex) and its y
-    have D[y] < ceil(3h/2) - D[x] - D[-dx] - D[-ex].  Both lists are
-    prefixes of the table's order, whose first entry is 0, and each row
-    reads the shorter: its entries as z, or the entries past the first as
-    y, counted by the level's count table.  A row is kept when a cell
-    violates, or when its one-variable side does, and then it reads none.
-    y = 0 needs no test: its z = -(d+e)x is a candidate only where D[x] +
-    D[z] < ceil(h/2), where the one-variable side keeps the row.  Every
-    product is reduced mod its level's m."""
+    violating cell are among the row's table entries, a prefix of the
+    table's order; each row reads that prefix, or nothing where the
+    one-variable side violates, which keeps the row, or where the row bound
+    D[x] + D[-dx] + D[-ex] + 1 >= ceil(3h/2) clears it.  y = 0 needs no
+    test: its z = -(d+e)x is a candidate only where D[x] + D[z] <
+    ceil(h/2), where the one-variable side keeps the row.  Every product is
+    reduced mod its level's m."""
     K = d + e
     ked = np.empty((3, join.rows.size), np.intp)
     for _, lo, hi, m in join.spans:
         part = ked[:, lo:hi]
         np.multiply(np.array((K % m, e % m, d % m))[:, None], join.rows[lo:hi], out=part)
         part %= m
-    ked += join.off  # (d+e)x, ex, dx, each past its level's offset
+    ked += 2 * join.first  # (d+e)x, ex, dx, each past its level's offset into DD and EE
     minus = join.EE.take(ked)  # D[-(d+e)x], D[-ex], D[-dx]
     keep = minus[0] < join.room
-    limit = join.bound - minus[1]  # for D[y] + D[y - (d+e)x] + D[ex - y]
-    ys = join.fewer.take(join.lead - minus[1] - minus[2])
-    as_y = ys < join.count
-    count = np.minimum(ys, join.count)
-    count[keep] = 0
+    count = np.where(keep | (minus[1] + minus[2] + 1 >= join.bound), 0, join.count)
     if count.any():
-        # D[u] + D[y - (d+e)x] + D[ex - y] with u = y, or D[z] + D[y] + D[ex - y]
-        # with u = z: the offsets are (m - (d+e)x, m - ex) or ((d+e)x, dx)
-        a, b = np.where(as_y, join.top - ked[:2], ked[::2])
-        keep |= _hit_rows(join.order, join.sums, join.first + as_y, count, limit,
-                          (a, join.DD), (b, join.EE))
+        # D[z] + D[y] + D[ex - y], with y = z + (d+e)x and ex - y = -dx - z
+        keep |= _hit_rows(join.order, join.sums, join.first, count, join.bound - minus[1],
+                          (ked[0], join.DD), (ked[2], join.EE))
     return keep
 
 

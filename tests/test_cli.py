@@ -368,6 +368,8 @@ class TestErrorBoundary:
             ["classify", "--p", "2", "--d", "1"],
             ["bogus"],
             ["charsums", "--switch-max-r", "-3"],
+            ["charsums", "--max-q", "1"],
+            ["charsums", "--max-q", "-5", "--switch-max-r", "0"],
         ],
     )
     def test_exits_2_with_message(self, capsys, argv):
@@ -375,6 +377,13 @@ class TestErrorBoundary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+    def test_charsums_runs_at_the_least_field_size(self, capsys):
+        # q = 2 is a field: --max-q 2 runs its Gauss row and no other
+        assert main(["charsums", "--max-q", "2", "--switch-max-r", "0"]) == 0
+        *rows, summary = map(json.loads, capsys.readouterr().out.splitlines())
+        assert [row["q"] for row in rows] == [2]
+        assert summary["inputs"]["max_q"] == 2 and summary["result"] == {"failures": 0}
 
     @pytest.mark.parametrize("theorem", ["candidates", "final", "binomial"])
     def test_classify_past_the_exponent_cap(self, capsys, theorem):
@@ -611,6 +620,8 @@ CLI_GOLDEN_COMMANDS = (
     "classify --p 2 --d 1",
     "bogus",
     "charsums --switch-max-r -3",
+    "charsums --max-q 1",
+    "charsums --max-q -5 --switch-max-r 0",
 )
 
 

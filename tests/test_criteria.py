@@ -789,11 +789,9 @@ class TestCandidateTable:
             assert count.sum() <= min(criteria.BLOCK_CELLS, level.rows.size * level.m // 8), level.r
             assert not any(column.flags.writeable for column in level.table), level.r
         # the deep join lists each level's order once and no candidate: every
-        # column is rows, m or 2m long, or is a level's count table
+        # column is rows, m or 2m long
         join = criteria._belyi_join(p, levels[1].r, levels[-1].r)
-        fewer = sum(hi - lo for hi, lo in [(level.below["belyi-pair"], -level.r * (p - 1))
-                                           for level in levels[1:]]) + len(levels) - 1
-        assert column_sizes(join[1:], join.rows.size, sum(m for *_, m in join.spans)) == [fewer]
+        assert column_sizes(join[1:], join.rows.size, sum(m for *_, m in join.spans)) == []
         assert all(column_sizes(level.table, level.rows.size, level.m) == [] for level in levels)
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
@@ -823,7 +821,7 @@ class TestCandidateTable:
 
     def test_control_is_caught(self, monkeypatch):
         # a table one short of the bound loses rows that violate only on its
-        # edge; a Belyi row that reads its y-list instead loses none
+        # edge
         def tightened(patch):
             force_table(patch, drop_edge)
 
@@ -838,7 +836,7 @@ class TestCandidateTable:
                     want = oracle(p, pair)
                     assert set(got) <= set(want), (name, p, pair)
                     dropped[name] += len(want) - len(got)
-        assert dropped == {"belyi": 1247, "binomial": 323}
+        assert dropped == {"belyi": 1310, "binomial": 323}
 
 
 def hit_rows_oracle(order, sums, first, count, limit, *terms):
@@ -980,9 +978,8 @@ def record_belyi_reads(patch):
 def belyi_reads(monkeypatch, p, pair):
     """The reads of the pair's Belyi filter up to the default depth, each a
     (join, first, count) of `_hit_rows`, and the levels of p there with a
-    candidate table, each with the (first, count) of its share of a read,
-    first counted from the level's own first entry, or None where it reads
-    none.  Each level runs its filter and no row scan."""
+    candidate table, each with the counts of its share of a read, or None
+    where it reads none.  Each level runs its filter and no row scan."""
     levels = []
 
     def filter_only(p, max_r, level_hits, stop_early=True):
@@ -997,68 +994,70 @@ def belyi_reads(monkeypatch, p, pair):
         patch.setattr(criteria, "_scan", filter_only)
         belyi_search(p, pair, max_r=default_max_r(p))
     shares = dict.fromkeys(level.r for level in levels)
-    for join, first, count in reads:
+    for join, _, count in reads:
         for r, lo, hi, _ in join.spans:
             if count[lo:hi].any():
-                shares[r] = first[lo:hi] - join.first[lo:hi], count[lo:hi]
+                shares[r] = count[lo:hi]
     return reads, [(level, shares[level.r]) for level in levels]
 
 
 class TestBelyiReadCap:
     """Why the row bound costs no pair more than the table: on a tabled
-    level each row reads the shorter of two prefixes of the table's order,
-    its table entries as z = y - (d+e)x or its y-list under the row bound,
-    and each prefix holds every violating cell of its row.  The first
-    tabled level is read alone and every deeper one in a single read, in
-    which each level's share is its own rows' prefixes."""
+    level each row reads its table entries as z = y - (d+e)x, a prefix of
+    the table's order that holds every violating cell of its row, or
+    nothing where its one-variable side violates or the row bound clears
+    it.  The first tabled level is read alone and every deeper one in a
+    single read, in which each level's share is its own rows' prefixes."""
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_reads_are_capped_by_the_table(self, monkeypatch, p):
-        # per level, from Fraction digit sums: V, the rank of each class in the
-        # order by (V, class), V in that order, V and V[-j] twice (j < 2m), and
-        # each table entry's row slot, z and V[x] + V[z]
+        # per level, from Fraction digit sums: V, V and V[-j] twice (j < 2m),
+        # each row's number of candidates z, with V[z] < ceil(h/2) - V[x], and
+        # each candidate's row slot, z and V[x] + V[z], z by (V, z)
         oracle = {}
         for level in tabled_levels(p):
-            V, m = v_numerators(p, level.r).astype(np.int16), level.m
-            slot, z = table_entries(level.table)
-            oracle[level.r] = (V, np.argsort(np.argsort(V, kind="stable")), np.sort(V),
-                               np.tile(V, 2), np.tile(V[-np.arange(m) % m], 2),
-                               slot, z, V[level.rows[slot]] + V[z])
-        y_rows, deep_reads, tabled = 0, 0, [level.r for level in tabled_levels(p)]
+            m, h, x = level.m, level.r * (p - 1), level.rows
+            V = v_numerators(p, level.r).astype(np.int16)
+            n = np.searchsorted(np.sort(V), (h + 1) // 2 - V[x])
+            slot = np.repeat(np.arange(x.size), n)
+            z = np.concatenate([np.argsort(V, kind="stable")[:k] for k in n.tolist()])
+            oracle[level.r] = (V, np.tile(V, 2), np.tile(V[-np.arange(m) % m], 2), n,
+                               slot, z, V[x[slot]] + V[z])
+        cleared_rows, read_rows, deep_reads = 0, 0, 0
+        tabled = [level.r for level in tabled_levels(p)]
         assert len(tabled) >= 2
         for d, e in [(d, e) for d in range(1, 41) for e in range(1, 41) if d % p or e % p]:
             reads, shares = belyi_reads(monkeypatch, p, (d, e))
             spans = [[r for r, *_ in join.spans] for join, _, _ in reads]
             assert spans in ([], [tabled[:1]], [tabled[1:]], [tabled[:1], tabled[1:]]), (d, e)
+            assert all(first is join.first for join, first, _ in reads), (d, e)
             assert all(count.sum() <= join.count.sum() for join, _, count in reads), (d, e)
             deep_reads += spans[-1:] == [tabled[1:]]
-            for level, read in shares:
-                table, m, h, x = level.table, level.m, level.r * (p - 1), level.rows
-                V, rank, by_rank, VV, EE, slot, z, vxz = oracle[level.r]
-                # the y-list: y != 0 with V[y] < ceil(3h/2) - V[x] - V[-dx] - V[-ex],
-                # a prefix of the order past y = 0
+            for level, count in shares:
+                m, h, x = level.m, level.r * (p - 1), level.rows
+                V, VV, EE, n, slot, z, vxz = oracle[level.r]
+                # a row reads nothing where its one-variable side violates or
+                # the row bound, V[x] + V[-dx] + V[-ex] + 1 >= ceil(3h/2), clears
+                # it, and else all its candidates
                 kx, dx, ve = (d + e) * x % m, d * x % m, V[-e * x % m]
-                n_y = np.searchsorted(by_rank[1:], (3 * h + 1) // 2 - V[x] - V[-dx % m] - ve)
                 one_variable = 2 * (V[x] + V[-kx % m]) < h
-                as_y = n_y < table.count
-                want = np.where(one_variable, 0, np.minimum(n_y, table.count))
-                if read is None:
+                cleared = 2 * (V[x] + V[-dx % m] + ve + 1) >= 3 * h
+                want = np.where(one_variable | cleared, 0, n)
+                if count is None:
                     assert not want.any(), (d, e, level.r)
                 else:
-                    first, count = read
-                    assert count.sum() <= table.count.sum(), (d, e, level.r)
-                    assert first.tolist() == as_y.tolist(), (d, e, level.r)
                     assert count.tolist() == want.tolist(), (d, e, level.r)
-                # every violating cell, found through the table's z, which hold them
-                # all (TestCandidateTable), is in its row's y-list too: at y =
-                # (d+e)x + z, W = V[x] + V[z] + V[y] + V[-dx - z] + V[-ex]
+                cleared_rows += (cleared & ~one_variable & (n > 0)).sum()
+                read_rows += want.astype(bool).sum()
+                # every violating cell is among its row's candidates
+                # (TestCandidateTable), so it lies in the row's read unless the
+                # one-variable side keeps the row: at y = (d+e)x + z, W = V[x]
+                # + V[z] + V[y] + V[-dx - z] + V[-ex]
                 y = kx[slot] + z
                 w = vxz + VV[y] + EE[dx[slot] + z] + ve[slot]
-                hit = np.flatnonzero(w < (3 * h + 1) // 2)
-                y = y[hit] % m
-                assert (rank[y] <= n_y[slot[hit]])[y != 0].all(), (d, e, level.r)
-                y_rows += as_y.sum()
-        assert y_rows and deep_reads
+                hit = slot[(w < (3 * h + 1) // 2) & (y % m != 0)]
+                assert (one_variable | (want == n))[hit].all(), (d, e, level.r)
+        assert cleared_rows and read_rows and deep_reads
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_prefixes_split_across_chunks(self, monkeypatch, p):
