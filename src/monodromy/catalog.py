@@ -16,6 +16,8 @@ The one-parameter families are written as the paper states them, as
 formulas in P = p^a: ``_single_param`` steps a and passes P alone to the
 formula, and ``_square`` does the same for both of its parameters, so an
 item stated for one prime names that prime only in its p-constraint.
+Binomial items 2 and 3, (1, n) and (n, 1), come from ``_fm_line``, which
+steps the FM-exponents n prime to p in ascending order instead.
 Every family is a generator of (A, B, params) triples, and one helper,
 ``_rows``, turns it into a {pair: params} map that keeps the params that
 first produce each pair.  Enumeration and the JSON rows of
@@ -272,18 +274,15 @@ _FINAL_FAMILIES = (
 # ---------------------------------------------------------------------------
 # binomial classification (matched on prime-to-p parts)
 
-def _coprime_fm_exponents(p: int, bound: int) -> list[int]:
-    return [n for n in sorted(fm_exponent_set(p, bound)) if n % p != 0]
+def _fm_line(make):
+    """Pairs make(n) over the FM-exponents n <= bound prime to p, ascending."""
 
+    def gen(p: int, bound: int):
+        for n in sorted(fm_exponent_set(p, bound)):
+            if n % p:
+                yield *make(n), _pk()
 
-def _gen_bin_2(p: int, bound: int):
-    for e in _coprime_fm_exponents(p, bound):
-        yield 1, e, _pk()
-
-
-def _gen_bin_3(p: int, bound: int):
-    for d in _coprime_fm_exponents(p, bound):
-        yield d, 1, _pk()
+    return gen
 
 
 def _gen_bin_5(p: int, bound: int):
@@ -296,8 +295,8 @@ def _gen_bin_5(p: int, bound: int):
 
 _BINOMIAL_FAMILIES = (
     (*_ANY, _sporadic(((1, 1),))),
-    (*_ANY, _gen_bin_2),
-    (*_ANY, _gen_bin_3),
+    (*_ANY, _fm_line(lambda n: (1, n))),
+    (*_ANY, _fm_line(lambda n: (n, 1))),
     (*_ANY, _square(lambda P: P + 1, lambda p: 1 if p == 2 else 0)),
     (*_ANY, _gen_bin_5),
     (*_GE3, _square(lambda P: (P + 1) // 2, lambda p: 0)),

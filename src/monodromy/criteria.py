@@ -36,9 +36,9 @@ violating cell thus has D[z] < ceil(h/2) - D[x], with z = y - (d+e)x for
 Belyi and z = y for binomial.  Those z depend on D[x] alone, never on the
 pair, so a level at r >= 2 of more than BLOCK_CELLS/16 cells (rows times
 m) keeps them in a candidate table if they number at most BLOCK_CELLS
-and an eighth of the cells (about 1% of them on the deep levels of
-p <= 7; at r = 1, where a quarter of the cells are candidates, none is
-built).  By (D[z], z) the z of every row are a prefix of one order of
+(about 1% of the cells on the deep levels of p <= 7; at r = 1, where a
+quarter of the cells are candidates, none is built).  By (D[z], z) the
+z of every row are a prefix of one order of
 the level, whose first entry is 0, so the table is that order, D in
 that order and one count per row.  `_hit_rows` is its one reader: it
 reads each row's prefix in chunks of BLOCK_CELLS/16 entries, adds the
@@ -181,6 +181,11 @@ class WitnessReport:
 
 @dataclass(frozen=True)
 class SearchResult:
+    """The outcome of one bounded search: its first witness, if any, and
+    violations_total.  With stop_early (the default) that counts only the
+    violating y on the witness's row, so belyi_search(2, (3, 10)) reports 1;
+    a full sweep counts every violating (x, y) once."""
+
     p: int
     pair: ExponentPair  # the plain tuple (d, 0) for the monomial search
     criterion: str
@@ -370,12 +375,11 @@ def _level_tables(p: int, r: int) -> _Level:
         table.flags.writeable = False  # the cache hands the same arrays to every search
     # a filter's numpy calls cost about as much as scanning three rows, so it
     # pays on levels of many rows.  The candidate table serves those where it
-    # holds at most BLOCK_CELLS entries and an eighth of the cells (at r = 1 a
-    # quarter are candidates, so none is counted); the others test each row's
-    # bound in turn
+    # holds at most BLOCK_CELLS entries (at r = 1 a quarter of the cells are
+    # candidates, so none is counted); the others test each row's bound in turn
     table = None
     if r > 1 and rows.size * m > BLOCK_CELLS // 16:
-        table = _candidate_table(D, rows, h, min(BLOCK_CELLS, rows.size * m // 8))
+        table = _candidate_table(D, rows, h, BLOCK_CELLS)
     return _Level(r, m, D, DD, EE, table, rows, below)
 
 

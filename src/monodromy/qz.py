@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,16 +77,16 @@ def _as_prime_int(p: int) -> int:
     return p
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class QzClass:
     """A class in Q/Z, stored as a reduced fraction num/den with 0 <= num < den.
 
     Construction normalizes arbitrary integer pairs by true mod, so callers
-    may freely form things like y - (d+e)*x and -e*x.  Equality and hashing
-    are by the reduced pair.  Denominator coprimality to a prime p is a
-    property of *use*, enforced where V is computed.
+    may freely form things like y - (d+e)*x and -e*x.  A frozen, slotted
+    dataclass: equality and hashing are by the reduced pair, and assignment
+    raises.  Denominator coprimality to a prime p is a property of *use*,
+    enforced where V is computed.
     """
-
-    __slots__ = ("num", "den")
 
     num: int
     den: int
@@ -101,9 +102,6 @@ class QzClass:
         num %= den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):  # immutability guard
-        raise AttributeError("QzClass is immutable")
 
     @classmethod
     def parse(cls, text: str) -> "QzClass":
@@ -133,14 +131,6 @@ class QzClass:
         if not isinstance(other, QzClass):
             return NotImplemented
         return QzClass(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QzClass):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         return f"QzClass({self.num}, {self.den})"

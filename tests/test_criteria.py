@@ -794,6 +794,15 @@ class TestCandidateTable:
         assert column_sizes(join[1:], join.rows.size, sum(m for *_, m in join.spans)) == []
         assert all(column_sizes(level.table, level.rows.size, level.m) == [] for level in levels)
 
+    def test_tables_hold_under_an_eighth_of_their_cells(self):
+        # so BLOCK_CELLS alone caps a table: at r = 1 a quarter of the cells
+        # are candidates, and no level past it comes near an eighth
+        primes = [p for p in range(2, 48) if all(p % q for q in range(2, p))]
+        levels = [(p, level) for p in primes for level in tabled_levels(p)]
+        assert {p for p, _ in levels} > set(ORACLE_DEPTH)
+        for p, level in levels:
+            assert 8 * int(level.table.count.sum()) < level.rows.size * level.m, (p, level.r)
+
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_kept_rows_are_the_rows_that_can_violate(self, monkeypatch, p):
         # a Belyi row kept by its cell at y = 0 alone would differ from
