@@ -215,7 +215,7 @@ def _residue_tables(p: int, cofactors: list[int]):
     # exp[i B + j] = (g^B)^i g^j by baby-step/giant-step, B = ceil(sqrt(m)):
     # the B baby steps and ceil(m / B) giant steps are Python ints, and one
     # outer product joins them.  The products reach (p-1)^2, so they are
-    # formed in int64; the table is int32 while (p-1)^2 < 2^31.
+    # formed in int64; the table is int32, since every entry is below p.
     m = p - 1
     B = math.isqrt(m - 1) + 1
     baby = [1]
@@ -225,9 +225,7 @@ def _residue_tables(p: int, cofactors: list[int]):
     for _ in range((m - 1) // B):
         giant.append(giant[-1] * step % p)
     exp = (np.multiply.outer(np.array(giant, dtype=np.int64), baby) % p).ravel()[:m]
-    if m * m < 2**31:
-        exp = exp.astype(np.int32)
-    return [0, 1], generator, exp, np.arange(p, dtype=np.int64)
+    return [0, 1], generator, exp.astype(np.int32), np.arange(p, dtype=np.int64)
 
 
 def _matrix_tables(p: int, r: int, cofactors: list[int]):

@@ -52,10 +52,7 @@ MELLIN_REL_TOL = 1e-6
 
 
 def _emit(obj: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, sort_keys=True, indent=2))
-    else:
-        print(json.dumps(obj, sort_keys=True))
+    print(json.dumps(obj, sort_keys=True, indent=2 if pretty else None))
 
 
 def _fraction_arg(text: str) -> QzClass:
@@ -155,7 +152,6 @@ def cmd_crosscheck(args) -> tuple[dict, dict]:
 
 def _prime_powers_upto(limit: int) -> list[tuple[int, int]]:
     """(p, r) for every prime power p^r <= limit, ordered by q, then p."""
-    limit = max(limit, 1)
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for n in range(2, math.isqrt(limit) + 1):

@@ -36,9 +36,9 @@ violating cell thus has D[z] < ceil(h/2) - D[x], with z = y - (d+e)x for
 Belyi and z = y for binomial.  Those z depend on D[x] alone, never on the
 pair, so a level at r >= 2 of more than BLOCK_CELLS/16 cells (rows times
 m) keeps them in a candidate table if they number at most BLOCK_CELLS
-(about 1% of the cells on the deep levels of p <= 7; at r = 1, where a
-quarter of the cells are candidates, none is built).  By (D[z], z) the
-z of every row are a prefix of one order of
+(0.85-5.5% of their rows' cells on the tabled levels of p <= 7; at r = 1,
+where a quarter of the cells are candidates, none is built).  By (D[z], z)
+the z of every row are a prefix of one order of
 the level, whose first entry is 0, so the table is that order, D in
 that order and one count per row.  `_hit_rows` is its one reader: it
 reads each row's prefix in chunks of BLOCK_CELLS/16 entries, adds the
@@ -405,8 +405,9 @@ class _Join(NamedTuple):
 @lru_cache(maxsize=16)
 def _belyi_join(p: int, lo: int, hi: int) -> _Join:
     """The tabled levels lo <= r <= hi of p, joined for one Belyi filter
-    pass.  A single level's arrays are its own; several are copied in their
-    own narrow types.  Pure data behind a bounded read-through cache."""
+    pass: each column is the levels' arrays laid end to end, copied in
+    their own narrow types, even for one level.  Pure data behind a
+    bounded read-through cache."""
     levels = [level for r in range(lo, hi + 1) if (level := _level_tables(p, r)).table is not None]
     spans, columns = [], []
     n = t = 0  # rows and order entries of earlier levels
@@ -418,8 +419,7 @@ def _belyi_join(p: int, lo: int, hi: int) -> _Join:
                         level.DD, level.EE, table.order, table.sums, np.full(rows.size, t),
                         table.count))
         n, t = n + rows.size, t + level.m
-    join = _Join(tuple(spans), *(parts[0] if len(parts) == 1 else np.concatenate(parts)
-                                 for parts in zip(*columns)))
+    join = _Join(tuple(spans), *map(np.concatenate, zip(*columns)))
     for column in join[1:]:
         column.flags.writeable = False  # the cache hands the same arrays to every search
     return join

@@ -179,14 +179,14 @@ class TestBuildField:
     def test_tables_match_per_element_oracle(self):
         fields = [(p, r) for p in range(2, 2049) if is_prime(p)
                   for r in range(1, 12) if p**r <= 2048]
-        # 46337 and 46349 straddle the step of exp from int32 to int64; at
-        # 65521 the doubling's products g^n * exp[k] pass 2^31
+        # 46337 and 46349 straddle (p-1)^2 = 2^31, past which the baby-step/
+        # giant-step products need int64, and 65521 lies well past it; the
+        # exp table itself is int32 at every field
         for p, r in fields + [(2, 16), (1021, 1), (46337, 1), (46349, 1), (65521, 1)]:
             F = build_field(p, r)
             got = (F.modulus, F.generator, *(tuple(t.tolist()) for t in (F.exp, F.log, F.trace)))
             assert got == oracle_field(p, r), (p, r)
-            exp_dtype = np.int64 if r == 1 and (p - 1) ** 2 >= 2**31 else np.int32
-            assert (F.exp.dtype, F.log.dtype, F.trace.dtype) == (exp_dtype, np.int64, np.int64)
+            assert (F.exp.dtype, F.log.dtype, F.trace.dtype) == (np.int32, np.int64, np.int64)
 
     def test_cache_is_bounded_and_releases_fields(self):
         build_field.cache_clear()

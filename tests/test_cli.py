@@ -7,6 +7,8 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -464,6 +466,7 @@ NOT_AN_INT = "cannot be interpreted as an integer"
     (lambda: belyi_search(2, (1, 2), max_r=3.0), TypeError, NOT_AN_INT),
     (lambda: crosscheck(2, 10, max_r=3.0), TypeError, NOT_AN_INT),
     (lambda: enumerate_family(("final", 1.5), 2, 10), TypeError, NOT_AN_INT),
+    (lambda: digit_sum(5, 1), ValueError, "base >= 2"),
 ], ids=["theorem", "enumerate_family", "catalog_rows", "fm_pair_scan", "quotient_lemma_oracle",
         "build_field", "ExponentPair", "classify_fm_exponent", "monomial_search",
         "mult_order", "digit_sum", "_as_class", "exp_sum-coefficient-9",
@@ -475,7 +478,8 @@ NOT_AN_INT = "cannot be interpreted as an integer"
         "gauss_sum-float", "gauss_sum_raw-float", "jacobi_sum-float", "mellin_sum-float",
         "exp_sum-float", "mellin_sum-negative", "mellin_suite-negative",
         "mellin_suite-0-1", "mellin_suite-1-0", "mellin_suite-0-0",
-        "belyi_search-float-max_r", "crosscheck-float-max_r", "enumerate_family-float-item"])
+        "belyi_search-float-max_r", "crosscheck-float-max_r", "enumerate_family-float-item",
+        "digit_sum-base-1"])
 def test_library_rejects_out_of_range_input(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -639,6 +643,21 @@ def cli_output(command: str) -> dict:
             code = exc.code
     stdout = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', out.getvalue())
     return {"stdout": stdout, "stderr": err.getvalue(), "exit": code}
+
+
+@pytest.mark.parametrize("command,stderr,code", [
+    ("vp 2 1/7", "", 0),
+    ("vp 4 1/7", "error: 4 is not prime\n", 2),
+])
+def test_module_runs_as_a_script(command, stderr, code):
+    """``python -m monodromy.cli``, the CLI's cold start, prints what main()
+    prints and exits with its code."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    res = subprocess.run([sys.executable, "-m", "monodromy.cli", *command.split()], env=env,
+                         capture_output=True, text=True, timeout=60)
+    stdout = re.sub(r'"timing_ms": \d+', '"timing_ms": 0', res.stdout)
+    assert {"stdout": stdout, "stderr": res.stderr, "exit": res.returncode} == cli_output(command)
+    assert (res.stderr, res.returncode) == (stderr, code)
 
 
 def test_cli_outputs_match_golden():

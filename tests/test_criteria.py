@@ -909,10 +909,10 @@ class TestHitRows:
 class TestBelyiPrefilter:
     """The candidate table is the one filter a Belyi level runs before its
     row loop.  At the real thresholds it serves the levels of many rows,
-    capped at BLOCK_CELLS entries and an eighth of the cells and read in
-    chunks of BLOCK_CELLS/16 entries, the first tabled level of a depth
-    alone and every deeper one in one read; there too the kept rows must be
-    exactly the rows an oracle finds a hit on."""
+    capped at BLOCK_CELLS entries and read in chunks of BLOCK_CELLS/16
+    entries, the first tabled level of a depth alone and every deeper one
+    in one read; there too the kept rows must be exactly the rows an oracle
+    finds a hit on."""
 
     @pytest.mark.parametrize("p", ORACLE_DEPTH)
     def test_kept_rows_are_the_rows_that_can_violate(self, monkeypatch, p):
@@ -1140,6 +1140,19 @@ class TestBelyiDeepPass:
         assert criteria._belyi_join.cache_info()[:2] == cached[:2]
         assert [belyi_search(2, pair, stop_early=False).as_dict()
                 for pair in [(8, 3), (3, 10)]] == real
+
+    def test_the_cap_keeps_big_levels_out_of_the_joined_pass(self):
+        # past the default depth, r = 15 and 16 at p = 2 would hold 187 254
+        # and 285 604 entries; capped at BLOCK_CELLS they build no table, so
+        # the joined pass of a deeper search reads r = 10-14 alone
+        join = criteria._belyi_join(2, 10, 16)
+        assert [r for r, *_ in join.spans] == [10, 11, 12, 13, 14]
+        assert int(join.count.sum()) == 68_375
+        for r, uncapped in [(15, 187_254), (16, 285_604)]:
+            level = _level_tables(2, r)
+            assert level.table is None
+            table = criteria._candidate_table(level.D, level.rows, r, math.inf)
+            assert int(table.count.sum()) == uncapped > criteria.BLOCK_CELLS
 
 
 GLIBC_ONLY = pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
